@@ -20,7 +20,7 @@ from .linalg import jordan_partition
 from .modules import is_weakly_admissible
 from .partitions import PartitionFunction, partitions_of, strata_thresholds, stratum_member
 from .sampling import sweep
-from .scalars import parse_rational
+from .scalars import format_rational, parse_rational
 from .schema import (
     admissibility_json,
     character_json,
@@ -29,7 +29,6 @@ from .schema import (
     load_json,
     parse_module,
     partition_function_json,
-    rational_str,
     segments_json,
     wd_json,
 )
@@ -59,15 +58,15 @@ def _cmd_check_admissible(args):
     report = admissibility_json(rep)
     lines = [
         f"admissible: {'yes' if rep.admissible else 'no'}",
-        f"t_H = {rational_str(rep.t_h)}",
-        f"t_N = {rational_str(rep.t_n)}",
+        f"t_H = {format_rational(rep.t_h)}",
+        f"t_N = {format_rational(rep.t_n)}",
         f"subspaces checked: {rep.subspaces_checked} ({rep.mode})",
     ]
     if rep.witness is not None:
         w = rep.witness
         lines.append(
             f"witness: dim {w.subspace.dim} subspace with "
-            f"t_H = {rational_str(w.t_h)} > t_N = {rational_str(w.t_n)}"
+            f"t_H = {format_rational(w.t_h)} > t_N = {format_rational(w.t_n)}"
         )
     return (0 if rep.admissible else 1), report, lines
 
@@ -97,7 +96,7 @@ def _cmd_segments(args):
         "psi": character_json(psi),
     }
     lines = [
-        "segments: " + ", ".join(f"({rational_str(s.chi)}, {s.length})" for s in segs),
+        "segments: " + ", ".join(f"({format_rational(s.chi)}, {s.length})" for s in segs),
         f"generic: {'yes' if generic else 'no'}",
         "psi: (" + ", ".join(character_json(psi)) + ")",
     ]
@@ -117,14 +116,14 @@ def _cmd_hecke(args):
         "n": h.n,
         "q": h.q,
         "r": h.r,
-        "psi": [rational_str(v) for v in psi],
-        "closed": rational_str(closed),
-        "enumerated": rational_str(enumerated),
+        "psi": [format_rational(v) for v in psi],
+        "closed": format_rational(closed),
+        "enumerated": format_rational(enumerated),
         "equal": equal,
     }
     lines = [
-        f"theta closed = {rational_str(closed)}",
-        f"theta enumerated = {rational_str(enumerated)}",
+        f"theta closed = {format_rational(closed)}",
+        f"theta enumerated = {format_rational(enumerated)}",
         f"equal: {'yes' if equal else 'no'}",
     ]
     return (0 if equal else 1), report, lines

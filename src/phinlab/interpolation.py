@@ -14,6 +14,7 @@ from .errors import InputError, NotFullyRational, RepeatedEigenvalues
 from .hecke import HeckeParams, theta_tilde
 from .linalg import exterior_trace
 from .modules import is_weakly_admissible
+from .partitions import LabelMap
 from .scalars import TwistedScalar
 from .weil_deligne import (
     find_linked_pair,
@@ -45,56 +46,29 @@ CONVENTIONS = {
 }
 
 
-class _WeightTable:
-    __slots__ = ("table",)
+class XiWeights(LabelMap):
+    """Integer twist weights per embedding; no shape constraint beyond length."""
 
-    def __init__(self, mapping):
-        table = tuple(sorted((str(k), tuple(int(x) for x in v)) for k, v in mapping.items()))
-        if not table:
-            raise InputError("weight table needs at least one embedding")
-        object.__setattr__(self, "table", table)
+    __slots__ = ()
+    error = InputError
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @property
-    def labels(self):
-        return tuple(k for k, _ in self.table)
-
-    def __iter__(self):
-        return iter(self.labels)
-
-    def __getitem__(self, label):
-        for k, v in self.table:
-            if k == label:
-                return v
-        raise KeyError(label)
-
-    def items(self):
-        return self.table
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.table == other.table
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.table))
-
-    def __repr__(self):
-        return f"{type(self).__name__}({dict(self.table)})"
+    @staticmethod
+    def _value(label, weights):
+        return tuple(int(x) for x in weights)
 
 
-class HodgeTateWeights(_WeightTable):
+class HodgeTateWeights(LabelMap):
     """Strictly increasing integer weights per embedding (regular weight)."""
 
-    def __init__(self, mapping):
-        super().__init__(mapping)
-        for label, w in self.table:
-            if any(w[i] >= w[i + 1] for i in range(len(w) - 1)):
-                raise InputError(f"weights for {label} must be strictly increasing, got {w}")
+    __slots__ = ()
+    error = InputError
 
-
-class XiWeights(_WeightTable):
-    """Integer twist weights per embedding; no shape constraint beyond length."""
+    @staticmethod
+    def _value(label, weights):
+        w = XiWeights._value(label, weights)
+        if any(w[i] >= w[i + 1] for i in range(len(w) - 1)):
+            raise InputError(f"weights for {label} must be strictly increasing, got {w}")
+        return w
 
 
 def xi_from_ht(weights):

@@ -6,6 +6,8 @@ anywhere. Subspaces keep a reduced-echelon basis so that equality and
 hashing are structural.
 """
 
+import math
+
 from .errors import NonNilpotentMonodromy
 from .scalars import Rational, ZERO, ONE
 
@@ -357,9 +359,7 @@ def rational_eigenvalues(m):
     if zero_mult:
         roots[ZERO] = zero_mult
     if len(coeffs) > 1:
-        scale = 1
-        for c in coeffs:
-            scale = scale * int(c.denominator) // _gcd(scale, int(c.denominator))
+        scale = math.lcm(*(int(c.denominator) for c in coeffs))
         ints = [int(c * scale) for c in coeffs]
         candidates = set()
         for top in _divisors(ints[0]):
@@ -373,12 +373,6 @@ def rational_eigenvalues(m):
     residual = None if len(coeffs) == 1 else coeffs
     ordered = tuple(sorted(roots.items()))
     return EigenSplit(ordered, residual)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def jordan_nilpotent(sizes):

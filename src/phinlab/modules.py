@@ -33,7 +33,7 @@ from .linalg import (
     rational_eigenvalues,
     solve_columns,
 )
-from .scalars import Rational, is_prime, padic_val, rational_power
+from .scalars import Rational, is_prime, padic_val
 
 __all__ = [
     "FieldDescriptor",
@@ -41,6 +41,7 @@ __all__ = [
     "FilteredPhiNModule",
     "AdmissibilityReport",
     "Witness",
+    "check_phi_n",
     "build_module",
     "newton_number",
     "hodge_number",
@@ -132,6 +133,26 @@ def _as_matrix(value, n, what):
     return m
 
 
+def check_phi_n(phi, monodromy, scale):
+    """Reject a singular phi, a non-nilpotent N, or N*phi != scale*phi*N."""
+    n = phi.nrows
+    if det(phi) == 0:
+        raise SingularFrobenius("phi is singular")
+    if not matrix_power(monodromy, n).is_zero:
+        raise NonNilpotentMonodromy(n)
+    scale = Rational(scale)
+    lhs = monodromy @ phi
+    rhs = scale * (phi @ monodromy)
+    if lhs != rhs:
+        i, j = next(
+            (i, j)
+            for i in range(n)
+            for j in range(n)
+            if lhs.rows[i][j] != rhs.rows[i][j]
+        )
+        raise RelationViolation((i, j), lhs.rows[i][j], rhs.rows[i][j], scale)
+
+
 def build_module(field, n, phi, monodromy, filtration):
     """Validate and assemble a filtered module.
 
@@ -144,21 +165,7 @@ def build_module(field, n, phi, monodromy, filtration):
         raise InputError("rank must be at least 1")
     phi = _as_matrix(phi, n, "phi")
     monodromy = _as_matrix(monodromy, n, "monodromy")
-    if det(phi) == 0:
-        raise SingularFrobenius("phi is singular")
-    if not matrix_power(monodromy, n).is_zero:
-        raise NonNilpotentMonodromy(n)
-    scale = Rational(field.p) ** field.f
-    lhs = monodromy @ phi
-    rhs = scale * (phi @ monodromy)
-    if lhs != rhs:
-        i, j = next(
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if lhs.rows[i][j] != rhs.rows[i][j]
-        )
-        raise RelationViolation((i, j), lhs.rows[i][j], rhs.rows[i][j], scale)
+    check_phi_n(phi, monodromy, field.p ** field.f)
     if set(filtration) != set(field.embeddings):
         raise BadFlag(
             f"filtration labels {sorted(filtration)} do not match embeddings {sorted(field.embeddings)}"
@@ -178,29 +185,50 @@ def build_module(field, n, phi, monodromy, filtration):
     return FilteredPhiNModule(field, n, phi, monodromy, flags)
 
 
-def _restrict_or_reject(d, sub, check_monodromy=True):
+def _restrict_or_reject(d, sub):
+    """phi on a nonzero subspace that must be phi- and N-stable; None on zero."""
     if sub.dim == 0:
         return None
     try:
         restricted = sub.restrict(d.phi)
     except ValueError:
         raise ValueError("subspace is not phi-stable") from None
-    if check_monodromy and not sub.is_stable_under(d.monodromy):
+    if not sub.is_stable_under(d.monodromy):
         raise ValueError("subspace is not monodromy-stable")
     return restricted
+
+
+def _newton(d, frobenius_det):
+    val = padic_val(frobenius_det, d.field.p).value
+    return Rational(d.field.e * val) / (d.field.degree_factor * d.field.f)
 
 
 def newton_number(d, sub=None):
     """t_N: scaled valuation of det(phi) on the module or a stable subspace."""
     if sub is None:
-        value = det(d.phi)
-    else:
-        restricted = _restrict_or_reject(d, sub)
-        if restricted is None:
-            return Rational(0)
-        value = det(restricted)
-    val = padic_val(value, d.field.p).value
-    return Rational(d.field.e * val) / (d.field.degree_factor * d.field.f)
+        return _newton(d, det(d.phi))
+    restricted = _restrict_or_reject(d, sub)
+    if restricted is None:
+        return Rational(0)
+    return _newton(d, det(restricted))
+
+
+def _filtration_levels(d):
+    """Per embedding, each distinct jump i ascending with its Fil^i subspace."""
+    return [
+        [(i, d.fil_subspace(label, i)) for i in sorted(set(d.jumps(label)))]
+        for label in d.field.embeddings
+    ]
+
+
+def _hodge(sub, levels):
+    total = 0
+    for label_levels in levels:
+        dims = [sub.intersect(fil).dim for _, fil in label_levels]
+        dims.append(0)
+        for k, (i, _) in enumerate(label_levels):
+            total += i * (dims[k] - dims[k + 1])
+    return total
 
 
 def hodge_number(d, sub=None):
@@ -214,14 +242,7 @@ def hodge_number(d, sub=None):
     if sub.ambient != d.n:
         raise ValueError("ambient dimension mismatch")
     _restrict_or_reject(d, sub)
-    total = 0
-    for label in d.field.embeddings:
-        levels = sorted(set(d.jumps(label)))
-        dims = [sub.intersect(d.fil_subspace(label, i)).dim for i in levels]
-        dims.append(0)
-        for k, i in enumerate(levels):
-            total += i * (dims[k] - dims[k + 1])
-    return total
+    return _hodge(sub, _filtration_levels(d))
 
 
 def enumerate_stable_subspaces(d):
@@ -298,11 +319,14 @@ def is_weakly_admissible(d, candidates=None):
     if t_h != t_n:
         witness = Witness(Subspace.full(d.n), t_h, t_n)
         return AdmissibilityReport(False, t_h, t_n, witness, len(subs), mode)
+    # every subspace here is stable: enumerated ones are built stable and
+    # candidates were validated above, so t_H and t_N are computed directly
+    levels = _filtration_levels(d)
     for sub in subs:
         if sub.dim in (0, d.n):
             continue
-        sub_h = hodge_number(d, sub)
-        sub_n = newton_number(d, sub)
+        sub_h = _hodge(sub, levels)
+        sub_n = _newton(d, det(sub.restrict(d.phi)))
         if not sub_h <= sub_n:
             witness = Witness(sub, sub_h, sub_n)
             return AdmissibilityReport(False, t_h, t_n, witness, len(subs), mode)

@@ -9,11 +9,11 @@ label, so the single-block partition is the smallest element and
 
 import enum
 
-from .errors import NonNilpotentMonodromy
-from .linalg import kernel_dim
+from .linalg import jordan_partition
 
 __all__ = [
     "Partition",
+    "LabelMap",
     "PartitionFunction",
     "Dominance",
     "conjugate",
@@ -119,49 +119,62 @@ def compare(a, b):
     return Dominance.INCOMPARABLE
 
 
-class PartitionFunction:
-    """A partition attached to each embedding label."""
+class LabelMap:
+    """Immutable map from embedding labels to values, sorted by label.
 
-    __slots__ = ("assignments",)
+    Subclasses define ``_value(label, value)``, which normalises and
+    validates one value, and may set ``error``, raised for an empty map.
+    """
+
+    __slots__ = ("pairs",)
+    error = ValueError
 
     def __init__(self, mapping):
-        items = []
-        for label in sorted(mapping):
-            value = mapping[label]
-            if not isinstance(value, Partition):
-                value = Partition(value)
-            items.append((str(label), value))
-        if not items:
-            raise ValueError("at least one label is required")
-        object.__setattr__(self, "assignments", tuple(items))
+        named = sorted(((str(k), v) for k, v in mapping.items()), key=lambda kv: kv[0])
+        pairs = tuple((label, self._value(label, value)) for label, value in named)
+        if not pairs:
+            raise self.error("at least one label is required")
+        object.__setattr__(self, "pairs", pairs)
 
     def __setattr__(self, name, value):
-        raise AttributeError("PartitionFunction is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def labels(self):
-        return tuple(label for label, _ in self.assignments)
+        return tuple(label for label, _ in self.pairs)
+
+    def __iter__(self):
+        return iter(self.labels)
 
     def __getitem__(self, label):
-        for key, value in self.assignments:
+        for key, value in self.pairs:
             if key == label:
                 return value
         raise KeyError(label)
 
     def items(self):
-        return self.assignments
+        return self.pairs
 
     def __eq__(self, other):
-        if not isinstance(other, PartitionFunction):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.assignments == other.assignments
+        return self.pairs == other.pairs
 
     def __hash__(self):
-        return hash(self.assignments)
+        return hash((type(self).__name__, self.pairs))
 
     def __repr__(self):
-        body = ", ".join(f"{label}: {p.parts}" for label, p in self.assignments)
-        return f"PartitionFunction({body})"
+        return f"{type(self).__name__}({dict(self.pairs)})"
+
+
+class PartitionFunction(LabelMap):
+    """A partition attached to each embedding label."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _value(label, value):
+        return value if isinstance(value, Partition) else Partition(value)
 
 
 def paper_leq(p, p_prime):
@@ -192,7 +205,8 @@ def stratum_member(nilpotents, p):
 
     ``nilpotents`` maps each label of P to a square matrix of size n; the
     test compares sum-over-labels kernel dimensions of powers against the
-    thresholds of P.
+    thresholds of P. Those sums are the thresholds of the Jordan types,
+    since dim ker N^i sums min(i, part) over the Jordan blocks of N.
     """
     labels = tuple(sorted(nilpotents))
     if labels != p.labels:
@@ -202,16 +216,5 @@ def stratum_member(nilpotents, p):
         raise ValueError("all matrices must be square of one common size")
     n = sizes.pop()
     thresholds = strata_thresholds(p, n)
-    totals = [0] * n
-    for label in labels:
-        power = nilpotents[label]
-        dim = 0
-        for i in range(n):
-            if i:
-                power = power @ nilpotents[label]
-            dim = kernel_dim(power)
-            totals[i] += dim
-        # dim ker(N^n) = n is exactly nilpotency, so no separate power needed
-        if dim != n:
-            raise NonNilpotentMonodromy(n)
-    return all(t >= m for t, m in zip(totals, thresholds))
+    types = PartitionFunction({label: jordan_partition(nilpotents[label]) for label in labels})
+    return all(t >= m for t, m in zip(strata_thresholds(types, n), thresholds))

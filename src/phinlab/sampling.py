@@ -14,8 +14,7 @@ from .interpolation import check_integrality, consistency_check, ht_from_module,
 from .linalg import Matrix, jordan_nilpotent, jordan_partition
 from .modules import FieldDescriptor, build_module, is_weakly_admissible
 from .partitions import Partition, PartitionFunction, paper_leq, stratum_member
-from .scalars import Rational
-from .schema import rational_str
+from .scalars import Rational, format_rational
 from .weil_deligne import Segment, wd_from_segments
 
 __all__ = [
@@ -164,8 +163,8 @@ def sweep(seed):
         enumerated = theta_enumerated(psi, h)
         cases.append(_case(
             f"hecke-{i:03d}", "theta_routes_agree", enumerated == closed,
-            {"n": h.n, "q": h.q, "r": h.r, "closed": rational_str(closed),
-             "enumerated": rational_str(enumerated)},
+            {"n": h.n, "q": h.q, "r": h.r, "closed": format_rational(closed),
+             "enumerated": format_rational(enumerated)},
         ))
 
     for i in range(10):
@@ -185,8 +184,8 @@ def sweep(seed):
         rep = is_weakly_admissible(d)
         cases.append(_case(
             f"admissible-{i:03d}", "sampled_module_admissible", rep.admissible,
-            {"n": d.n, "p": d.field.p, "t_h": rational_str(rep.t_h),
-             "t_n": rational_str(rep.t_n)},
+            {"n": d.n, "p": d.field.p, "t_h": format_rational(rep.t_h),
+             "t_n": format_rational(rep.t_n)},
         ))
 
     for i in range(8):

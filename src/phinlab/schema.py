@@ -14,13 +14,12 @@ import json
 from .errors import InputError, SchemaError
 from .linalg import Matrix
 from .modules import FieldDescriptor, build_module
-from .scalars import PAdicValuation, parse_rational
+from .scalars import PAdicValuation, format_rational, parse_rational
 from .weil_deligne import Segment
 
 __all__ = [
     "load_json",
     "parse_module",
-    "rational_str",
     "matrix_json",
     "valuation_json",
     "twisted_json",
@@ -104,7 +103,7 @@ def parse_field(obj, path="field"):
         kwargs["embeddings"] = tuple(emb)
     try:
         return FieldDescriptor(p=p, **kwargs)
-    except InputError as err:
+    except ValueError as err:
         raise SchemaError(path, str(err))
 
 
@@ -141,12 +140,8 @@ def parse_module(obj):
 # report serialization
 
 
-def rational_str(x):
-    return str(x)
-
-
 def matrix_json(m):
-    return [[rational_str(x) for x in row] for row in m.rows]
+    return [[format_rational(x) for x in row] for row in m.rows]
 
 
 def valuation_json(v):
@@ -158,16 +153,16 @@ def valuation_json(v):
 def twisted_json(t):
     """Rational string when the uniformizer power folds, a pair otherwise."""
     if t.is_rational:
-        return rational_str(t.rational())
-    return {"coeff": rational_str(t.coeff), "pi_exp": t.pi_exp}
+        return format_rational(t.rational())
+    return {"coeff": format_rational(t.coeff), "pi_exp": t.pi_exp}
 
 
 def segments_json(segments):
-    return [{"chi": rational_str(s.chi), "len": s.length} for s in segments]
+    return [{"chi": format_rational(s.chi), "len": s.length} for s in segments]
 
 
 def character_json(psi):
-    return [rational_str(v) for v in psi]
+    return [format_rational(v) for v in psi]
 
 
 def partition_function_json(pf):
@@ -177,8 +172,8 @@ def partition_function_json(pf):
 def admissibility_json(report):
     out = {
         "admissible": report.admissible,
-        "t_h": rational_str(report.t_h),
-        "t_n": rational_str(report.t_n),
+        "t_h": format_rational(report.t_h),
+        "t_n": format_rational(report.t_n),
         "subspaces_checked": report.subspaces_checked,
         "mode": report.mode,
         "witness": None,
@@ -189,8 +184,8 @@ def admissibility_json(report):
         out["witness"] = {
             "dim": w.subspace.dim,
             "basis": basis,
-            "t_h": rational_str(w.t_h),
-            "t_n": rational_str(w.t_n),
+            "t_h": format_rational(w.t_h),
+            "t_n": format_rational(w.t_n),
         }
     return out
 

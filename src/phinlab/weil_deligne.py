@@ -12,15 +12,9 @@ expand into the eigenvalue list consumed by the Hecke side.
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import (
-    ChainMismatch,
-    InputError,
-    NonNilpotentMonodromy,
-    NotFullyRational,
-    RelationViolation,
-    SingularFrobenius,
-)
-from .linalg import Matrix, det, jordan_partition, matrix_power, rational_eigenvalues
+from .errors import ChainMismatch, InputError, NotFullyRational
+from .linalg import Matrix, jordan_partition, rational_eigenvalues
+from .modules import check_phi_n
 from .partitions import PartitionFunction
 from .scalars import Rational, padic_val
 
@@ -77,22 +71,7 @@ class WeilDeligneRep:
                 f"need matching square matrices, got {fr.nrows}x{fr.ncols} "
                 f"and {nil.nrows}x{nil.ncols}"
             )
-        n = fr.nrows
-        if det(fr) == 0:
-            raise SingularFrobenius("Frobenius matrix is singular")
-        if not matrix_power(nil, n).is_zero:
-            raise NonNilpotentMonodromy(n)
-        scale = Rational(q)
-        lhs = nil @ fr
-        rhs = scale * (fr @ nil)
-        if lhs != rhs:
-            i, j = next(
-                (i, j)
-                for i in range(n)
-                for j in range(n)
-                if lhs.rows[i][j] != rhs.rows[i][j]
-            )
-            raise RelationViolation((i, j), lhs.rows[i][j], rhs.rows[i][j], scale)
+        check_phi_n(fr, nil, q)
         embeddings = tuple(embeddings)
         if not embeddings or len(set(embeddings)) != len(embeddings):
             raise InputError(f"embedding labels must be distinct and nonempty: {embeddings}")

@@ -303,3 +303,65 @@ def test_weil_trace_pinned():
     assert weil_trace(st, 1) == Fraction(3, 2)
     assert weil_trace(st, -1) == 3
     assert weil_trace(st, 2) == Fraction(5, 4)
+
+
+def random_semistable_two_label(rng):
+    """Conjugated chain blocks (N != 0, distinct eigenvalues) with two random flags.
+
+    The jumps usually sum to t_N, so the subspace loop runs and either
+    verdict can come out; sometimes they do not, to exercise the early exit.
+    """
+    from phinlab.scalars import padic_val
+    from tests_helpers import random_unimodular
+
+    p = rng.choice([2, 3])
+    n = rng.randint(2, 5)
+    lengths = [2]
+    while sum(lengths) < n:
+        lengths.append(rng.randint(1, n - sum(lengths)))
+    units = rng.sample([u for u in (1, 5, 7, 11, 13) if u % p], len(lengths))
+    diag, nil = [], [[0] * n for _ in range(n)]
+    for u, k in zip(units, lengths):
+        base = Fraction(u) * Fraction(p) ** rng.randint(-1, 2)
+        for j in range(k):
+            if j:
+                nil[len(diag)][len(diag) - 1] = 1
+            diag.append(base * p ** (k - 1 - j))
+    s = random_unimodular(rng, n)
+    si = s.inverse()
+    phi = s @ Matrix.diagonal(diag) @ si
+    monodromy = s @ Matrix(nil) @ si
+    field = FieldDescriptor(p=p, embeddings=("k0", "k1"))
+    jumps = {label: [rng.randint(-1, 3) for _ in range(n)] for label in field.embeddings}
+    t_n = sum(padic_val(x, p).value for x in diag)
+    if rng.random() < 0.85:
+        jumps["k1"][-1] += t_n - sum(jumps["k0"]) - sum(jumps["k1"])
+    flags = {label: (random_unimodular(rng, n), jumps[label]) for label in field.embeddings}
+    return build_module(field, n, phi, monodromy, flags)
+
+
+def test_admissibility_loop_matches_the_validating_functions():
+    rng = random.Random(53)
+    verdicts = set()
+    for _ in range(24):
+        d = random_semistable_two_label(rng)
+        assert not d.monodromy.is_zero
+        subs = enumerate_stable_subspaces(d)
+        t_h, t_n = hodge_number(d), newton_number(d)
+        expected = (True, t_h, t_n, None, len(subs))
+        if t_h != t_n:
+            expected = (False, t_h, t_n, (Subspace.full(d.n), t_h, t_n), len(subs))
+        else:
+            for sub in subs:
+                if sub.dim in (0, d.n):
+                    continue
+                sub_h, sub_n = hodge_number(d, sub), newton_number(d, sub)
+                if sub_h > sub_n:
+                    expected = (False, t_h, t_n, (sub, sub_h, sub_n), len(subs))
+                    break
+        report = is_weakly_admissible(d)
+        witness = None if report.witness is None else tuple(report.witness)
+        got = (report.admissible, report.t_h, report.t_n, witness, report.subspaces_checked)
+        assert got == expected
+        verdicts.add((report.admissible, t_h == t_n))
+    assert verdicts == {(True, True), (False, True), (False, False)}

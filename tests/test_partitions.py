@@ -196,3 +196,27 @@ def test_kernel_growth_matches_partial_sum_characterization():
                 expected = paper_leq(PartitionFunction({"k0": lam}),
                                      PartitionFunction({"k0": mu}))
                 assert member == expected
+
+
+def test_stratum_member_multi_label_matches_kernel_dimensions():
+    from tests_helpers import random_unimodular
+
+    rng = random.Random(59)
+    outcomes = set()
+    for _ in range(60):
+        n = rng.randint(3, 5)
+        shapes = [Partition(t) for t in partitions_of(n)]
+        labels = ("a", "b", "c")[: rng.randint(2, 3)]
+        nilpotents = {}
+        for label, shape in zip(labels, rng.sample(shapes, len(labels))):
+            s = random_unimodular(rng, n)
+            nilpotents[label] = s @ jordan_nilpotent(shape.parts) @ s.inverse()
+        p = PartitionFunction({label: rng.choice(shapes) for label in labels})
+        kernels = [sum(kernel_dim(matrix_power(nilpotents[label], i)) for label in labels)
+                   for i in range(1, n + 1)]
+        thresholds = [sum(min(i, x) for label in labels for x in p[label].parts)
+                      for i in range(1, n + 1)]
+        expected = all(k >= m for k, m in zip(kernels, thresholds))
+        assert stratum_member(nilpotents, p) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}

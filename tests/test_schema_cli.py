@@ -237,3 +237,16 @@ def test_cli_sweep_deterministic(capsys):
     assert report["passed"] is True
     ids = [c["id"] for c in report["cases"]]
     assert ids == sorted(ids)
+
+
+@pytest.mark.parametrize("field", [
+    {"p": 4},
+    {"p": 2, "e": 0},
+    {"p": 2, "embeddings": []},
+])
+def test_cli_bad_field_block_is_an_input_error(tmp_path, capsys, field):
+    path = write_json(tmp_path, variant(field=field))
+    code, _, err = run_cli(capsys, ["check-admissible", path])
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: field")
