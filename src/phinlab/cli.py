@@ -18,7 +18,7 @@ from .hecke import HeckeParams, theta_closed, theta_enumerated
 from .interpolation import check_integrality, consistency_check, ht_from_module, xi_from_ht
 from .linalg import jordan_partition
 from .modules import is_weakly_admissible
-from .partitions import PartitionFunction, partitions_of, strata_thresholds, stratum_member
+from .partitions import PartitionFunction, partitions_of, reaches_thresholds, strata_thresholds
 from .sampling import sweep
 from .scalars import format_rational, parse_rational
 from .schema import (
@@ -167,14 +167,14 @@ def _cmd_strata(args):
     part = jordan_partition(d.monodromy)
     labels = d.field.embeddings
     point = PartitionFunction({label: part for label in labels})
-    nilpotents = {label: d.monodromy for label in labels}
+    point_thresholds = strata_thresholds(point, d.n)
     strata = []
     for probe in partitions_of(d.n):
-        probe_pf = PartitionFunction({label: probe for label in labels})
+        thresholds = strata_thresholds(PartitionFunction({label: probe for label in labels}), d.n)
         strata.append({
             "partition": list(probe.parts),
-            "thresholds": list(strata_thresholds(probe_pf, d.n)),
-            "member": stratum_member(nilpotents, probe_pf),
+            "thresholds": list(thresholds),
+            "member": reaches_thresholds(point_thresholds, thresholds),
         })
     report = {"partition": partition_function_json(point), "strata": strata}
     lines = [f"monodromy partition: {partition_function_json(point)}"]
@@ -250,8 +250,24 @@ def _emit(report, lines, fmt, stream):
             print(line, file=stream)
 
 
+def _attach_psi_values(argv):
+    """Rewrite ``--psi -3/2,1`` as ``--psi=-3/2,1``.
+
+    argparse reads a token that starts with '-' and is not a plain negative
+    number as an option, so a psi list led by a negative value needs the
+    attached form.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--psi" and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"--psi={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_psi_values(sys.argv[1:] if argv is None else argv))
     # surface the enumeration cap misconfiguration early and as an input error
     try:
         enumeration_cap()

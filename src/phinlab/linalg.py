@@ -9,7 +9,7 @@ hashing are structural.
 import math
 
 from .errors import NonNilpotentMonodromy
-from .scalars import Rational, ZERO, ONE
+from .scalars import Rational, ZERO, ONE, is_prime
 
 __all__ = [
     "Matrix",
@@ -315,19 +315,6 @@ class EigenSplit:
         return f"EigenSplit(roots={self.roots!r}, residual={self.residual!r})"
 
 
-def _divisors(n):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _poly_eval(coeffs, x):
     acc = ZERO
     for c in reversed(coeffs):
@@ -345,10 +332,125 @@ def _deflate(coeffs, root):
     return out
 
 
+def _primitive(poly):
+    """An integer polynomial divided by its content, leading coefficient positive."""
+    g = math.gcd(*poly)
+    return [c // g for c in poly] if poly[-1] > 0 else [-c // g for c in poly]
+
+
+def _derivative(poly):
+    return [i * c for i, c in enumerate(poly)][1:]
+
+
+def _pseudo_remainder(a, b):
+    # lead(b)^k * a mod b over Z, without trailing zero coefficients
+    r = list(a)
+    while len(r) >= len(b):
+        lead, shift = r[-1], len(r) - len(b)
+        r = [c * b[-1] for c in r]
+        for i, c in enumerate(b):
+            r[i + shift] -= lead * c
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _poly_gcd(a, b):
+    """Primitive gcd of two nonzero integer polynomials (primitive remainder sequence)."""
+    a, b = _primitive(a), _primitive(b)
+    while True:
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+
+
+def _exact_quotient(a, b):
+    """a / b in Z[x] for primitive a and b with b dividing a."""
+    a = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = a[k + len(b) - 1] // b[-1]
+        for i, c in enumerate(b):
+            a[k + i] -= q[k] * c
+    return q
+
+
+def _eval_mod(poly, x, modulus):
+    acc = 0
+    for c in reversed(poly):
+        acc = (acc * x + c) % modulus
+    return acc
+
+
+def _simple_roots_mod_prime(h, dh):
+    """The least prime ell not dividing lead(h) at which every root of h mod ell
+    is simple, with those roots.
+
+    Every prime dividing neither lead(h) nor the discriminant of the
+    squarefree h qualifies, so the search ends.
+    """
+    ell = 1
+    while True:
+        ell += 1
+        if not is_prime(ell) or h[-1] % ell == 0:
+            continue
+        roots = [x for x in range(ell) if _eval_mod(h, x, ell) == 0]
+        if all(_eval_mod(dh, x, ell) for x in roots):
+            return ell, roots
+
+
+def _reconstruct(u, modulus, num_bound):
+    """(a, b) with a = b*u mod modulus and 0 <= a <= num_bound, read off the
+    extended Euclidean remainders of (modulus, u); b may be negative.
+
+    When modulus > 2*num_bound*B and some a'/b' in lowest terms with
+    |a'| <= num_bound and 0 < b' <= B is congruent to u, then a/b = a'/b'.
+    """
+    r0, r1, t0, t1 = modulus, u, 0, 1
+    while r1 > num_bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return r1, t1
+
+
+def _rational_roots(coeffs):
+    """Candidates that include every rational root of a rational polynomial
+    with nonzero constant term; the caller confirms each by exact evaluation.
+
+    p-adic expansion (Loos 1983): the simple roots of the squarefree part h
+    mod a small prime ell are lifted to ell-adic precision beyond
+    2*|h(0)|*lead(h), and each is reconstructed as a fraction whose
+    numerator divides h(0) and whose denominator divides lead(h). The cost
+    is polynomial in the degree and in the bit size of the coefficients.
+    """
+    scale = math.lcm(*(int(c.denominator) for c in coeffs))
+    f = _primitive([int(c * scale) for c in coeffs])
+    h = _exact_quotient(f, _poly_gcd(f, _derivative(f)))
+    dh = _derivative(h)
+    ell, lifted = _simple_roots_mod_prime(h, dh)
+    modulus = ell
+    while modulus <= 2 * abs(h[0]) * h[-1]:
+        # Newton step: doubles the ell-adic precision of each simple root
+        modulus *= modulus
+        lifted = [
+            (x - _eval_mod(h, x, modulus) * pow(_eval_mod(dh, x, modulus), -1, modulus)) % modulus
+            for x in lifted
+        ]
+    out = []
+    for x in lifted:
+        num, den = _reconstruct(x, modulus, abs(h[0]))
+        if num and h[0] % num == 0 and h[-1] % den == 0:
+            out.append(Rational(num) / den)
+    return out
+
+
 def rational_eigenvalues(m):
     """Split the characteristic polynomial into rational roots and a residual.
 
-    Never raises on irrational spectrum; inspect ``is_split`` instead.
+    Never raises on irrational spectrum; inspect ``is_split`` instead. The
+    candidates come from ``_rational_roots``; exact evaluation in the
+    deflation loop confirms each one and counts its multiplicity.
     """
     coeffs = list(char_poly(m))
     roots = {}
@@ -359,14 +461,7 @@ def rational_eigenvalues(m):
     if zero_mult:
         roots[ZERO] = zero_mult
     if len(coeffs) > 1:
-        scale = math.lcm(*(int(c.denominator) for c in coeffs))
-        ints = [int(c * scale) for c in coeffs]
-        candidates = set()
-        for top in _divisors(ints[0]):
-            for bottom in _divisors(ints[-1]):
-                candidates.add(Rational(top) / bottom)
-                candidates.add(Rational(-top) / bottom)
-        for cand in sorted(candidates):
+        for cand in sorted(_rational_roots(coeffs)):
             while len(coeffs) > 1 and _poly_eval(coeffs, cand) == 0:
                 coeffs = _deflate(coeffs, cand)
                 roots[cand] = roots.get(cand, 0) + 1

@@ -33,7 +33,7 @@ from .linalg import (
     rational_eigenvalues,
     solve_columns,
 )
-from .scalars import Rational, is_prime, padic_val
+from .scalars import Rational, format_rational, is_prime, padic_val
 
 __all__ = [
     "FieldDescriptor",
@@ -256,9 +256,13 @@ def enumerate_stable_subspaces(d):
     check_enumeration_size(d.n, "stable-subspace enumeration")
     split = rational_eigenvalues(d.phi)
     if not split.is_split:
-        raise NotFullyRational(f"phi spectrum has irrational factor {split.residual}")
+        coeffs = ", ".join(format_rational(c) for c in split.residual)
+        raise NotFullyRational(
+            f"phi spectrum has an irrational factor with coefficients {coeffs} (constant term first)"
+        )
     if any(mult > 1 for _, mult in split.roots):
-        raise RepeatedEigenvalues(f"phi spectrum has repeated roots: {split.roots}")
+        roots = ", ".join(f"{format_rational(v)} (multiplicity {mult})" for v, mult in split.roots)
+        raise RepeatedEigenvalues(f"phi spectrum has repeated roots: {roots}")
     eigvecs = []
     for value, _ in split.roots:
         shifted = d.phi - value * Matrix.identity(d.n)

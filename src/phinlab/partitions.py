@@ -22,6 +22,7 @@ __all__ = [
     "compare",
     "paper_leq",
     "strata_thresholds",
+    "reaches_thresholds",
     "stratum_member",
 ]
 
@@ -200,6 +201,12 @@ def strata_thresholds(p, n):
     )
 
 
+def reaches_thresholds(point, thresholds):
+    """Stratum membership from two ``strata_thresholds`` tuples: whether the
+    thresholds of a point's Jordan types reach every threshold of the stratum."""
+    return all(t >= m for t, m in zip(point, thresholds))
+
+
 def stratum_member(nilpotents, p):
     """Whether the family of nilpotents lies in the stratum of P.
 
@@ -217,4 +224,4 @@ def stratum_member(nilpotents, p):
     n = sizes.pop()
     thresholds = strata_thresholds(p, n)
     types = PartitionFunction({label: jordan_partition(nilpotents[label]) for label in labels})
-    return all(t >= m for t, m in zip(strata_thresholds(types, n), thresholds))
+    return reaches_thresholds(strata_thresholds(types, n), thresholds)

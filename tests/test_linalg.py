@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -264,6 +265,135 @@ def test_rational_eigenvalues_conjugation_invariant():
     conj = s @ m @ s.inverse()
     split = rational_eigenvalues(conj)
     assert split.roots == ((-1, 1), (Fraction(2, 3), 1), (5, 1))
+
+
+# The reference for rational roots is the divisor search: every +-a/b with a
+# dividing the constant term and b the leading coefficient of the cleared
+# integer polynomial, deflated exactly for as long as it is a root.
+
+def divisors(n):
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+def poly_value(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def deflate_oracle(monic, root):
+    out = [Fraction(0)] * (len(monic) - 1)
+    carry = Fraction(0)
+    for i in range(len(monic) - 1, 0, -1):
+        carry = monic[i] + carry * root
+        out[i - 1] = carry
+    return out
+
+
+def rational_roots_oracle(coeffs):
+    """(roots with multiplicity, monic residual or None) of ascending coeffs."""
+    monic = [Fraction(c) / coeffs[-1] for c in coeffs]
+    roots = {}
+    while len(monic) > 1 and monic[0] == 0:
+        monic = monic[1:]
+        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
+    if len(monic) > 1:
+        scale = math.lcm(*(c.denominator for c in monic))
+        ints = [int(c * scale) for c in monic]
+        for a in divisors(ints[0]):
+            for b in divisors(ints[-1]):
+                for cand in (Fraction(a, b), Fraction(-a, b)):
+                    while len(monic) > 1 and poly_value(monic, cand) == 0:
+                        monic = deflate_oracle(monic, cand)
+                        roots[cand] = roots.get(cand, 0) + 1
+    return tuple(sorted(roots.items())), None if len(monic) == 1 else tuple(monic)
+
+
+def companion(coeffs):
+    """A matrix whose characteristic polynomial is coeffs made monic."""
+    n = len(coeffs) - 1
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        if i:
+            rows[i][i - 1] = Fraction(1)
+        rows[i][n - 1] = -Fraction(coeffs[i]) / coeffs[-1]
+    return Matrix(rows)
+
+
+# x^2 - 2, x^2 + 1, x^2 + x - 3, 5x^2 + 3, x^3 - 2, x^3 - x + 1
+IRRATIONAL_FACTORS = ([-2, 0, 1], [1, 0, 1], [-3, 1, 1], [3, 0, 5], [-2, 0, 0, 1], [1, -1, 0, 1])
+
+
+def random_root_polynomial(rng):
+    """content * prod (b*x - a)^mult * an irreducible factor, degree 1..6."""
+    content = rng.choice((1, 1, 2, 6, -4, 12))
+    poly = [content]
+    if rng.random() < 0.35:
+        poly = poly_mul(poly, rng.choice(IRRATIONAL_FACTORS))
+    while len(poly) < 7 and rng.random() < 0.8:
+        a, b = rng.randint(-9, 9), rng.randint(1, 6)
+        for _ in range(min(rng.choice((1, 1, 1, 2, 3)), 7 - len(poly))):
+            poly = poly_mul(poly, [-a, b])
+    if len(poly) == 1:
+        poly = poly_mul(poly, [-rng.randint(-9, 9), rng.randint(1, 6)])
+    return poly
+
+
+def assert_matches_oracle(poly):
+    split = rational_eigenvalues(companion(poly))
+    roots, residual = rational_roots_oracle(poly)
+    assert tuple((as_fraction(v), m) for v, m in split.roots) == roots, poly
+    got = None if split.residual is None else tuple(as_fraction(c) for c in split.residual)
+    assert got == residual, poly
+    return roots, residual
+
+
+def test_rational_eigenvalues_match_divisor_search():
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(500):
+        poly = random_root_polynomial(rng)
+        roots, residual = assert_matches_oracle(poly)
+        for v, m in roots:
+            seen.add(f"multiplicity {m}")
+            seen.add("zero" if v == 0 else "negative" if v < 0 else "positive")
+            if v.denominator != 1:
+                seen.add("non-integral")
+        if residual is not None:
+            seen.add(f"residual degree {len(residual) - 1}")
+        if math.gcd(*map(int, poly)) != 1:
+            seen.add("content")
+    assert seen >= {"zero", "negative", "non-integral", "multiplicity 2", "multiplicity 3",
+                    "residual degree 2", "residual degree 3", "content"}
+
+
+def test_rational_eigenvalues_highly_composite_ends():
+    # roots k/j with k, j <= 8: the end coefficients are products of small
+    # numbers and have many divisors
+    pinned = [1]
+    for k, j in ((1, 8), (3, 8), (5, 8), (7, 8), (8, 7), (8, 5), (8, 3), (8, 1)):
+        pinned = poly_mul(pinned, [-k, j])
+    assert_matches_oracle(pinned)
+    rng = random.Random(37)
+    for _ in range(15):
+        poly = [1]
+        for _ in range(8):
+            poly = poly_mul(poly, [rng.choice((-1, 1)) * rng.randint(1, 8), rng.randint(1, 8)])
+        assert_matches_oracle(poly)
+
+
+def test_rational_eigenvalues_rank_8_with_20_digit_entries():
+    rng = random.Random(41)
+    values = [rng.choice((-1, 1)) * rng.randrange(10 ** 19, 10 ** 20) for _ in range(7)]
+    values.append(Fraction(values[0], 3))
+    values[5] = values[2]
+    split = rational_eigenvalues(Matrix.diagonal(values))
+    assert split.is_split
+    expected = sorted({v: values.count(v) for v in values}.items())
+    assert [(as_fraction(v), m) for v, m in split.roots] == expected
 
 
 # ---------------------------------------------------------------------------

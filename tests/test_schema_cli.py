@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import phinlab
 from phinlab.cli import main
 from phinlab.errors import SchemaError
 from phinlab.scalars import PAdicValuation, TwistedScalar
@@ -250,3 +254,54 @@ def test_cli_bad_field_block_is_an_input_error(tmp_path, capsys, field):
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith("error: field")
+
+
+@pytest.mark.parametrize("phi, text", [
+    ([["1", "0"], ["0", "1"]], "repeated roots: 1 (multiplicity 2)"),
+    ([["0", "2"], ["1", "0"]], "irrational factor with coefficients -2, 0, 1"),
+])
+def test_cli_spectrum_errors_print_no_backend_reprs(tmp_path, capsys, phi, text):
+    path = write_json(tmp_path, variant(phi=phi, monodromy=[["0", "0"], ["0", "0"]]))
+    code, out, err = run_cli(capsys, ["check-admissible", path])
+    assert code == 2
+    assert text in err
+    assert "Fraction(" not in out + err
+    code, out, err = run_cli(capsys, ["beta", path, "--format", "json"])
+    assert code == 0
+    assert text in json.loads(out)["warning"]
+    assert "Fraction(" not in out + err
+
+
+def test_cli_hecke_negative_first_psi_value(capsys):
+    argv = ["hecke", "--n", "3", "--r", "2", "--q", "2", "--format", "json"]
+    spaced = run_cli(capsys, argv + ["--psi", "-3/2,1,2"])
+    attached = run_cli(capsys, argv + ["--psi=-3/2,1,2"])
+    assert spaced == attached
+    assert spaced[0] == 0
+    assert json.loads(spaced[1])["psi"] == ["-3/2", "1", "2"]
+
+
+def test_cli_22_digit_entry_gets_a_verdict_in_time(tmp_path):
+    # the spectrum of diag(3*(10^21+117), 3): a divisor search up to the
+    # square root of the constant term does not finish in minutes
+    big = str(3 * (10 ** 21 + 117))
+    module = {
+        "field": {"p": 3, "f0": 1, "e": 1, "f": 1, "embeddings": ["k0"]},
+        "n": 2,
+        "phi": [[big, "0"], ["0", "3"]],
+        "monodromy": [["0", "0"], ["0", "0"]],
+        "filtration": {"k0": {"flag": [["1", "0"], ["0", "1"]], "jumps": [1, 21]}},
+    }
+    path = write_json(tmp_path, module)
+    src = os.path.dirname(os.path.dirname(phinlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = {}
+    for command in ("check-admissible", "segments", "beta"):
+        done = subprocess.run([sys.executable, "-m", "phinlab.cli", command, path],
+                              capture_output=True, text=True, timeout=5, env=env)
+        runs[command] = (done.returncode, done.stdout)
+    assert runs["check-admissible"][0] == 1
+    assert "t_N = 2" in runs["check-admissible"][1]
+    assert runs["segments"][0] == 0
+    assert f"({big}, 1)" in runs["segments"][1]
+    assert runs["beta"][0] == 0
