@@ -9,6 +9,7 @@ precondition failure).
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -266,8 +267,14 @@ def _attach_psi_values(argv):
     return out
 
 
+@functools.cache
+def _parser():
+    # built on the first call to main; parse_args keeps no state between calls
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(_attach_psi_values(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_attach_psi_values(sys.argv[1:] if argv is None else argv))
     # surface the enumeration cap misconfiguration early and as an input error
     try:
         enumeration_cap()

@@ -12,7 +12,7 @@ alongside.
 
 from .errors import InputError, NotFullyRational, RepeatedEigenvalues
 from .hecke import HeckeParams, theta_tilde
-from .linalg import exterior_trace
+from .linalg import exterior_trace, exterior_traces
 from .modules import is_weakly_admissible
 from .partitions import LabelMap
 from .scalars import TwistedScalar
@@ -102,8 +102,12 @@ def beta_value(d, r, xi):
     if not (1 <= r <= d.n):
         raise InputError(f"r must satisfy 1 <= r <= {d.n}, got {r}")
     _check_xi(xi, d)
+    return _twisted(d, r, xi, exterior_trace(d.phi, r))
+
+
+def _twisted(d, r, xi, trace):
     twist = sum(xi[label][j] for label in xi for j in range(r - 1, d.n))
-    return TwistedScalar(exterior_trace(d.phi, r), -twist, d.field.p, d.field.e)
+    return TwistedScalar(trace, -twist, d.field.p, d.field.e)
 
 
 def check_integrality(d, xi):
@@ -123,8 +127,9 @@ def check_integrality(d, xi):
         warning = f"admissibility undecided ({err}); valuations reported raw"
     rows = []
     all_ok = True
+    traces = exterior_traces(d.phi)
     for r in range(1, d.n + 1):
-        value = beta_value(d, r, xi)
+        value = _twisted(d, r, xi, traces[r])
         v = value.val_f()
         ok = v >= 0
         rows.append({"r": r, "value": value, "valuation": v, "integral": ok})
@@ -157,9 +162,10 @@ def consistency_check(d, xi):
     report["psi"] = psi
     xi_dict = {label: xi[label] for label in xi}
     all_equal = True
+    traces = exterior_traces(d.phi)
     for r in range(1, d.n + 1):
         left = theta_tilde(psi, HeckeParams(d.n, w.q, r), xi_dict, d.field)
-        right = beta_value(d, r, xi)
+        right = _twisted(d, r, xi, traces[r])
         equal = left == right
         all_equal = all_equal and equal
         report["rows"].append(

@@ -1,12 +1,19 @@
 """Exact linear algebra over Q: matrices, subspaces, spectra.
 
-Everything here is small and dense (n <= 8 in practice), so plain Gaussian
-elimination over exact rationals is the right tool; no floating point
-anywhere. Subspaces keep a reduced-echelon basis so that equality and
-hashing are structural.
+Entries are exact rationals and no floating point appears anywhere, but
+the kernels do not compute with rationals: each clears denominators once
+on entry, runs on Python integers, and divides back once on exit, so no
+gcd is paid per arithmetic step. Products are integer products over the
+product of the two common denominators; ``det`` is Bareiss fraction-free
+elimination; ``char_poly`` is Faddeev-LeVerrier on the cleared matrix with
+exact integer division; row reduction is Gauss-Jordan on primitive integer
+rows, each pivot row divided by its pivot at the end. Subspaces keep the
+reduced-echelon basis, which is unique, so equality and hashing are
+structural.
 """
 
 import math
+import operator
 
 from .errors import NonNilpotentMonodromy
 from .scalars import Rational, ZERO, ONE, is_prime
@@ -17,6 +24,7 @@ __all__ = [
     "char_poly",
     "det",
     "exterior_trace",
+    "exterior_traces",
     "EigenSplit",
     "jordan_nilpotent",
     "jordan_partition",
@@ -29,13 +37,18 @@ __all__ = [
 ]
 
 
+def _as_rational(x):
+    # both backends' rationals are immutable, so one can be shared as it is
+    return x if type(x) is Rational else Rational(x)
+
+
 class Matrix:
     """Immutable exact-rational matrix."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        data = tuple(tuple(Rational(x) for x in row) for row in rows)
+        data = tuple(tuple(map(_as_rational, row)) for row in rows)
         if not data or not data[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(data[0])
@@ -56,13 +69,13 @@ class Matrix:
 
     @classmethod
     def diagonal(cls, values):
-        vals = [Rational(v) for v in values]
+        vals = [_as_rational(v) for v in values]
         n = len(vals)
         return cls([[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_columns(cls, columns, nrows):
-        cols = [tuple(Rational(x) for x in c) for c in columns]
+        cols = [tuple(c) for c in columns]
         if not cols:
             raise ValueError("from_columns needs at least one column")
         if any(len(c) != nrows for c in cols):
@@ -102,10 +115,9 @@ class Matrix:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        cols = other.columns()
-        return Matrix(
-            [[sum((a * c[k] for k, a in enumerate(row)), ZERO) for c in cols] for row in self.rows]
-        )
+        a, da = _cleared(self.rows)
+        b, db = _cleared(other.rows)
+        return Matrix(_divided(_int_matmul(a, b), da * db))
 
     def __add__(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -148,33 +160,92 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-def _rref(rows):
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
+def _int_row(row):
+    """(a, d): integers a and the least d > 0 with row = a / d."""
+    nums = [int(x.numerator) for x in row]
+    dens = [int(x.denominator) for x in row]
+    d = math.lcm(*dens)
+    return (nums if d == 1 else [x * (d // e) for x, e in zip(nums, dens)]), d
+
+
+def _cleared(rows):
+    """(A, d): integer rows A and the least d > 0 with rows = A / d."""
+    scaled = [_int_row(row) for row in rows]
+    d = math.lcm(*(e for _, e in scaled))
+    return [a if e == d else [x * (d // e) for x in a] for a, e in scaled], d
+
+
+def _divided(rows, d):
+    """Integer rows over the common denominator d, as rationals."""
+    return [[ZERO if x == 0 else Rational(x, d) for x in row] for row in rows]
+
+
+def _int_matmul(a, b):
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+
+
+def _primitive_rows(rows):
+    """Each rational row scaled to a primitive integer row (same row space)."""
+    out = []
+    for row in rows:
+        a = _int_row(row)[0]
+        g = math.gcd(*a)
+        out.append([x // g for x in a] if g > 1 else a)
+    return out
+
+
+def _echelon(rows):
+    """Gauss-Jordan elimination on integer rows, in place; returns the pivot columns.
+
+    Afterwards row i (i < rank) has its first nonzero entry in column
+    pivots[i], every other row is zero there, and rows from the rank on are
+    zero. Each row p*row - a*pivot_row is divided by its content, so the
+    entries stay as small as the row space allows.
+    """
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
     pivots = []
     r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+    for c in range(len(rows[0]) if rows else 0):
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+            a = rows[i][c]
+            if a and i != r:
+                g = math.gcd(p, a)
+                pg, ag = p // g, a // g
+                new = [pg * x - ag * y for x, y in zip(rows[i], prow)]
+                g = math.gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return rows, pivots
+    return pivots
+
+
+def _pivot_rows(rows, pivots, start=0):
+    """Rows of an integer echelon form divided by their pivots, from column start on."""
+    out = []
+    for row, c in zip(rows, pivots):
+        p = row[c]
+        out.append([ZERO if x == 0 else Rational(x, p) for x in row[start:]])
+    return out
+
+
+def _rref(rows):
+    """Reduced row echelon form of rational rows: (nonzero rows, pivot columns)."""
+    ints = _primitive_rows(rows)
+    pivots = _echelon(ints)
+    return _pivot_rows(ints, pivots), pivots
 
 
 def rank(m):
-    _, pivots = _rref([list(row) for row in m.rows])
-    return len(pivots)
+    return len(_echelon(_primitive_rows(m.rows)))
 
 
 def kernel_dim(m):
@@ -219,24 +290,25 @@ def solve_columns(a, b):
 def det(m):
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
-    rows = [list(row) for row in m.rows]
-    n = len(rows)
-    sign = ONE
-    acc = ONE
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
+    a, d = _cleared(m.rows)
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        pivot_row = next((i for i in range(k, n) if a[i][k]), None)
         if pivot_row is None:
             return ZERO
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
-        acc *= rows[c][c]
-        inv = ONE / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                factor = rows[i][c] * inv
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[c])]
-    return sign * acc
+        # Bareiss step: every entry below and right of the pivot becomes a
+        # (k+2)-minor of the cleared matrix, so the division by the previous
+        # pivot is exact
+        rk, p = a[k], a[k][k]
+        for i in range(k + 1, n):
+            ri, f = a[i], a[i][k]
+            a[i] = [0] * (k + 1) + [(p * ri[j] - f * rk[j]) // prev for j in range(k + 1, n)]
+        prev = p
+    return Rational(sign * a[n - 1][n - 1], d ** n)
 
 
 def matrix_power(m, k):
@@ -257,21 +329,26 @@ def matrix_power(m, k):
 def char_poly(m):
     """Characteristic polynomial det(x*I - M), coefficients ascending, monic.
 
-    Faddeev-LeVerrier recursion: every division is by an integer k, so the
-    result is exact over Q.
+    Faddeev-LeVerrier recursion on the integer matrix A = d*M: with B_1 = A
+    and B_k = A (B_(k-1) + c_(k-1) I), c_k = -tr(B_k) / k is the coefficient
+    of x^(n-k) in det(x*I - A), an integer, so the division by k is exact.
+    The coefficient of x^(n-k) for M is c_k / d^k.
     """
     if not m.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    n = m.nrows
+    a, d = _cleared(m.rows)
+    n = len(a)
     coeffs = [ZERO] * (n + 1)
     coeffs[n] = ONE
-    a = m
-    c = ONE
+    b = a
     for k in range(1, n + 1):
         if k > 1:
-            a = m @ (a + c * Matrix.identity(n))
-        c = -a.trace() / Rational(k)
-        coeffs[n - k] = c
+            shifted = [row[:] for row in b]
+            for i in range(n):
+                shifted[i][i] += c
+            b = _int_matmul(a, shifted)
+        c = -sum(b[i][i] for i in range(n)) // k
+        coeffs[n - k] = Rational(c, d ** k)
     return tuple(coeffs)
 
 
@@ -280,8 +357,14 @@ def exterior_trace(m, r):
     n = m.nrows
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= {n}, got {r}")
+    return exterior_traces(m)[r]
+
+
+def exterior_traces(m):
+    """Traces of every exterior power, r = 0..n, from one characteristic polynomial."""
     coeffs = char_poly(m)
-    return coeffs[n - r] if r % 2 == 0 else -coeffs[n - r]
+    n = m.nrows
+    return tuple(coeffs[n - r] if r % 2 == 0 else -coeffs[n - r] for r in range(n + 1))
 
 
 class EigenSplit:
@@ -521,19 +604,22 @@ class Subspace:
 
     def __init__(self, ambient, vectors):
         ambient = int(ambient)
-        rows = [[Rational(x) for x in v] for v in vectors]
+        rows = [list(map(_as_rational, v)) for v in vectors]
         if any(len(r) != ambient for r in rows):
             raise ValueError("vector length mismatch")
-        if rows:
-            reduced, pivots = _rref(rows)
-            basis = tuple(tuple(reduced[i]) for i in range(len(pivots)))
-        else:
-            basis = ()
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", tuple(map(tuple, _rref(rows)[0])) if rows else ())
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
+
+    @classmethod
+    def _reduced(cls, ambient, rows):
+        """The span of rows that are already a reduced echelon basis."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "ambient", ambient)
+        object.__setattr__(sub, "basis", tuple(map(tuple, rows)))
+        return sub
 
     @classmethod
     def span(cls, ambient, vectors):
@@ -557,7 +643,7 @@ class Subspace:
         return Matrix.from_columns(self.basis, self.ambient)
 
     def _reduce(self, vector):
-        v = [Rational(x) for x in vector]
+        v = list(map(_as_rational, vector))
         for row in self.basis:
             pivot = next(i for i, x in enumerate(row) if x != 0)
             if v[pivot] != 0:
@@ -576,16 +662,19 @@ class Subspace:
     def intersect(self, other):
         if other.ambient != self.ambient:
             raise ValueError("ambient dimension mismatch")
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient)
-        stacked = Matrix.from_columns(self.basis + other.basis, self.ambient)
-        vectors = []
-        for combo in kernel_basis(stacked):
-            vec = [ZERO] * self.ambient
-            for coeff, col in zip(combo[: self.dim], self.basis):
-                vec = [a + coeff * b for a, b in zip(vec, col)]
-            vectors.append(vec)
-        return Subspace(self.ambient, vectors)
+        n = self.ambient
+        if self.dim == 0 or other.dim == n:
+            return self
+        if other.dim == 0 or self.dim == n:
+            return other
+        # Zassenhaus: in the echelon form of the rows (u | u) and (v | 0), the
+        # rows whose pivot lies in the right half are (0 | w) for w running
+        # over a reduced echelon basis of the intersection
+        stack = [u + u for u in _primitive_rows(self.basis)]
+        stack += [v + [0] * n for v in _primitive_rows(other.basis)]
+        pivots = _echelon(stack)
+        k = sum(1 for c in pivots if c < n)
+        return Subspace._reduced(n, _pivot_rows(stack[k:], pivots[k:], n))
 
     def is_stable_under(self, m):
         if m.ncols != self.ambient:

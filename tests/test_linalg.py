@@ -484,3 +484,258 @@ def test_subspace_membership():
     assert a.contains_vector((2, 3, 2))
     assert not a.contains_vector((1, 0, 0))
     assert a.contains_vector((0, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against the Fraction algorithms they replaced
+#
+# The references below are the rational-arithmetic versions of _rref, det,
+# char_poly and Subspace.intersect, kept verbatim in spirit: Gauss-Jordan
+# with a division per pivot, elimination det, Faddeev-LeVerrier over Q, and
+# intersection through the kernel of the stacked bases.
+
+from phinlab.linalg import _rref  # noqa: E402
+from phinlab.scalars import Rational  # noqa: E402
+
+
+def fraction_rows(rows):
+    return [[as_fraction(x) for x in row] for row in rows]
+
+
+def rref_reference(rows):
+    rows = fraction_rows(rows)
+    nrows, ncols = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows[:len(pivots)], pivots
+
+
+def det_reference(rows):
+    rows = fraction_rows(rows)
+    n = len(rows)
+    acc = Fraction(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            acc = -acc
+        acc *= rows[c][c]
+        for i in range(c + 1, n):
+            factor = rows[i][c] / rows[c][c]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[c])]
+    return acc
+
+
+def matmul_reference(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+            for row in a]
+
+
+def char_poly_reference(rows):
+    m = fraction_rows(rows)
+    n = len(m)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    a, c = m, Fraction(1)
+    for k in range(1, n + 1):
+        if k > 1:
+            shifted = [[x + (c if i == j else 0) for j, x in enumerate(row)]
+                       for i, row in enumerate(a)]
+            a = matmul_reference(m, shifted)
+        c = -sum(a[i][i] for i in range(n)) / k
+        coeffs[n - k] = c
+    return coeffs
+
+
+def kernel_basis_reference(rows):
+    ncols = len(rows[0])
+    reduced, pivots = rref_reference(rows)
+    out = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -reduced[i][f]
+        out.append(v)
+    return out
+
+
+def intersect_reference(a, b, n):
+    if not a or not b:
+        return []
+    stacked = [list(col) for col in zip(*fraction_rows(a + b))]
+    vectors = []
+    for combo in kernel_basis_reference(stacked):
+        vec = [Fraction(0)] * n
+        for coeff, u in zip(combo[: len(a)], fraction_rows(a)):
+            vec = [x + coeff * y for x, y in zip(vec, u)]
+        vectors.append(vec)
+    return rref_reference(vectors)[0] if vectors else []
+
+
+def solve_reference(a, b):
+    k = len(a[0])
+    reduced, pivots = rref_reference([ra + rb for ra, rb in zip(a, b)])
+    if any(p >= k for p in pivots):
+        return None
+    x = [[Fraction(0)] * len(b[0]) for _ in range(k)]
+    for i, c in enumerate(pivots):
+        x[c] = reduced[i][k:]
+    return x
+
+
+def all_rational(rows):
+    return all(isinstance(x, Rational) for row in rows for x in row)
+
+
+def random_entry(rng, digits):
+    num = rng.randint(-10 ** digits, 10 ** digits)
+    den = rng.choice((1, 1, 2, 3, 4, 6, 7, 9, 10 ** digits + rng.randint(1, 99)))
+    return Fraction(num, den)
+
+
+def random_rows(rng, nrows, ncols, digits, rank_cap=None, zero_rows=0):
+    """Mixed-denominator rows; beyond rank_cap rows are combinations of the first ones."""
+    rank_cap = nrows if rank_cap is None else rank_cap
+    rows = [[random_entry(rng, digits) for _ in range(ncols)] for _ in range(min(rank_cap, nrows))]
+    while len(rows) < nrows:
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(rank_cap)]
+        rows.append([sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0))
+                     for j in range(ncols)])
+    for _ in range(zero_rows):
+        rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    rng.shuffle(rows)
+    return rows
+
+
+def square_case(rng, n, kind):
+    if kind == "mixed":
+        return random_rows(rng, n, n, 1)
+    if kind == "20-digit":
+        return random_rows(rng, n, n, 20)
+    return random_rows(rng, n, n, 2, rank_cap=rng.randint(0, n - 1) if n > 1 else 0,
+                       zero_rows=rng.randint(0, min(2, n)))
+
+
+def test_integer_kernels_match_fraction_references_on_square_matrices():
+    rng = random.Random(43)
+    cases = 0
+    for n in range(1, 9):
+        for kind in ("mixed", "20-digit", "deficient"):
+            for _ in range(12 if n < 7 else 4):
+                rows = square_case(rng, n, kind)
+                m = Matrix(rows)
+                got = det(m)
+                assert isinstance(got, Rational) and as_fraction(got) == det_reference(rows)
+                coeffs = char_poly(m)
+                assert all_rational([coeffs])
+                assert [as_fraction(c) for c in coeffs] == char_poly_reference(rows)
+                reduced, pivots = _rref([list(row) for row in m.rows])
+                want, want_pivots = rref_reference(rows)
+                assert pivots == want_pivots and all_rational(reduced)
+                assert fraction_rows(reduced) == want
+                assert rank(m) == len(want_pivots)
+                other = Matrix(square_case(rng, n, kind))
+                product = m @ other
+                assert all_rational(product.rows)
+                assert fraction_rows(product.rows) == matmul_reference(rows, fraction_rows(other.rows))
+                basis = kernel_basis(m)
+                assert all_rational(basis)
+                assert fraction_rows(basis) == kernel_basis_reference(rows)
+                cases += 1
+    assert cases >= 200
+
+
+def test_solve_and_inverse_match_references_on_wide_systems():
+    rng = random.Random(47)
+    seen = set()
+    for _ in range(80):
+        n, k, width = rng.randint(1, 7), rng.randint(1, 8), rng.randint(1, 6)
+        digits = rng.choice((1, 2, 20))
+        a = random_rows(rng, n, k, digits, rank_cap=rng.randint(0, min(n, k)) if rng.random() < 0.4 else None)
+        if rng.random() < 0.5:
+            # consistent: B = A X for a random X
+            x0 = random_rows(rng, k, width, 1)
+            b = matmul_reference(a, x0)
+        else:
+            b = random_rows(rng, n, width, digits)
+        got = solve_columns(Matrix(a), Matrix(b))
+        want = solve_reference(a, b)
+        seen.add("consistent" if want is not None else "inconsistent")
+        if want is None:
+            assert got is None
+        else:
+            assert all_rational(got.rows) and fraction_rows(got.rows) == want
+
+        square = random_rows(rng, n, n, digits, rank_cap=n - 1 if rng.random() < 0.25 else None)
+        aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(square)]
+        reduced, pivots = rref_reference(aug)
+        if len(pivots) < n or any(p >= n for p in pivots):
+            seen.add("singular")
+            with pytest.raises(ValueError):
+                Matrix(square).inverse()
+        else:
+            seen.add("invertible")
+            inv = Matrix(square).inverse()
+            assert all_rational(inv.rows)
+            assert fraction_rows(inv.rows) == [row[n:] for row in reduced]
+    assert seen == {"consistent", "inconsistent", "singular", "invertible"}
+
+
+def subspace_pair(rng, n, kind):
+    span = lambda count, digits=1: random_rows(rng, count, n, digits)  # noqa: E731
+    if kind == "nested":
+        outer = span(rng.randint(1, n))
+        inner = random_rows(rng, rng.randint(1, len(outer)), len(outer), 1)
+        return outer, matmul_reference(inner, outer)
+    if kind == "equal":
+        a = span(rng.randint(1, n))
+        mix = random_rows(rng, len(a), len(a), 1)
+        return a, matmul_reference(mix, a) + [[Fraction(0)] * n]
+    if kind == "trivial":
+        return rng.choice(((span(rng.randint(1, n)), []), ([], span(1)),
+                           ([[Fraction(int(i == j)) for j in range(n)] for i in range(n)],
+                            span(rng.randint(1, n), 20))))
+    if kind == "transversal":
+        da = rng.randint(1, n - 1) if n > 1 else 1
+        return span(da, 20), span(n - da if n > 1 else 1)
+    shared = span(rng.randint(1, max(1, n // 2)))
+    return shared + span(rng.randint(0, 2)), shared + span(rng.randint(0, 2), 20)
+
+
+def test_intersect_matches_the_kernel_basis_reference():
+    rng = random.Random(53)
+    seen = set()
+    for i in range(150):
+        n = 1 + i % 8
+        kind = ("nested", "equal", "trivial", "transversal", "overlap")[i % 5]
+        a, b = subspace_pair(rng, n, kind)
+        sa, sb = Subspace(n, a), Subspace(n, b)
+        assert fraction_rows(sa.basis) == (rref_reference(a)[0] if a else [])
+        cap = sa.intersect(sb)
+        want = intersect_reference(fraction_rows(sa.basis), fraction_rows(sb.basis), n)
+        assert all_rational(cap.basis) and fraction_rows(cap.basis) == want, (kind, a, b)
+        assert cap == Subspace(n, want) and hash(cap) == hash(Subspace(n, want))
+        assert sb.intersect(sa) == cap
+        if kind == "nested":
+            assert cap == sb
+        if kind == "equal":
+            assert cap == sa == sb
+        seen.add((kind, cap.dim == 0, cap.dim == n))
+    assert {("trivial", True, False), ("equal", False, False), ("transversal", True, False)} <= seen

@@ -305,3 +305,34 @@ def test_cli_22_digit_entry_gets_a_verdict_in_time(tmp_path):
     assert runs["segments"][0] == 0
     assert f"({big}, 1)" in runs["segments"][1]
     assert runs["beta"][0] == 0
+
+
+def test_cli_main_reuses_one_parser_across_calls(tmp_path, capsys):
+    from phinlab import cli
+
+    path = write_json(tmp_path, STEINBERG)
+    calls = [
+        ["check-admissible", path],
+        ["beta", path, "--format", "json"],
+        ["hecke", "--n", "3", "--r", "2", "--q", "2", "--psi", "-3/2,1,2"],
+        ["strata", path, "--format", "yaml"],     # argparse rejects the choice
+        ["hecke", "--n", "3", "--r", "2", "--q", "2", "--psi", "x"],
+        ["segments", path],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    cli._parser.cache_clear()
+    shared = [run(argv) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [code for code, _ in shared] == [0, 0, 0, 2, 2, 0]
