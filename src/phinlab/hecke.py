@@ -8,13 +8,13 @@ QExtScalar and must cancel in the total. Keeping both routes alive is the
 point, so neither is defined in terms of the other.
 """
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import InputError
 from .linalg import Matrix
 from .scalars import (
     ONE,
+    Frozen,
     QExtScalar,
     Rational,
     TwistedScalar,
@@ -37,32 +37,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HeckeParams:
-    n: int
-    q: int
-    r: int
+class HeckeParams(Frozen):
+    __slots__ = ("n", "q", "r")
 
-    def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise InputError(f"n must be a positive integer, got {self.n!r}")
-        if not (isinstance(self.q, int) and self.q >= 2):
-            raise InputError(f"q must be an integer >= 2, got {self.q!r}")
-        if not (isinstance(self.r, int) and 1 <= self.r <= self.n):
-            raise InputError(f"r must satisfy 1 <= r <= n={self.n}, got {self.r!r}")
+    def __init__(self, n, q, r):
+        if not (isinstance(n, int) and n >= 1):
+            raise InputError(f"n must be a positive integer, got {n!r}")
+        if not (isinstance(q, int) and q >= 2):
+            raise InputError(f"q must be an integer >= 2, got {q!r}")
+        if not (isinstance(r, int) and 1 <= r <= n):
+            raise InputError(f"r must satisfy 1 <= r <= n={n}, got {r!r}")
+        Frozen.__init__(self, n, q, r)
 
 
-@dataclass(frozen=True)
-class CosetClass:
+class CosetClass(Frozen):
     """An r-subset S with the size of its block Lambda_S.
 
     foval is the common spherical value on the block; it needs a character
     to evaluate, so it is None when the classes are listed without one.
     """
 
-    S: tuple
-    count: int
-    foval: object = None
+    __slots__ = ("S", "count", "foval")
+
+    def __init__(self, S, count, foval=None):
+        Frozen.__init__(self, S, count, foval)
 
 
 def _as_character(psi, n):

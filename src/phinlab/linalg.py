@@ -16,7 +16,7 @@ import math
 import operator
 
 from .errors import NonNilpotentMonodromy
-from .scalars import Rational, ZERO, ONE, is_prime
+from .scalars import Frozen, Rational, ZERO, ONE, is_prime
 
 __all__ = [
     "Matrix",
@@ -42,7 +42,7 @@ def _as_rational(x):
     return x if type(x) is Rational else Rational(x)
 
 
-class Matrix:
+class Matrix(Frozen):
     """Immutable exact-rational matrix."""
 
     __slots__ = ("rows",)
@@ -54,10 +54,7 @@ class Matrix:
         width = len(data[0])
         if any(len(r) != width for r in data):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+        Frozen.__init__(self, data)
 
     @classmethod
     def identity(cls, n):
@@ -135,14 +132,6 @@ class Matrix:
         return Matrix([[c * a for a in row] for row in self.rows])
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def inverse(self):
         if not self.is_square:
@@ -367,7 +356,7 @@ def exterior_traces(m):
     return tuple(coeffs[n - r] if r % 2 == 0 else -coeffs[n - r] for r in range(n + 1))
 
 
-class EigenSplit:
+class EigenSplit(Frozen):
     """Outcome of rational spectrum extraction.
 
     ``roots`` lists (value, multiplicity) sorted by value; ``residual`` is
@@ -376,13 +365,6 @@ class EigenSplit:
     """
 
     __slots__ = ("roots", "residual")
-
-    def __init__(self, roots, residual):
-        object.__setattr__(self, "roots", tuple(roots))
-        object.__setattr__(self, "residual", None if residual is None else tuple(residual))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EigenSplit is immutable")
 
     @property
     def is_split(self):
@@ -393,9 +375,6 @@ class EigenSplit:
         for value, mult in self.roots:
             out.extend([value] * mult)
         return out
-
-    def __repr__(self):
-        return f"EigenSplit(roots={self.roots!r}, residual={self.residual!r})"
 
 
 def _poly_eval(coeffs, x):
@@ -548,7 +527,7 @@ def rational_eigenvalues(m):
             while len(coeffs) > 1 and _poly_eval(coeffs, cand) == 0:
                 coeffs = _deflate(coeffs, cand)
                 roots[cand] = roots.get(cand, 0) + 1
-    residual = None if len(coeffs) == 1 else coeffs
+    residual = None if len(coeffs) == 1 else tuple(coeffs)
     ordered = tuple(sorted(roots.items()))
     return EigenSplit(ordered, residual)
 
@@ -594,7 +573,7 @@ def jordan_partition(n_mat):
     return conjugate(Partition(growth))
 
 
-class Subspace:
+class Subspace(Frozen):
     """A linear subspace of Q^n with a canonical reduced-echelon basis.
 
     Two spans of the same space compare equal and hash equal.
@@ -607,23 +586,14 @@ class Subspace:
         rows = [list(map(_as_rational, v)) for v in vectors]
         if any(len(r) != ambient for r in rows):
             raise ValueError("vector length mismatch")
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", tuple(map(tuple, _rref(rows)[0])) if rows else ())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
+        Frozen.__init__(self, ambient, tuple(map(tuple, _rref(rows)[0])) if rows else ())
 
     @classmethod
     def _reduced(cls, ambient, rows):
         """The span of rows that are already a reduced echelon basis."""
         sub = object.__new__(cls)
-        object.__setattr__(sub, "ambient", ambient)
-        object.__setattr__(sub, "basis", tuple(map(tuple, rows)))
+        Frozen.__init__(sub, ambient, tuple(map(tuple, rows)))
         return sub
-
-    @classmethod
-    def span(cls, ambient, vectors):
-        return cls(ambient, vectors)
 
     @classmethod
     def zero(cls, ambient):
@@ -694,14 +664,6 @@ class Subspace:
 
     def sort_key(self):
         return (self.dim, self.basis)
-
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.ambient == other.ambient and self.basis == other.basis
-
-    def __hash__(self):
-        return hash((self.ambient, self.basis))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of Q^{self.ambient})"

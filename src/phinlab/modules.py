@@ -11,9 +11,6 @@ Frobenius determinant), equality on the whole space and t_H <= t_N on
 every phi- and N-stable subspace.
 """
 
-from dataclasses import dataclass
-from typing import NamedTuple
-
 from .config import check_enumeration_size
 from .errors import (
     BadFlag,
@@ -33,7 +30,7 @@ from .linalg import (
     rational_eigenvalues,
     solve_columns,
 )
-from .scalars import Rational, format_rational, is_prime, padic_val
+from .scalars import Frozen, Rational, format_rational, is_prime, padic_val
 
 __all__ = [
     "FieldDescriptor",
@@ -51,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+class FieldDescriptor(Frozen):
     """Arithmetic of the base field: residue size p^f0, ramification e.
 
     f is the Frobenius power the stored phi represents (the scale in the
@@ -60,23 +56,18 @@ class FieldDescriptor:
     Newton normalization, 1 in the split case this package targets.
     """
 
-    p: int
-    f0: int = 1
-    e: int = 1
-    f: int = 1
-    embeddings: tuple = ("k0",)
-    degree_factor: int = 1
+    __slots__ = ("p", "f0", "e", "f", "embeddings", "degree_factor")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        for name in ("f0", "e", "f", "degree_factor"):
-            if not isinstance(getattr(self, name), int) or getattr(self, name) < 1:
+    def __init__(self, p, f0=1, e=1, f=1, embeddings=("k0",), degree_factor=1):
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        for name, value in (("f0", f0), ("e", e), ("f", f), ("degree_factor", degree_factor)):
+            if not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        emb = tuple(str(x) for x in self.embeddings)
+        emb = tuple(str(x) for x in embeddings)
         if not emb or len(set(emb)) != len(emb):
             raise ValueError("embeddings must be a nonempty tuple of distinct labels")
-        object.__setattr__(self, "embeddings", emb)
+        Frozen.__init__(self, p, f0, e, f, emb, degree_factor)
 
     @property
     def q(self):
@@ -87,28 +78,20 @@ class FieldDescriptor:
         return padic_val(x, self.p).scaled(self.e)
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(Frozen):
     """A full flag basis with one integer jump per column, jumps ascending."""
 
-    basis: Matrix
-    jumps: tuple
+    __slots__ = ("basis", "jumps")
 
 
-class FilteredPhiNModule:
+class FilteredPhiNModule(Frozen):
     """Validated bundle of field data, phi, monodromy, and filtrations."""
 
     __slots__ = ("field", "n", "phi", "monodromy", "filtration")
 
-    def __init__(self, field, n, phi, monodromy, filtration):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "monodromy", monodromy)
-        object.__setattr__(self, "filtration", filtration)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FilteredPhiNModule is immutable")
+    def __hash__(self):
+        # the filtration dict is unhashable; equal modules still hash equal
+        return hash((self.field, self.n, self.phi, self.monodromy))
 
     def flag(self, label):
         return self.filtration[label].basis
@@ -120,7 +103,7 @@ class FilteredPhiNModule:
         """Span of flag columns whose jump is at least i."""
         entry = self.filtration[label]
         cols = [entry.basis.column(j) for j, jump in enumerate(entry.jumps) if jump >= i]
-        return Subspace.span(self.n, cols)
+        return Subspace(self.n, cols)
 
     def __repr__(self):
         return f"FilteredPhiNModule(n={self.n}, p={self.field.p})"
@@ -265,8 +248,9 @@ def enumerate_stable_subspaces(d):
         raise RepeatedEigenvalues(f"phi spectrum has repeated roots: {roots}")
     eigvecs = []
     for value, _ in split.roots:
-        shifted = d.phi - value * Matrix.identity(d.n)
-        eigvecs.append(kernel_basis(shifted)[0])
+        shifted = [[x - value if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(d.phi.rows)]
+        eigvecs.append(kernel_basis(Matrix(shifted))[0])
     basis = Matrix.from_columns(eigvecs, d.n)
     n_in_eigenbasis = solve_columns(basis, d.monodromy @ basis)
     out = []
@@ -280,25 +264,23 @@ def enumerate_stable_subspaces(d):
             if j not in members
         )
         if stable:
-            out.append(Subspace.span(d.n, [eigvecs[i] for i in chosen]))
+            out.append(Subspace(d.n, [eigvecs[i] for i in chosen]))
     out.sort(key=Subspace.sort_key)
     return out
 
 
-class Witness(NamedTuple):
-    subspace: Subspace
-    t_h: object
-    t_n: object
+class Witness(Frozen):
+    """The subspace that breaks weak admissibility, with its t_H and t_N;
+    unpacks as (subspace, t_h, t_n)."""
+
+    __slots__ = ("subspace", "t_h", "t_n")
+
+    def __iter__(self):
+        return iter(self._values())
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    admissible: bool
-    t_h: object
-    t_n: object
-    witness: object
-    subspaces_checked: int
-    mode: str
+class AdmissibilityReport(Frozen):
+    __slots__ = ("admissible", "t_h", "t_n", "witness", "subspaces_checked", "mode")
 
 
 def is_weakly_admissible(d, candidates=None):

@@ -10,6 +10,7 @@ label, so the single-block partition is the smallest element and
 import enum
 
 from .linalg import jordan_partition
+from .scalars import Frozen
 
 __all__ = [
     "Partition",
@@ -27,7 +28,7 @@ __all__ = [
 ]
 
 
-class Partition:
+class Partition(Frozen):
     """Weakly decreasing tuple of positive integers (possibly empty)."""
 
     __slots__ = ("parts",)
@@ -38,10 +39,7 @@ class Partition:
             raise ValueError(f"parts must be positive: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be weakly decreasing: {parts}")
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+        Frozen.__init__(self, parts)
 
     @property
     def total(self):
@@ -49,14 +47,6 @@ class Partition:
 
     def __len__(self):
         return len(self.parts)
-
-    def __eq__(self, other):
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
 
     def __repr__(self):
         return f"Partition{self.parts}"
@@ -120,7 +110,7 @@ def compare(a, b):
     return Dominance.INCOMPARABLE
 
 
-class LabelMap:
+class LabelMap(Frozen):
     """Immutable map from embedding labels to values, sorted by label.
 
     Subclasses define ``_value(label, value)``, which normalises and
@@ -135,10 +125,7 @@ class LabelMap:
         pairs = tuple((label, self._value(label, value)) for label, value in named)
         if not pairs:
             raise self.error("at least one label is required")
-        object.__setattr__(self, "pairs", pairs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        Frozen.__init__(self, pairs)
 
     @property
     def labels(self):
@@ -155,14 +142,6 @@ class LabelMap:
 
     def items(self):
         return self.pairs
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.pairs))
 
     def __repr__(self):
         return f"{type(self).__name__}({dict(self.pairs)})"

@@ -5,6 +5,8 @@ drop-in for fractions.Fraction (both keep lowest terms with a positive
 denominator and print identically), so every report is byte-for-byte the
 same under either backend. Set PHINLAB_BACKEND=fraction or =gmpy2 to force
 one; the default tries gmpy2 and falls back to the stdlib.
+
+``Frozen`` here is the base of every immutable value type in the package.
 """
 
 import math
@@ -14,6 +16,7 @@ from fractions import Fraction
 __all__ = [
     "BACKEND",
     "Rational",
+    "Frozen",
     "is_prime",
     "parse_rational",
     "format_rational",
@@ -43,6 +46,55 @@ else:
 
 ZERO = Rational(0)
 ONE = Rational(1)
+
+
+class Frozen:
+    """Base of every immutable value type in the package.
+
+    The fields are the ``__slots__`` declared along the MRO, in order. The
+    positional ``__init__`` stores one value per field; a subclass that
+    validates or normalises its values defines its own ``__init__`` and
+    passes them to ``Frozen.__init__(self, ...)``, a direct call because
+    ``super()`` would add to every construction. Instances of the same
+    class compare and hash field by field, and print as
+    ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for klass in reversed(cls.__mro__)
+                            for name in klass.__dict__.get("__slots__", ()))
+
+    def __init__(self, *values):
+        fields = self._fields
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} values, got {len(values)}")
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({body})"
 
 
 def is_prime(n):
@@ -109,7 +161,7 @@ def _int_val(n, p):
     return v
 
 
-class PAdicValuation:
+class PAdicValuation(Frozen):
     """An integer valuation extended by +infinity (the valuation of 0).
 
     Supports ordering against other valuations and plain ints, addition,
@@ -121,7 +173,7 @@ class PAdicValuation:
     def __init__(self, value=None):
         if value is not None and not isinstance(value, int):
             raise TypeError("valuation must be an int or None for +infinity")
-        self._v = value
+        Frozen.__init__(self, value)
 
     @classmethod
     def infinity(cls):
@@ -219,7 +271,7 @@ def _sqrt_if_square(n):
     return r if r * r == n else None
 
 
-class QExtScalar:
+class QExtScalar(Frozen):
     """Exact element a + b*sqrt(q) of Q(sqrt(q)) for a fixed integer q >= 1.
 
     When q is a perfect square the irrational part folds into the rational
@@ -239,12 +291,7 @@ class QExtScalar:
         if root is not None and b != 0:
             a += b * root
             b = ZERO
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QExtScalar is immutable")
+        Frozen.__init__(self, a, b, q)
 
     @classmethod
     def from_rational(cls, value, q):
@@ -322,7 +369,7 @@ class QExtScalar:
         return f"QExtScalar({self.a} + {self.b}*sqrt({self.q}))"
 
 
-class TwistedScalar:
+class TwistedScalar(Frozen):
     """A rational times a formal power of the uniformizer: coeff * pi^k.
 
     In the unramified case (e = 1) the uniformizer is p itself, so the
@@ -339,13 +386,7 @@ class TwistedScalar:
         if e == 1 and pi_exp:
             coeff = coeff * rational_power(p, pi_exp)
             pi_exp = 0
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "pi_exp", pi_exp)
-        object.__setattr__(self, "p", int(p))
-        object.__setattr__(self, "e", int(e))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwistedScalar is immutable")
+        Frozen.__init__(self, coeff, pi_exp, int(p), int(e))
 
     @property
     def is_rational(self):

@@ -10,13 +10,12 @@ expand into the eigenvalue list consumed by the Hecke side.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import ChainMismatch, InputError, NotFullyRational
 from .linalg import Matrix, jordan_partition, rational_eigenvalues
 from .modules import check_phi_n
 from .partitions import PartitionFunction
-from .scalars import Rational, padic_val
+from .scalars import Frozen, Rational, padic_val
 
 __all__ = [
     "Segment",
@@ -57,7 +56,7 @@ def prime_power_base(q):
     return p, f0
 
 
-class WeilDeligneRep:
+class WeilDeligneRep(Frozen):
     """Invertible Frobenius with a nilpotent operator obeying N*Fr = q*Fr*N."""
 
     __slots__ = ("frobenius", "monodromy", "q", "p", "f0", "embeddings")
@@ -75,12 +74,7 @@ class WeilDeligneRep:
         embeddings = tuple(embeddings)
         if not embeddings or len(set(embeddings)) != len(embeddings):
             raise InputError(f"embedding labels must be distinct and nonempty: {embeddings}")
-        self.frobenius = fr
-        self.monodromy = nil
-        self.q = q
-        self.p = p
-        self.f0 = f0
-        self.embeddings = embeddings
+        Frozen.__init__(self, fr, nil, q, p, f0, embeddings)
 
     @property
     def n(self):
@@ -106,33 +100,30 @@ def monodromy_partition(w):
     return PartitionFunction({label: part for label in w.embeddings})
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Frozen):
     """A chain chi, chi*q, ..., chi*q^(length-1), stored by its base value."""
 
-    chi: object
-    length: int
+    __slots__ = ("chi", "length")
 
-    def __post_init__(self):
-        chi = Rational(self.chi)
+    def __init__(self, chi, length):
+        chi = Rational(chi)
         if chi == 0:
             raise ValueError("segment base value must be nonzero")
-        if not isinstance(self.length, int) or self.length < 1:
-            raise ValueError(f"segment length must be a positive integer, got {self.length!r}")
-        object.__setattr__(self, "chi", chi)
+        if not isinstance(length, int) or length < 1:
+            raise ValueError(f"segment length must be a positive integer, got {length!r}")
+        Frozen.__init__(self, chi, length)
 
 
-@dataclass(frozen=True)
-class UnramifiedCharacter:
+class UnramifiedCharacter(Frozen):
     """Ordered list of nonzero rational values, one per torus coordinate."""
 
-    values: tuple
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        vals = tuple(Rational(v) for v in self.values)
+    def __init__(self, values):
+        vals = tuple(Rational(v) for v in values)
         if any(v == 0 for v in vals):
             raise ValueError("character values must be nonzero")
-        object.__setattr__(self, "values", vals)
+        Frozen.__init__(self, vals)
 
     def __len__(self):
         return len(self.values)

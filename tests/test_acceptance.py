@@ -47,7 +47,7 @@ from phinlab.sampling import (
     random_wa_module,
 )
 from phinlab.scalars import Rational, padic_val
-from tests_helpers import random_unimodular
+from tests_helpers import child_env, random_unimodular
 
 
 @lru_cache(maxsize=None)
@@ -234,8 +234,8 @@ def test_criterion_8_stratum_membership_matches_order():
 def test_criterion_9_sweep_is_deterministic():
     cmd = [sys.executable, "-m", "phinlab.cli", "sweep", "--seed", "417",
            "--format", "json"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    first = subprocess.run(cmd, capture_output=True, check=True, env=child_env())
+    second = subprocess.run(cmd, capture_output=True, check=True, env=child_env())
     assert first.stdout == second.stdout
     report = json.loads(first.stdout)
     assert report["passed"] is True

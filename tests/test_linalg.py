@@ -428,8 +428,8 @@ def test_jordan_partition_rejects_non_nilpotent():
 # subspaces
 
 def test_subspace_canonical_equality():
-    a = Subspace.span(3, [(1, 0, 0), (1, 1, 0)])
-    b = Subspace.span(3, [(0, 1, 0), (1, 0, 0), (2, 3, 0)])
+    a = Subspace(3, [(1, 0, 0), (1, 1, 0)])
+    b = Subspace(3, [(0, 1, 0), (1, 0, 0), (2, 3, 0)])
     assert a == b
     assert a.dim == 2
     assert hash(a) == hash(b)
@@ -440,27 +440,27 @@ def test_subspace_zero_and_full():
     f = Subspace.full(2)
     assert z.dim == 0 and f.dim == 2
     assert f.contains(z)
-    assert Subspace.span(2, []) == z
+    assert Subspace(2, []) == z
 
 
 def test_subspace_intersection_pinned():
     # span(e1 + e2) and span(e1 - e2) meet only at 0
-    a = Subspace.span(2, [(1, 1)])
-    b = Subspace.span(2, [(1, -1)])
+    a = Subspace(2, [(1, 1)])
+    b = Subspace(2, [(1, -1)])
     assert a.intersect(b) == Subspace.zero(2)
 
-    plane1 = Subspace.span(3, [(1, 0, 0), (0, 1, 0)])
-    plane2 = Subspace.span(3, [(0, 1, 0), (0, 0, 1)])
-    assert plane1.intersect(plane2) == Subspace.span(3, [(0, 1, 0)])
+    plane1 = Subspace(3, [(1, 0, 0), (0, 1, 0)])
+    plane2 = Subspace(3, [(0, 1, 0), (0, 0, 1)])
+    assert plane1.intersect(plane2) == Subspace(3, [(0, 1, 0)])
 
 
 def test_subspace_intersection_random_sanity():
     rng = random.Random(29)
     for _ in range(25):
         n = rng.randint(2, 4)
-        a = Subspace.span(n, [tuple(rng.randint(-2, 2) for _ in range(n))
+        a = Subspace(n, [tuple(rng.randint(-2, 2) for _ in range(n))
                               for _ in range(rng.randint(0, n))])
-        b = Subspace.span(n, [tuple(rng.randint(-2, 2) for _ in range(n))
+        b = Subspace(n, [tuple(rng.randint(-2, 2) for _ in range(n))
                               for _ in range(rng.randint(0, n))])
         cap = a.intersect(b)
         assert a.contains(cap) and b.contains(cap)
@@ -469,18 +469,18 @@ def test_subspace_intersection_random_sanity():
 
 def test_subspace_stability_and_restriction():
     n = Matrix([[0, 1], [0, 0]])
-    line = Subspace.span(2, [(1, 0)])
+    line = Subspace(2, [(1, 0)])
     assert line.is_stable_under(n)
-    assert not Subspace.span(2, [(0, 1)]).is_stable_under(n)
+    assert not Subspace(2, [(0, 1)]).is_stable_under(n)
     phi = Matrix.diagonal([2, 3])
     restricted = line.restrict(phi)
     assert restricted == Matrix([[2]])
     with pytest.raises(ValueError):
-        Subspace.span(2, [(1, 1)]).restrict(n)
+        Subspace(2, [(1, 1)]).restrict(n)
 
 
 def test_subspace_membership():
-    a = Subspace.span(3, [(1, 0, 1), (0, 1, 0)])
+    a = Subspace(3, [(1, 0, 1), (0, 1, 0)])
     assert a.contains_vector((2, 3, 2))
     assert not a.contains_vector((1, 0, 0))
     assert a.contains_vector((0, 0, 0))

@@ -63,7 +63,7 @@ def test_build_module_accepts_steinberg():
     d = steinberg()
     assert d.n == 2
     assert d.jumps("k0") == (0, 1)
-    assert d.fil_subspace("k0", 1) == Subspace.span(2, [(1, 1)])
+    assert d.fil_subspace("k0", 1) == Subspace(2, [(1, 1)])
     assert d.fil_subspace("k0", 0) == Subspace.full(2)
     assert d.fil_subspace("k0", 2) == Subspace.zero(2)
 
@@ -74,7 +74,7 @@ def test_build_module_sorts_flag_columns_by_jump():
                      {"k0": ([[1, 1], [1, -1]], [1, 0])})
     assert d.jumps("k0") == (0, 1)
     # the jump-1 generator must still be e1 + e2
-    assert d.fil_subspace("k0", 1) == Subspace.span(2, [(1, 1)])
+    assert d.fil_subspace("k0", 1) == Subspace(2, [(1, 1)])
 
 
 def test_build_module_rejects_singular_frobenius():
@@ -117,7 +117,7 @@ def test_newton_number_pinned():
     assert newton_number(steinberg()) == 1
     d = crystalline(F2, [4, 8], Matrix.identity(2), [0, 0])
     assert newton_number(d) == 5
-    line = Subspace.span(2, [(1, 0)])
+    line = Subspace(2, [(1, 0)])
     assert newton_number(steinberg(), line) == 0
 
 
@@ -134,7 +134,7 @@ def test_newton_number_scaling():
 def test_hodge_number_pinned():
     st = steinberg()
     assert hodge_number(st) == 1
-    assert hodge_number(st, Subspace.span(2, [(1, 0)])) == 0
+    assert hodge_number(st, Subspace(2, [(1, 0)])) == 0
     assert hodge_number(st, Subspace.full(2)) == 1
     assert hodge_number(st, Subspace.zero(2)) == 0
     d = crystalline(F2, [1, 8], Matrix.identity(2), [0, 3])
@@ -146,16 +146,16 @@ def test_hodge_number_counts_flag_intersections():
     d = crystalline(F2, [1, 2], [[0, 1], [1, 0]], [0, 1])
     # flag columns sorted by jump: jump-1 generator is e2... build: columns
     # (0,1) jump 0 and (1,0) jump 1, so Fil^1 = span(e1)
-    assert hodge_number(d, Subspace.span(2, [(1, 0)])) == 1
+    assert hodge_number(d, Subspace(2, [(1, 0)])) == 1
 
 
 def test_hodge_number_rejects_unstable_subspace():
     st = steinberg()
     with pytest.raises(ValueError):
-        hodge_number(st, Subspace.span(2, [(0, 1)]))  # not N-stable
+        hodge_number(st, Subspace(2, [(0, 1)]))  # not N-stable
     d = crystalline(F2, [1, 2], Matrix.identity(2), [0, 1])
     with pytest.raises(ValueError):
-        hodge_number(d, Subspace.span(2, [(1, 1)]))  # not phi-stable
+        hodge_number(d, Subspace(2, [(1, 1)]))  # not phi-stable
 
 
 def test_hodge_number_sums_over_embeddings():
@@ -169,7 +169,7 @@ def test_enumerate_stable_subspaces_steinberg():
     subs = enumerate_stable_subspaces(steinberg())
     assert len(subs) == 3
     assert subs[0] == Subspace.zero(2)
-    assert subs[1] == Subspace.span(2, [(1, 0)])
+    assert subs[1] == Subspace(2, [(1, 0)])
     assert subs[2] == Subspace.full(2)
 
 
@@ -222,7 +222,7 @@ def test_bad_flag_position_breaks_admissibility():
     report = is_weakly_admissible(steinberg(flag=[[1, 0], [0, 1]], jumps=(1, 0)))
     assert not report.admissible
     sub, t_h, t_n = report.witness
-    assert sub == Subspace.span(2, [(1, 0)])
+    assert sub == Subspace(2, [(1, 0)])
     assert t_h == 1 and t_n == 0
 
 
@@ -247,7 +247,7 @@ def test_negative_jump_rank_one_admissible():
 
 def test_certificate_mode():
     d = steinberg(flag=[[1, 0], [0, 1]], jumps=(1, 0))
-    line = Subspace.span(2, [(1, 0)])
+    line = Subspace(2, [(1, 0)])
     report = is_weakly_admissible(d, candidates=[line])
     assert report.mode == "certificate"
     assert not report.admissible
@@ -258,7 +258,7 @@ def test_certificate_mode():
 
 def test_certificate_mode_rejects_unstable_candidates():
     with pytest.raises(InputError):
-        is_weakly_admissible(steinberg(), candidates=[Subspace.span(2, [(0, 1)])])
+        is_weakly_admissible(steinberg(), candidates=[Subspace(2, [(0, 1)])])
 
 
 def test_admissibility_invariant_under_base_change():

@@ -1,11 +1,9 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-import phinlab
 from phinlab.cli import main
 from phinlab.errors import SchemaError
 from phinlab.scalars import PAdicValuation, TwistedScalar
@@ -16,6 +14,7 @@ from phinlab.schema import (
     twisted_json,
     valuation_json,
 )
+from tests_helpers import child_env
 
 STEINBERG = {
     "field": {"p": 2, "f0": 1, "e": 1, "f": 1, "embeddings": ["k0"]},
@@ -293,8 +292,7 @@ def test_cli_22_digit_entry_gets_a_verdict_in_time(tmp_path):
         "filtration": {"k0": {"flag": [["1", "0"], ["0", "1"]], "jumps": [1, 21]}},
     }
     path = write_json(tmp_path, module)
-    src = os.path.dirname(os.path.dirname(phinlab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = child_env()
     runs = {}
     for command in ("check-admissible", "segments", "beta"):
         done = subprocess.run([sys.executable, "-m", "phinlab.cli", command, path],

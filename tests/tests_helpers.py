@@ -1,8 +1,17 @@
 """Small helpers shared across test files."""
 
+import os
 from fractions import Fraction
 
+import phinlab
 from phinlab.linalg import Matrix
+
+
+def child_env():
+    """The environment with the imported package's source directory first on
+    PYTHONPATH, so a child interpreter imports the same phinlab."""
+    src = os.path.dirname(os.path.dirname(phinlab.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def random_unimodular(rng, n, spread=2):
