@@ -3,6 +3,7 @@
 from .errors import (
     BadFlag,
     ChainMismatch,
+    EnumerationCapExceeded,
     InputError,
     NonNilpotentMonodromy,
     NotFullyRational,
@@ -68,9 +69,10 @@ from .weil_deligne import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadFlag", "ChainMismatch", "InputError", "NonNilpotentMonodromy",
-    "NotFullyRational", "PhinlabError", "RelationViolation",
-    "RepeatedEigenvalues", "SchemaError", "SingularFrobenius",
+    "BadFlag", "ChainMismatch", "EnumerationCapExceeded", "InputError",
+    "NonNilpotentMonodromy", "NotFullyRational", "PhinlabError",
+    "RelationViolation", "RepeatedEigenvalues", "SchemaError",
+    "SingularFrobenius",
     "HeckeParams", "coset_classes", "materialize_representatives",
     "spherical_value", "theta_closed", "theta_enumerated", "theta_tilde",
     "CONVENTIONS", "HodgeTateWeights", "XiWeights", "beta_value",

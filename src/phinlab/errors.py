@@ -16,6 +16,7 @@ __all__ = [
     "BadFlag",
     "RepeatedEigenvalues",
     "NotFullyRational",
+    "EnumerationCapExceeded",
     "ChainMismatch",
 ]
 
@@ -78,6 +79,10 @@ class RepeatedEigenvalues(InputError):
 
 class NotFullyRational(InputError):
     """Frobenius spectrum does not split over Q; enumeration needs certificates."""
+
+
+class EnumerationCapExceeded(InputError):
+    """An exhaustive enumeration was refused because the rank exceeds the cap."""
 
 
 class ChainMismatch(PhinlabError):

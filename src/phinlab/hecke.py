@@ -3,13 +3,18 @@
 theta_closed evaluates the scalar q^{r(1-r)/2} * e_r(psi) directly, while
 theta_enumerated rebuilds it from the coset decomposition: one class per
 r-subset S of {1..n}, each contributing |Lambda_S| copies of the spherical
-value f(beta_S). The half-powers of q inside f are carried exactly in
-QExtScalar and must cancel in the total. Keeping both routes alive is the
-point, so neither is defined in terms of the other.
+value f(beta_S). The half-powers of q inside f are carried as one integer
+exponent of sqrt(q) per class, which must be even: a class whose sqrt(q)
+parts fail to cancel raises ArithmeticError, so every class value and the
+total are exact rationals. The class count C(n, r) goes through the work
+budget in config before any class is built. Keeping both routes alive is
+the point, so neither is defined in terms of the other.
 """
 
+import math
 from itertools import combinations, product
 
+from .config import check_work_units
 from .errors import InputError
 from .linalg import Matrix
 from .scalars import (
@@ -77,6 +82,7 @@ def coset_classes(h, psi=None):
     count = q^{r(n-r) + r(r+1)/2 - sum(S)}; the exponent is never negative
     (it hits 0 exactly at the top subset {n-r+1..n}).
     """
+    check_work_units(math.comb(h.n, h.r), "coset classes")
     if psi is not None:
         psi = _as_character(psi, h.n)
     out = []
@@ -90,19 +96,23 @@ def coset_classes(h, psi=None):
 def spherical_value(S, psi, h):
     """Product of the half-density and twisted-character factors at beta_S.
 
-    Each factor is a genuine half-power of q, kept exact in QExtScalar:
-    delta^{1/2} contributes q^{(2*sum(S) - r(n+1))/2} and the character
-    side contributes q^{-r(n-1)/2} times the product of the S-entries.
+    Both factors are half-powers of q times rationals: delta^{1/2}
+    contributes q^{(2*sum(S) - r(n+1))/2} and the character side
+    contributes q^{-r(n-1)/2} times the product of the S-entries. The two
+    exponents of sqrt(q) are added as one integer k; an odd k would leave
+    a sqrt(q) in the value, so it raises ArithmeticError naming S, and an
+    even k gives the rational q^{k/2} * prod(psi_i for i in S).
     """
     psi = _as_character(psi, h.n)
     S = tuple(S)
     assert len(S) == h.r and all(1 <= i <= h.n for i in S)
-    delta_half = QExtScalar.q_half_power(h.q, 2 * sum(S) - h.r * (h.n + 1))
-    prod = ONE
+    k = (2 * sum(S) - h.r * (h.n + 1)) - h.r * (h.n - 1)
+    if k % 2:
+        raise ArithmeticError(f"sqrt({h.q}) does not cancel in the spherical value at S={S}")
+    value = rational_power(h.q, k // 2)
     for i in S:
-        prod = prod * psi[i - 1]
-    psi_prime = QExtScalar.q_half_power(h.q, -h.r * (h.n - 1)) * prod
-    return delta_half * psi_prime
+        value = value * psi[i - 1]
+    return QExtScalar.from_rational(value, h.q)
 
 
 def elementary_symmetric(values, r):
@@ -124,13 +134,9 @@ def theta_closed(psi, h):
 
 
 def theta_enumerated(psi, h):
-    """Sum count * f(beta_S) over all classes; the sqrt(q) parts must cancel."""
+    """Sum count * f(beta_S) over all classes, as exact rationals."""
     psi = _as_character(psi, h.n)
-    total = QExtScalar.from_rational(0, h.q)
-    for c in coset_classes(h, psi):
-        total = total + c.count * c.foval
-    assert total.is_rational, "sqrt(q) failed to cancel in the coset sum"
-    return total.rational()
+    return sum((c.count * c.foval.rational() for c in coset_classes(h, psi)), ZERO)
 
 
 def theta_tilde(psi, h, xi, field):

@@ -10,7 +10,7 @@ whether all the beta values are integral, reporting weak admissibility
 alongside.
 """
 
-from .errors import InputError, NotFullyRational, RepeatedEigenvalues
+from .errors import EnumerationCapExceeded, InputError, NotFullyRational, RepeatedEigenvalues
 from .hecke import HeckeParams, theta_tilde
 from .linalg import exterior_trace, exterior_traces
 from .modules import is_weakly_admissible
@@ -122,7 +122,7 @@ def check_integrality(d, xi):
         verdict = is_weakly_admissible(d)
         admissible = verdict.admissible
         warning = None if admissible else "module is not weakly admissible; valuations reported raw"
-    except (RepeatedEigenvalues, NotFullyRational) as err:
+    except (RepeatedEigenvalues, NotFullyRational, EnumerationCapExceeded) as err:
         admissible = None
         warning = f"admissibility undecided ({err}); valuations reported raw"
     rows = []

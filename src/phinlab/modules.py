@@ -11,6 +11,8 @@ Frobenius determinant), equality on the whole space and t_H <= t_N on
 every phi- and N-stable subspace.
 """
 
+import math
+
 from .config import check_enumeration_size
 from .errors import (
     BadFlag,
@@ -265,7 +267,12 @@ def enumerate_stable_subspaces(d):
         )
         if stable:
             out.append(Subspace(d.n, [eigvecs[i] for i in chosen]))
-    out.sort(key=Subspace.sort_key)
+    # the order of Subspace.sort_key, compared on integers: every entry
+    # scaled by one common multiple of all the denominators; bases of one
+    # dimension have equal shapes, so their flattened rows compare the same
+    scale = math.lcm(*{x.denominator for sub in out for row in sub.basis for x in row})
+    out.sort(key=lambda sub: (sub.dim, [x.numerator * (scale // x.denominator)
+                                        for row in sub.basis for x in row]))
     return out
 
 

@@ -96,6 +96,18 @@ class Frozen:
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({body})"
 
+    def __reduce__(self):
+        # copy and pickle restore slot state through __setattr__ by default,
+        # which raises here; rebuild through the one store instead
+        return _rebuild, (type(self), self._values())
+
+
+def _rebuild(cls, values):
+    """The inverse of ``Frozen.__reduce__``: a ``cls`` holding ``values``."""
+    obj = object.__new__(cls)
+    Frozen.__init__(obj, *values)
+    return obj
+
 
 def is_prime(n):
     """Deterministic Miller-Rabin, exact for anything this package meets."""
@@ -285,17 +297,20 @@ class QExtScalar(Frozen):
         q = int(q)
         if q < 1:
             raise ValueError(f"q must be a positive integer, got {q}")
-        a = Rational(a)
-        b = Rational(b)
-        root = _sqrt_if_square(q)
-        if root is not None and b != 0:
-            a += b * root
-            b = ZERO
+        if type(a) is not Rational:
+            a = Rational(a)
+        if type(b) is not Rational:
+            b = Rational(b)
+        if b != 0:
+            root = _sqrt_if_square(q)
+            if root is not None:
+                a += b * root
+                b = ZERO
         Frozen.__init__(self, a, b, q)
 
     @classmethod
     def from_rational(cls, value, q):
-        return cls(value, 0, q)
+        return cls(value, ZERO, q)
 
     @classmethod
     def q_half_power(cls, q, k):

@@ -5,6 +5,7 @@ from functools import lru_cache
 
 import pytest
 
+from phinlab.config import WORK_BUDGET
 from phinlab.hecke import (
     CosetClass,
     HeckeParams,
@@ -220,3 +221,15 @@ def test_materialized_representatives_match_counts():
 def test_materialize_requires_prime_q():
     with pytest.raises(InputError):
         materialize_representatives((1,), HeckeParams(2, 4, 1))
+
+
+def test_class_count_over_the_work_budget_is_refused_up_front():
+    # C(30, 15) = 155117520 classes; the gate refuses before building one
+    h = HeckeParams(30, 2, 15)
+    for route in (lambda: coset_classes(h), lambda: theta_enumerated((1,) * 30, h)):
+        with pytest.raises(InputError) as exc:
+            route()
+        assert str(math.comb(30, 15)) in str(exc.value)
+        assert str(WORK_BUDGET) in str(exc.value)
+    # the largest classes the benchmark and the acceptance tests use still run
+    assert len(coset_classes(HeckeParams(12, 2, 6))) == math.comb(12, 6) <= WORK_BUDGET

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from phinlab import errors
 from phinlab.errors import (
     BadFlag,
+    EnumerationCapExceeded,
     InputError,
     NonNilpotentMonodromy,
     NotFullyRational,
@@ -208,6 +210,14 @@ def test_enumeration_cap(monkeypatch):
         enumerate_stable_subspaces(steinberg())
 
 
+def test_enumeration_cap_raises_its_own_input_error(monkeypatch):
+    monkeypatch.setenv("PHINLAB_MAX_N", "1")
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        enumerate_stable_subspaces(steinberg())
+    assert isinstance(exc.value, InputError)
+    assert "EnumerationCapExceeded" in errors.__all__
+
+
 def test_steinberg_is_weakly_admissible():
     report = is_weakly_admissible(steinberg())
     assert report.admissible
@@ -365,3 +375,17 @@ def test_admissibility_loop_matches_the_validating_functions():
         assert got == expected
         verdicts.add((report.admissible, t_h == t_n))
     assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+def test_stable_subspace_order_is_the_sort_key_order():
+    rng = random.Random(53)
+    most_denominators = 0
+    for _ in range(24):
+        d = random_semistable_two_label(rng)
+        subs = enumerate_stable_subspaces(d)
+        assert subs == sorted(subs, key=Subspace.sort_key)
+        denominators = {x.denominator for sub in subs for row in sub.basis for x in row}
+        most_denominators = max(most_denominators, len(denominators))
+    # the integer key scales by one common multiple, which only matters
+    # when one module's bases mix several denominators
+    assert most_denominators > 2

@@ -166,3 +166,10 @@ def test_twisted_scalar_symbolic_at_higher_e():
     with pytest.raises(ValueError):
         t.rational()
     assert TwistedScalar(0, 1, 2, 2).val_f().is_infinite
+
+
+def test_qext_keeps_a_rational_part_as_given():
+    x = Rational(7, 3)
+    for q in (2, 4):
+        v = QExtScalar(x, 0, q)
+        assert v.a is x and v.b == 0

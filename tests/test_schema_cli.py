@@ -334,3 +334,37 @@ def test_cli_main_reuses_one_parser_across_calls(tmp_path, capsys):
         fresh.append(run(argv))
     assert shared == fresh
     assert [code for code, _ in shared] == [0, 0, 0, 2, 2, 0]
+
+
+def test_cli_hecke_over_the_class_budget_exits_2_at_once():
+    # C(30, 15) = 155117520 coset classes: summing them would take hours
+    psi = ",".join(str(i) for i in range(1, 31))
+    done = subprocess.run([sys.executable, "-m", "phinlab.cli", "hecke", "--n", "30", "--r", "15",
+                           "--q", "2", f"--psi={psi}"],
+                          capture_output=True, text=True, timeout=5, env=child_env())
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "155117520" in done.stderr and "budget" in done.stderr
+
+
+def test_cli_beta_reports_an_enumeration_cap_hit_as_undecided(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("PHINLAB_MAX_N", raising=False)
+    n = 9
+    module = {
+        "field": {"p": 2, "f0": 1, "e": 1, "f": 1, "embeddings": ["k0"]},
+        "n": n,
+        "phi": [[str(2 ** i) if i == j else "0" for j in range(n)] for i in range(n)],
+        "monodromy": [["0"] * n for _ in range(n)],
+        "filtration": {"k0": {"flag": [["1" if i == j else "0" for j in range(n)] for i in range(n)],
+                              "jumps": list(range(n))}},
+    }
+    path = write_json(tmp_path, module)
+    cap_text = "stable-subspace enumeration at size 9 exceeds the enumeration cap 8"
+    code, out, err = run_cli(capsys, ["beta", path])
+    assert code == 0 and err == ""
+    assert [line.split(":")[0] for line in out.splitlines() if line.startswith("r=")] == [
+        f"r={r}" for r in range(1, n + 1)]
+    assert f"warning: admissibility undecided ({cap_text}; raise PHINLAB_MAX_N to allow it)" in out
+    code, out, err = run_cli(capsys, ["check-admissible", path])
+    assert code == 2 and out == ""
+    assert err == f"error: {cap_text}; raise PHINLAB_MAX_N to allow it\n"

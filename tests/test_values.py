@@ -1,5 +1,7 @@
 """Every value type is immutable, compares and hashes by value, and keeps its repr."""
 
+import copy
+import pickle
 import subprocess
 import sys
 
@@ -81,6 +83,18 @@ def test_value_type_is_immutable_and_compares_by_value(name):
     assert other is not value
     assert other == value and hash(other) == hash(value)
     assert repr(value) == want_repr
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_value_type_survives_copy_and_pickle(name):
+    make, field, _ = CASES[name]
+    value = make()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value)
+        with pytest.raises(AttributeError):
+            setattr(twin, field, None)
+        assert getattr(twin, field) == getattr(value, field)
 
 
 def test_witness_unpacks_into_its_fields():
