@@ -101,11 +101,13 @@ def spherical_value(S, psi, h):
     contributes q^{-r(n-1)/2} times the product of the S-entries. The two
     exponents of sqrt(q) are added as one integer k; an odd k would leave
     a sqrt(q) in the value, so it raises ArithmeticError naming S, and an
-    even k gives the rational q^{k/2} * prod(psi_i for i in S).
+    even k gives the rational q^{k/2} * prod(psi_i for i in S). An S
+    that is not r indices in 1..n raises InputError.
     """
     psi = _as_character(psi, h.n)
     S = tuple(S)
-    assert len(S) == h.r and all(1 <= i <= h.n for i in S)
+    if len(S) != h.r or not all(1 <= i <= h.n for i in S):
+        raise InputError(f"S={S} must hold r={h.r} indices in 1..n={h.n}")
     k = (2 * sum(S) - h.r * (h.n + 1)) - h.r * (h.n - 1)
     if k % 2:
         raise ArithmeticError(f"sqrt({h.q}) does not cancel in the spherical value at S={S}")

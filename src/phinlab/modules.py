@@ -4,11 +4,16 @@ A module here is a free space Q^n carrying an invertible Frobenius matrix
 phi, a nilpotent monodromy N obeying N*phi = p^f*phi*N, and one descending
 flag filtration per embedding label, encoded by a flag basis matrix whose
 j-th column enters the filtration at the integer jump attached to it.
+``check_phi_n`` checks phi and N on their cleared integer matrices.
 
 Weak admissibility compares two slopes: the Hodge number t_H (filtration
 jumps met by a subspace) and the Newton number t_N (valuation of the
 Frobenius determinant), equality on the whole space and t_H <= t_N on
-every phi- and N-stable subspace.
+every phi- and N-stable subspace. For a split multiplicity-free spectrum
+those are the spans W_S of the N-closed sets S of eigenvectors, and the
+verdict works in eigen-coordinates (Fontaine-Rapoport 1994;
+Breuil-Schneider 2007, section 4): t_N(W_S) is a sum of eigenvalue
+valuations, and t_H(W_S) comes from one integer echelon form per flag.
 """
 
 import math
@@ -26,11 +31,14 @@ from .errors import (
 from .linalg import (
     Matrix,
     Subspace,
+    _cleared,
+    _echelon,
+    _int_matmul,
+    _primitive_rows,
     det,
     kernel_basis,
     matrix_power,
     rational_eigenvalues,
-    solve_columns,
 )
 from .scalars import Frozen, Rational, format_rational, is_prime, padic_val
 
@@ -119,23 +127,32 @@ def _as_matrix(value, n, what):
 
 
 def check_phi_n(phi, monodromy, scale):
-    """Reject a singular phi, a non-nilpotent N, or N*phi != scale*phi*N."""
+    """Reject a singular phi, a non-nilpotent N, or N*phi != scale*phi*N.
+
+    Both checks run on the cleared integer matrices A = a*N and F = b*phi:
+    N is nilpotent when A^(2^k) = 0 for the first 2^k >= n, and with
+    scale = s/t the relation holds when t*(A F) = s*(F A).
+    """
     n = phi.nrows
     if det(phi) == 0:
         raise SingularFrobenius("phi is singular")
-    if not matrix_power(monodromy, n).is_zero:
+    a, da = _cleared(monodromy.rows)
+    power, reach = a, 1
+    while reach < n:
+        power = _int_matmul(power, power)
+        reach *= 2
+    if any(map(any, power)):
         raise NonNilpotentMonodromy(n)
+    f, df = _cleared(phi.rows)
     scale = Rational(scale)
-    lhs = monodromy @ phi
-    rhs = scale * (phi @ monodromy)
-    if lhs != rhs:
-        i, j = next(
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if lhs.rows[i][j] != rhs.rows[i][j]
-        )
-        raise RelationViolation((i, j), lhs.rows[i][j], rhs.rows[i][j], scale)
+    s, t = int(scale.numerator), int(scale.denominator)
+    lhs = _int_matmul(a, f)
+    rhs = _int_matmul(f, a)
+    for i in range(n):
+        for j in range(n):
+            if t * lhs[i][j] != s * rhs[i][j]:
+                raise RelationViolation((i, j), Rational(lhs[i][j], da * df),
+                                        scale * Rational(rhs[i][j], da * df), scale)
 
 
 def build_module(field, n, phi, monodromy, filtration):
@@ -183,9 +200,12 @@ def _restrict_or_reject(d, sub):
     return restricted
 
 
+def _scaled_newton(field, val):
+    return Rational(field.e * val) / (field.degree_factor * field.f)
+
+
 def _newton(d, frobenius_det):
-    val = padic_val(frobenius_det, d.field.p).value
-    return Rational(d.field.e * val) / (d.field.degree_factor * d.field.f)
+    return _scaled_newton(d.field, padic_val(frobenius_det, d.field.p).value)
 
 
 def newton_number(d, sub=None):
@@ -230,13 +250,14 @@ def hodge_number(d, sub=None):
     return _hodge(sub, _filtration_levels(d))
 
 
-def enumerate_stable_subspaces(d):
-    """All phi- and N-stable subspaces, for a split multiplicity-free spectrum.
+def _eigen_frame(d):
+    """Eigen-coordinates of a split multiplicity-free spectrum.
 
-    These are exactly the spans of Frobenius eigenvector subsets closed
-    under the monodromy; the zero space and the full space are included.
-    Raises RepeatedEigenvalues or NotFullyRational when the spectrum is not
-    split multiplicity-free; use certificate mode in that situation.
+    Returns (valuations, eigvecs, to_eigen, closed): the p-adic valuation
+    of each rational eigenvalue, ascending by value; the eigenvector of
+    each, a column of the basis B; B^-1; and every N-closed index set as an
+    integer bitmask (bit i is eigvecs[i]). The spans of the closed sets are
+    exactly the phi- and N-stable subspaces.
     """
     check_enumeration_size(d.n, "stable-subspace enumeration")
     split = rational_eigenvalues(d.phi)
@@ -248,25 +269,41 @@ def enumerate_stable_subspaces(d):
     if any(mult > 1 for _, mult in split.roots):
         roots = ", ".join(f"{format_rational(v)} (multiplicity {mult})" for v, mult in split.roots)
         raise RepeatedEigenvalues(f"phi spectrum has repeated roots: {roots}")
+    n = d.n
     eigvecs = []
     for value, _ in split.roots:
         shifted = [[x - value if i == j else x for j, x in enumerate(row)]
                    for i, row in enumerate(d.phi.rows)]
         eigvecs.append(kernel_basis(Matrix(shifted))[0])
-    basis = Matrix.from_columns(eigvecs, d.n)
-    n_in_eigenbasis = solve_columns(basis, d.monodromy @ basis)
-    out = []
-    for mask in range(1 << d.n):
-        chosen = [i for i in range(d.n) if mask >> i & 1]
-        members = set(chosen)
-        stable = all(
-            n_in_eigenbasis.rows[j][i] == 0
-            for i in chosen
-            for j in range(d.n)
-            if j not in members
-        )
-        if stable:
-            out.append(Subspace(d.n, [eigvecs[i] for i in chosen]))
+    basis = Matrix.from_columns(eigvecs, n)
+    to_eigen = basis.inverse()
+    support = (to_eigen @ d.monodromy @ basis).rows
+    image = [sum(1 << j for j in range(n) if support[j][i]) for i in range(n)]
+    valuations = [padic_val(value, d.field.p).value for value, _ in split.roots]
+    # N maps the eigenline of a value v into that of v / p^f, of smaller
+    # valuation, so in ascending valuation every index follows its image:
+    # adding index i to a closed set s keeps it closed when s holds the image
+    closed = [0]
+    for i in sorted(range(n), key=valuations.__getitem__):
+        closed += [s | 1 << i for s in closed if not image[i] & ~s]
+    return valuations, eigvecs, to_eigen, closed
+
+
+def _members(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def enumerate_stable_subspaces(d):
+    """All phi- and N-stable subspaces, for a split multiplicity-free spectrum.
+
+    These are exactly the spans of Frobenius eigenvector subsets closed
+    under the monodromy; the zero space and the full space are included,
+    in ``Subspace.sort_key`` order. Raises RepeatedEigenvalues or
+    NotFullyRational when the spectrum is not split multiplicity-free; use
+    certificate mode in that situation.
+    """
+    _, eigvecs, _, closed = _eigen_frame(d)
+    out = [Subspace(d.n, [eigvecs[i] for i in _members(mask)]) for mask in closed]
     # the order of Subspace.sort_key, compared on integers: every entry
     # scaled by one common multiple of all the denominators; bases of one
     # dimension have equal shapes, so their flattened rows compare the same
@@ -293,27 +330,36 @@ class AdmissibilityReport(Frozen):
 def is_weakly_admissible(d, candidates=None):
     """Weak admissibility verdict with the first violating subspace, if any.
 
-    With ``candidates`` the check runs in certificate mode: the verdict is
-    relative to the supplied stable subspaces (each is validated for
-    stability), plus the always-checked equality on the full space.
+    Without ``candidates`` every phi- and N-stable subspace is decided, in
+    eigen-coordinates. With ``candidates`` the check runs in certificate
+    mode: the verdict is relative to the supplied stable subspaces (each
+    is validated for stability), plus the always-checked equality on the
+    full space.
     """
     t_h = hodge_number(d)
     t_n = newton_number(d)
-    mode = "enumerated" if candidates is None else "certificate"
     if candidates is None:
-        subs = enumerate_stable_subspaces(d)
+        mode, frame = "enumerated", _eigen_frame(d)
+        checked = len(frame[-1])
     else:
-        subs = list(candidates)
+        mode, subs = "certificate", list(candidates)
         for sub in subs:
             try:
                 _restrict_or_reject(d, sub)
             except ValueError as exc:
                 raise InputError(f"candidate subspace rejected: {exc}") from None
+        checked = len(subs)
     if t_h != t_n:
         witness = Witness(Subspace.full(d.n), t_h, t_n)
-        return AdmissibilityReport(False, t_h, t_n, witness, len(subs), mode)
-    # every subspace here is stable: enumerated ones are built stable and
-    # candidates were validated above, so t_H and t_N are computed directly
+    elif candidates is None:
+        witness = _eigen_witness(d, t_h, *frame)
+    else:
+        witness = _candidate_witness(d, subs)
+    return AdmissibilityReport(witness is None, t_h, t_n, witness, checked, mode)
+
+
+def _candidate_witness(d, subs):
+    """The first of the validated stable subspaces with t_H > t_N, or None."""
     levels = _filtration_levels(d)
     for sub in subs:
         if sub.dim in (0, d.n):
@@ -321,9 +367,47 @@ def is_weakly_admissible(d, candidates=None):
         sub_h = _hodge(sub, levels)
         sub_n = _newton(d, det(sub.restrict(d.phi)))
         if not sub_h <= sub_n:
-            witness = Witness(sub, sub_h, sub_n)
-            return AdmissibilityReport(False, t_h, t_n, witness, len(subs), mode)
-    return AdmissibilityReport(True, t_h, t_n, None, len(subs), mode)
+            return Witness(sub, sub_h, sub_n)
+    return None
+
+
+def _eigen_witness(d, t_h, valuations, eigvecs, to_eigen, closed):
+    """The first span W_S of an N-closed set S with t_H > t_N, or None.
+
+    t_N(W_S) is the scaled sum of the valuations of the eigenvalues in S.
+    For t_H, each flag is written in eigen-coordinates once, as primitive
+    integer rows with the columns ordered by descending jump, so Fil^i is
+    the first m_i = #{jumps >= i} columns. Projecting away the coordinates
+    in S, dim(W_S cap Fil^i) = m_i - rank of those columns, and in one
+    echelon form of the rows outside S that rank is #{pivots < m_i}. So
+    the jumps W_S meets are those of the non-pivot columns, and t_H(W_S)
+    is the total of the jumps less the jumps of the pivot columns.
+
+    "First" is in ``Subspace.sort_key`` order, which sorts by dimension
+    first, so subspaces are built only for the violating sets of the
+    smallest violating size.
+    """
+    flags = []
+    for label in d.field.embeddings:
+        entry = d.filtration[label]
+        rows = _primitive_rows((to_eigen @ entry.basis).rows)
+        flags.append(([row[::-1] for row in rows], entry.jumps[::-1]))
+    violators = []
+    for mask in sorted(closed, key=int.bit_count):
+        size = mask.bit_count()
+        if size == d.n or violators and size > violators[0].subspace.dim:
+            break
+        if size == 0:
+            continue
+        members = _members(mask)
+        outside = [r for r in range(d.n) if not mask >> r & 1]
+        # _echelon rebinds the slots of the list it gets, never a row itself
+        sub_h = t_h - sum(jumps[c] for rows, jumps in flags
+                          for c in _echelon([rows[r] for r in outside]))
+        sub_n = _scaled_newton(d.field, sum(valuations[i] for i in members))
+        if not sub_h <= sub_n:
+            violators.append(Witness(Subspace(d.n, [eigvecs[i] for i in members]), sub_h, sub_n))
+    return min(violators, key=lambda w: w.subspace.sort_key(), default=None)
 
 
 def weil_trace(d, a):

@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,6 +22,7 @@ from phinlab.errors import InputError
 from phinlab.modules import FieldDescriptor
 from phinlab.scalars import padic_val
 from phinlab.weil_deligne import UnramifiedCharacter
+from tests_helpers import child_env
 
 
 # independent oracle: q-binomial via the Pascal-type recurrence, nothing
@@ -233,3 +236,31 @@ def test_class_count_over_the_work_budget_is_refused_up_front():
         assert str(WORK_BUDGET) in str(exc.value)
     # the largest classes the benchmark and the acceptance tests use still run
     assert len(coset_classes(HeckeParams(12, 2, 6))) == math.comb(12, 6) <= WORK_BUDGET
+
+
+@pytest.mark.parametrize("S, text", [
+    ((1, 2), "S=(1, 2) must hold r=1 indices in 1..n=2"),
+    ((), "S=() must hold r=1 indices in 1..n=2"),
+    ((0,), "S=(0,) must hold r=1 indices in 1..n=2"),
+    ((3,), "S=(3,) must hold r=1 indices in 1..n=2"),
+])
+def test_spherical_value_rejects_a_bad_index_set(S, text):
+    with pytest.raises(InputError) as exc:
+        spherical_value(S, UnramifiedCharacter((3, 5)), HeckeParams(2, 2, 1))
+    assert str(exc.value) == text
+
+
+def test_spherical_value_checks_its_index_set_under_python_o():
+    code = (
+        "from phinlab.errors import InputError\n"
+        "from phinlab.hecke import HeckeParams, spherical_value\n"
+        "from phinlab.weil_deligne import UnramifiedCharacter\n"
+        "try:\n"
+        "    spherical_value((0,), UnramifiedCharacter((3, 5)), HeckeParams(2, 2, 1))\n"
+        "except InputError as err:\n"
+        "    print(err)\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=child_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (
+        0, "S=(0,) must hold r=1 indices in 1..n=2\n", "")

@@ -389,3 +389,178 @@ def test_stable_subspace_order_is_the_sort_key_order():
     # the integer key scales by one common multiple, which only matters
     # when one module's bases mix several denominators
     assert most_denominators > 2
+
+
+ORACLE_UNITS = (1, 5, 7, 11, 13, 17, 19, 23, 25, 29)
+
+
+def random_oracle_module(rng):
+    """A conjugated split multiplicity-free module with 1-3 random flags.
+
+    Rank 2-8; e and f are 1 or 2; N is zero or a sum of chains; jumps
+    repeat freely, so most flags are not full. Half of the flags are the eigenbasis in a random
+    order, which makes eigenlines carry large jumps and several subspaces
+    of one dimension violate at once.
+    """
+    from phinlab.scalars import padic_val
+    from tests_helpers import random_unimodular
+
+    p = rng.choice([2, 3])
+    e, f = rng.choice([1, 2]), rng.choice([1, 2])
+    n = rng.choice((2, 3, 4, 5, 6) * 3 + (7, 8))
+    if rng.random() < (0.4 if n < 7 else 0.15):
+        lengths = [1] * n
+    else:
+        lengths = [2]
+        while sum(lengths) < n:
+            lengths.append(rng.randint(1, n - sum(lengths)))
+    units = rng.sample(ORACLE_UNITS, len(lengths))
+    diag, nil = [], [[0] * n for _ in range(n)]
+    for u, k in zip(units, lengths):
+        base = Fraction(u) * Fraction(p) ** rng.randint(-1, 2)
+        for j in range(k):
+            if j:
+                nil[len(diag)][len(diag) - 1] = 1
+            diag.append(base * p ** (f * (k - 1 - j)))
+    s = random_unimodular(rng, n)
+    si = s.inverse()
+    labels = ("k0", "k1", "k2")[:rng.randint(1, 3)]
+    field = FieldDescriptor(p=p, e=e, f=f, embeddings=labels)
+    jumps = {label: [rng.randint(-1, 2) for _ in range(n)] for label in labels}
+    t_n = Fraction(e * sum(padic_val(x, p).value for x in diag), f)
+    if t_n.denominator == 1 and rng.random() < 0.85:
+        jumps[labels[-1]][-1] += int(t_n) - sum(sum(j) for j in jumps.values())
+    flags = {}
+    for label in labels:
+        if rng.random() < 0.5:
+            basis = random_unimodular(rng, n)
+        else:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            basis = s @ Matrix([[1 if perm[i] == j else 0 for j in range(n)] for i in range(n)])
+        flags[label] = (basis, jumps[label])
+    return build_module(field, n, s @ Matrix.diagonal(diag) @ si, s @ Matrix(nil) @ si, flags)
+
+
+def scan_stable_subspaces(d):
+    """The verdict by brute force over every enumerated stable subspace.
+
+    Returns (verdict, t_h, t_n, witness, subspaces checked) and the number
+    of violating subspaces of the witness's dimension.
+    """
+    subs = enumerate_stable_subspaces(d)
+    t_h, t_n = hodge_number(d), newton_number(d)
+    if t_h != t_n:
+        return (False, t_h, t_n, (Subspace.full(d.n), t_h, t_n), len(subs)), 1
+    first, ties = None, 0
+    for sub in subs:
+        if sub.dim in (0, d.n):
+            continue
+        if first is not None and sub.dim > first[0].dim:
+            break
+        sub_h, sub_n = hodge_number(d, sub), newton_number(d, sub)
+        if sub_h > sub_n:
+            first = first or (sub, sub_h, sub_n)
+            ties += 1
+    return (first is None, t_h, t_n, first, len(subs)), ties
+
+
+def test_eigen_coordinate_verdict_matches_the_subspace_scan():
+    rng = random.Random(59)
+    seen = set()
+    for _ in range(200):
+        d = random_oracle_module(rng)
+        expected, ties = scan_stable_subspaces(d)
+        report = is_weakly_admissible(d)
+        witness = None if report.witness is None else tuple(report.witness)
+        got = (report.admissible, report.t_h, report.t_n, witness, report.subspaces_checked)
+        assert got == expected
+        seen.add(("rank", d.n))
+        seen.add(("labels", len(d.field.embeddings)))
+        seen.add(("N = 0", d.monodromy.is_zero))
+        seen.add(("e, f", d.field.e, d.field.f))
+        seen.add(("repeated jumps", any(len(set(d.jumps(label))) < d.n
+                                        for label in d.field.embeddings)))
+        if report.admissible:
+            seen.add("admissible")
+        elif report.t_h != report.t_n:
+            seen.add("t_H != t_N")
+        else:
+            seen.add("violating subspace")
+            if ties >= 2:
+                seen.add("tied violators")
+    assert {("rank", n) for n in range(2, 9)} <= seen
+    assert {("labels", k) for k in (1, 2, 3)} <= seen
+    assert {("N = 0", True), ("N = 0", False), ("repeated jumps", True)} <= seen
+    assert {("e, f", e, f) for e in (1, 2) for f in (1, 2)} <= seen
+    assert {"admissible", "t_H != t_N", "violating subspace", "tied violators"} <= seen
+
+
+def test_repeated_eigenvalues_come_before_the_totals_mismatch():
+    d = crystalline(F2, [2, 2], Matrix.identity(2), [0, 1])
+    assert hodge_number(d) != newton_number(d)
+    with pytest.raises(RepeatedEigenvalues) as exc:
+        is_weakly_admissible(d)
+    assert str(exc.value) == "phi spectrum has repeated roots: 2 (multiplicity 2)"
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_check_phi_n_accepts_one_jordan_block_of_index_n(n):
+    from phinlab.linalg import jordan_nilpotent, matrix_power
+    from phinlab.modules import check_phi_n
+
+    monodromy = jordan_nilpotent([n])
+    assert not matrix_power(monodromy, n - 1).is_zero
+    # N e_(k+1) = e_k needs phi e_k = 2^k e_k for N*phi = 2*phi*N
+    phi = Matrix.diagonal([2 ** k for k in range(n)])
+    assert check_phi_n(phi, monodromy, 2) is None
+    with pytest.raises(RelationViolation):
+        check_phi_n(phi, monodromy, 3)
+    # the same block under a scale below 1: phi e_k = 2^(n-1-k) e_k
+    phi = Matrix.diagonal([2 ** (n - 1 - k) for k in range(n)])
+    assert check_phi_n(phi, monodromy, Fraction(1, 2)) is None
+
+
+def test_check_phi_n_rejects_non_nilpotent_monodromy():
+    from phinlab.modules import check_phi_n
+
+    cases = [
+        ([[0, 1], [1, 0]], 2),
+        ([[0, 1, 0], [0, 0, 0], [0, 0, Fraction(1, 3)]], 3),
+        ([[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [1, 0, 0, 0, 0]], 5),
+    ]
+    for rows, n in cases:
+        with pytest.raises(NonNilpotentMonodromy) as exc:
+            check_phi_n(Matrix.identity(n), Matrix(rows), 1)
+        assert str(exc.value) == f"monodromy is not nilpotent: N^{n} != 0"
+
+
+def test_check_phi_n_relation_violation_text():
+    from phinlab.modules import check_phi_n
+
+    with pytest.raises(RelationViolation) as exc:
+        check_phi_n(Matrix.identity(2), Matrix([[0, 1], [0, 0]]), 2)
+    assert str(exc.value) == (
+        "monodromy relation fails at entry (0,1): (N*Phi)[0][1] = 1 but 2*(Phi*N)[0][1] = 2")
+    assert (exc.value.entry, exc.value.lhs, exc.value.rhs, exc.value.scale) == ((0, 1), 1, 2, 2)
+    phi = Matrix([[Fraction(1, 2), 0, 0], [0, 3, 0], [0, 0, Fraction(5, 7)]])
+    monodromy = Matrix([[0, 0, 0], [0, 0, Fraction(1, 3)], [0, 0, 0]])
+    with pytest.raises(RelationViolation) as exc:
+        check_phi_n(phi, monodromy, 2)
+    assert str(exc.value) == (
+        "monodromy relation fails at entry (1,2): (N*Phi)[1][2] = 5/21 but 2*(Phi*N)[1][2] = 2")
+    with pytest.raises(RelationViolation) as exc:
+        check_phi_n(phi, monodromy, Fraction(3, 4))
+    assert str(exc.value) == (
+        "monodromy relation fails at entry (1,2): (N*Phi)[1][2] = 5/21 but 3/4*(Phi*N)[1][2] = 3/4")
+
+
+def test_check_phi_n_reports_a_singular_phi_first():
+    from phinlab.modules import check_phi_n
+
+    singular = Matrix([[1, 2], [2, 4]])
+    with pytest.raises(SingularFrobenius) as exc:
+        check_phi_n(singular, Matrix.identity(2), 2)
+    assert str(exc.value) == "phi is singular"
+    with pytest.raises(SingularFrobenius):
+        check_phi_n(singular, Matrix([[0, 1], [0, 0]]), 2)

@@ -368,3 +368,17 @@ def test_cli_beta_reports_an_enumeration_cap_hit_as_undecided(tmp_path, capsys, 
     code, out, err = run_cli(capsys, ["check-admissible", path])
     assert code == 2 and out == ""
     assert err == f"error: {cap_text}; raise PHINLAB_MAX_N to allow it\n"
+
+
+def test_cli_beta_on_repeated_eigenvalues_is_undecided_despite_a_totals_mismatch(tmp_path, capsys):
+    # phi = 2*I: t_N = 2 but the jumps sum to t_H = 1, and the repeated
+    # root is reported before the mismatch
+    module = variant(phi=[["2", "0"], ["0", "2"]], monodromy=[["0", "0"], ["0", "0"]],
+                     filtration={"k0": {"flag": [["1", "0"], ["0", "1"]], "jumps": [0, 1]}})
+    path = write_json(tmp_path, module)
+    reason = "phi spectrum has repeated roots: 2 (multiplicity 2)"
+    code, out, err = run_cli(capsys, ["beta", path])
+    assert code == 0 and err == ""
+    assert f"warning: admissibility undecided ({reason}); valuations reported raw" in out
+    code, out, err = run_cli(capsys, ["check-admissible", path])
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
