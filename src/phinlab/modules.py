@@ -293,17 +293,20 @@ def _members(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def enumerate_stable_subspaces(d):
+def enumerate_stable_subspaces(d, dim=None, frame=None):
     """All phi- and N-stable subspaces, for a split multiplicity-free spectrum.
 
     These are exactly the spans of Frobenius eigenvector subsets closed
     under the monodromy; the zero space and the full space are included,
-    in ``Subspace.sort_key`` order. Raises RepeatedEigenvalues or
-    NotFullyRational when the spectrum is not split multiplicity-free; use
-    certificate mode in that situation.
+    in ``Subspace.sort_key`` order. With ``dim`` only the stable subspaces
+    of that dimension are built. ``frame`` is ``_eigen_frame(d)`` when the
+    caller has it already. Raises RepeatedEigenvalues or NotFullyRational
+    when the spectrum is not split multiplicity-free; use certificate mode
+    in that situation.
     """
-    _, eigvecs, _, closed = _eigen_frame(d)
-    out = [Subspace(d.n, [eigvecs[i] for i in _members(mask)]) for mask in closed]
+    _, eigvecs, _, closed = frame or _eigen_frame(d)
+    masks = closed if dim is None else [m for m in closed if m.bit_count() == dim]
+    out = [Subspace(d.n, [eigvecs[i] for i in _members(mask)]) for mask in masks]
     # the order of Subspace.sort_key, compared on integers: every entry
     # scaled by one common multiple of all the denominators; bases of one
     # dimension have equal shapes, so their flattened rows compare the same
@@ -331,10 +334,10 @@ def is_weakly_admissible(d, candidates=None):
     """Weak admissibility verdict with the first violating subspace, if any.
 
     Without ``candidates`` every phi- and N-stable subspace is decided, in
-    eigen-coordinates. With ``candidates`` the check runs in certificate
-    mode: the verdict is relative to the supplied stable subspaces (each
-    is validated for stability), plus the always-checked equality on the
-    full space.
+    eigen-coordinates, and the witness is found by the definitions. With
+    ``candidates`` the check runs in certificate mode: the verdict is
+    relative to the supplied stable subspaces (each is validated for
+    stability), plus the always-checked equality on the full space.
     """
     t_h = hodge_number(d)
     t_n = newton_number(d)
@@ -352,7 +355,7 @@ def is_weakly_admissible(d, candidates=None):
     if t_h != t_n:
         witness = Witness(Subspace.full(d.n), t_h, t_n)
     elif candidates is None:
-        witness = _eigen_witness(d, t_h, *frame)
+        witness = _enumerated_witness(d, t_h, frame)
     else:
         witness = _candidate_witness(d, subs)
     return AdmissibilityReport(witness is None, t_h, t_n, witness, checked, mode)
@@ -371,8 +374,8 @@ def _candidate_witness(d, subs):
     return None
 
 
-def _eigen_witness(d, t_h, valuations, eigvecs, to_eigen, closed):
-    """The first span W_S of an N-closed set S with t_H > t_N, or None.
+def _smallest_violating_size(d, t_h, valuations, eigvecs, to_eigen, closed):
+    """The smallest |S| of an N-closed set S with t_H(W_S) > t_N(W_S), or None.
 
     t_N(W_S) is the scaled sum of the valuations of the eigenvalues in S.
     For t_H, each flag is written in eigen-coordinates once, as primitive
@@ -382,32 +385,43 @@ def _eigen_witness(d, t_h, valuations, eigvecs, to_eigen, closed):
     echelon form of the rows outside S that rank is #{pivots < m_i}. So
     the jumps W_S meets are those of the non-pivot columns, and t_H(W_S)
     is the total of the jumps less the jumps of the pivot columns.
-
-    "First" is in ``Subspace.sort_key`` order, which sorts by dimension
-    first, so subspaces are built only for the violating sets of the
-    smallest violating size.
     """
     flags = []
     for label in d.field.embeddings:
         entry = d.filtration[label]
         rows = _primitive_rows((to_eigen @ entry.basis).rows)
         flags.append(([row[::-1] for row in rows], entry.jumps[::-1]))
-    violators = []
     for mask in sorted(closed, key=int.bit_count):
         size = mask.bit_count()
-        if size == d.n or violators and size > violators[0].subspace.dim:
-            break
-        if size == 0:
+        if size in (0, d.n):
             continue
-        members = _members(mask)
         outside = [r for r in range(d.n) if not mask >> r & 1]
         # _echelon rebinds the slots of the list it gets, never a row itself
         sub_h = t_h - sum(jumps[c] for rows, jumps in flags
                           for c in _echelon([rows[r] for r in outside]))
-        sub_n = _scaled_newton(d.field, sum(valuations[i] for i in members))
+        sub_n = _scaled_newton(d.field, sum(valuations[i] for i in _members(mask)))
         if not sub_h <= sub_n:
-            violators.append(Witness(Subspace(d.n, [eigvecs[i] for i in members]), sub_h, sub_n))
-    return min(violators, key=lambda w: w.subspace.sort_key(), default=None)
+            return size
+    return None
+
+
+def _enumerated_witness(d, t_h, frame):
+    """The first stable subspace with t_H > t_N in sort-key order, or None.
+
+    The eigen-coordinate pass decides every N-closed set and gives the
+    smallest violating dimension k. The witness is then found, and its
+    t_H and t_N computed, by the certificate-mode loop over the stable
+    subspaces of dimension k, which ``Subspace.sort_key`` puts first. An
+    admissible module runs that loop over its stable lines, so every call
+    checks the eigen-coordinate verdict against the definitions in one
+    dimension.
+    """
+    size = _smallest_violating_size(d, t_h, *frame)
+    dim = size or 1
+    witness = _candidate_witness(d, enumerate_stable_subspaces(d, dim, frame))
+    if (witness is None) != (size is None):
+        raise ArithmeticError(f"eigen-coordinate and subspace verdicts disagree in dimension {dim}")
+    return witness
 
 
 def weil_trace(d, a):

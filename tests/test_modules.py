@@ -564,3 +564,26 @@ def test_check_phi_n_reports_a_singular_phi_first():
     assert str(exc.value) == "phi is singular"
     with pytest.raises(SingularFrobenius):
         check_phi_n(singular, Matrix([[0, 1], [0, 0]]), 2)
+
+
+def test_enumerate_stable_subspaces_of_one_dimension():
+    rng = random.Random(61)
+    for _ in range(20):
+        d = random_oracle_module(rng)
+        subs = enumerate_stable_subspaces(d)
+        for k in range(d.n + 1):
+            assert enumerate_stable_subspaces(d, k) == [s for s in subs if s.dim == k]
+    assert enumerate_stable_subspaces(steinberg(), 3) == []
+
+
+def test_enumerated_verdict_is_checked_against_the_definitions(monkeypatch):
+    from phinlab import modules
+
+    admissible = steinberg()
+    violating = steinberg(flag=[[1, 0], [0, 1]], jumps=(1, 0))
+    monkeypatch.setattr(modules, "_smallest_violating_size", lambda *args: 1)
+    with pytest.raises(ArithmeticError, match="disagree in dimension 1"):
+        is_weakly_admissible(admissible)
+    monkeypatch.setattr(modules, "_smallest_violating_size", lambda *args: None)
+    with pytest.raises(ArithmeticError, match="disagree in dimension 1"):
+        is_weakly_admissible(violating)
