@@ -293,16 +293,16 @@ def _members(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def enumerate_stable_subspaces(d, dim=None, frame=None):
+def enumerate_stable_subspaces(d, dim=None, *, frame=None):
     """All phi- and N-stable subspaces, for a split multiplicity-free spectrum.
 
     These are exactly the spans of Frobenius eigenvector subsets closed
     under the monodromy; the zero space and the full space are included,
     in ``Subspace.sort_key`` order. With ``dim`` only the stable subspaces
-    of that dimension are built. ``frame`` is ``_eigen_frame(d)`` when the
-    caller has it already. Raises RepeatedEigenvalues or NotFullyRational
-    when the spectrum is not split multiplicity-free; use certificate mode
-    in that situation.
+    of that dimension are built. ``frame`` is internal: the verdict passes
+    the ``_eigen_frame(d)`` it already has. Raises RepeatedEigenvalues or
+    NotFullyRational when the spectrum is not split multiplicity-free; use
+    certificate mode in that situation.
     """
     _, eigvecs, _, closed = frame or _eigen_frame(d)
     masks = closed if dim is None else [m for m in closed if m.bit_count() == dim]
@@ -412,13 +412,14 @@ def _enumerated_witness(d, t_h, frame):
     smallest violating dimension k. The witness is then found, and its
     t_H and t_N computed, by the certificate-mode loop over the stable
     subspaces of dimension k, which ``Subspace.sort_key`` puts first. An
-    admissible module runs that loop over its stable lines, so every call
-    checks the eigen-coordinate verdict against the definitions in one
-    dimension.
+    admissible module runs that loop over its stable lines. The two
+    routes are compared in that one dimension only: a violator the pass
+    misses below k, or one of dimension 2 or more in a module it calls
+    admissible, is not caught.
     """
     size = _smallest_violating_size(d, t_h, *frame)
     dim = size or 1
-    witness = _candidate_witness(d, enumerate_stable_subspaces(d, dim, frame))
+    witness = _candidate_witness(d, enumerate_stable_subspaces(d, dim, frame=frame))
     if (witness is None) != (size is None):
         raise ArithmeticError(f"eigen-coordinate and subspace verdicts disagree in dimension {dim}")
     return witness

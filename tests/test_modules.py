@@ -14,7 +14,7 @@ from phinlab.errors import (
     RepeatedEigenvalues,
     SingularFrobenius,
 )
-from phinlab.linalg import Matrix, Subspace
+from phinlab.linalg import Matrix, Subspace, kernel_basis, rational_eigenvalues
 from phinlab.modules import (
     FieldDescriptor,
     build_module,
@@ -442,13 +442,31 @@ def random_oracle_module(rng):
     return build_module(field, n, s @ Matrix.diagonal(diag) @ si, s @ Matrix(nil) @ si, flags)
 
 
-def scan_stable_subspaces(d):
-    """The verdict by brute force over every enumerated stable subspace.
+def brute_force_stable_subspaces(d):
+    """Every span of a set of Frobenius eigenvectors that N preserves.
 
-    Returns (verdict, t_h, t_n, witness, subspaces checked) and the number
-    of violating subspaces of the witness's dimension.
+    All 2^n sets are tried, with no use of the chain structure of N; for
+    a split multiplicity-free phi these spans are all the stable
+    subspaces. Returned in ``Subspace.sort_key`` order.
     """
-    subs = enumerate_stable_subspaces(d)
+    eigvecs = [kernel_basis(d.phi - Matrix.identity(d.n) * value)[0]
+               for value, _ in rational_eigenvalues(d.phi).roots]
+    spans = (Subspace(d.n, [v for i, v in enumerate(eigvecs) if mask >> i & 1])
+             for mask in range(1 << d.n))
+    return sorted((sub for sub in spans if sub.is_stable_under(d.monodromy)),
+                  key=Subspace.sort_key)
+
+
+def scan_stable_subspaces(d):
+    """The verdict by brute force over every stable subspace.
+
+    The subspaces come from ``brute_force_stable_subspaces``, which must
+    match ``enumerate_stable_subspaces``. Returns (verdict, t_h, t_n,
+    witness, subspaces checked) and the number of violating subspaces of
+    the witness's dimension.
+    """
+    subs = brute_force_stable_subspaces(d)
+    assert enumerate_stable_subspaces(d) == subs
     t_h, t_n = hodge_number(d), newton_number(d)
     if t_h != t_n:
         return (False, t_h, t_n, (Subspace.full(d.n), t_h, t_n), len(subs)), 1
