@@ -13,13 +13,19 @@ import functools
 import json
 import sys
 
-from .config import enumeration_cap
+from .config import check_work_units, enumeration_cap
 from .errors import ChainMismatch, InputError
 from .hecke import HeckeParams, theta_closed, theta_enumerated
 from .interpolation import check_integrality, consistency_check, ht_from_module, xi_from_ht
 from .linalg import jordan_partition
 from .modules import is_weakly_admissible
-from .partitions import PartitionFunction, partitions_of, reaches_thresholds, strata_thresholds
+from .partitions import (
+    PartitionFunction,
+    partition_count,
+    partitions_of,
+    reaches_thresholds,
+    strata_thresholds,
+)
 from .sampling import sweep
 from .scalars import format_rational, parse_rational
 from .schema import (
@@ -165,6 +171,8 @@ def _cmd_consistency(args):
 
 def _cmd_strata(args):
     d = _load_module(args.input)
+    # one probe per partition of n, each a threshold vector of length n
+    check_work_units(partition_count(d.n) * d.n, "strata thresholds")
     part = jordan_partition(d.monodromy)
     labels = d.field.embeddings
     point = PartitionFunction({label: part for label in labels})

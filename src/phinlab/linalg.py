@@ -1,15 +1,17 @@
 """Exact linear algebra over Q: matrices, subspaces, spectra.
 
 Entries are exact rationals and no floating point appears anywhere, but
-the kernels do not compute with rationals: each clears denominators once
-on entry, runs on Python integers, and divides back once on exit, so no
-gcd is paid per arithmetic step. Products are integer products over the
-product of the two common denominators; ``det`` is Bareiss fraction-free
-elimination; ``char_poly`` is Faddeev-LeVerrier on the cleared matrix with
-exact integer division; row reduction is Gauss-Jordan on primitive integer
-rows, each pivot row divided by its pivot at the end. Subspaces keep the
-reduced-echelon basis, which is unique, so equality and hashing are
-structural.
+the kernels do not compute with rationals. A ``Matrix`` carries its
+cleared form, integer rows over the least common denominator, computed
+once when it is built; products, ``det``, ``char_poly`` and ``rank`` read
+that form, run on Python integers, and divide back once on exit, so no
+gcd is paid per arithmetic step. A product is built from its integer rows
+over the product of the two denominators; ``det`` is Bareiss
+fraction-free elimination; ``char_poly`` is Faddeev-LeVerrier with exact
+integer division; ``rational_eigenvalues`` confirms and deflates its roots
+in Z[x]; row reduction is Gauss-Jordan on integer rows, each pivot row
+divided by its pivot at the end. Subspaces keep the reduced-echelon
+basis, which is unique, so equality and hashing are structural.
 """
 
 import math
@@ -43,9 +45,15 @@ def _as_rational(x):
 
 
 class Matrix(Frozen):
-    """Immutable exact-rational matrix."""
+    """Immutable exact-rational matrix.
 
-    __slots__ = ("rows",)
+    ``rows`` holds the entries. ``ints`` and ``den`` are the same matrix
+    cleared once at construction: integer rows over the least common
+    denominator, rows = ints / den. That form is unique, so equality and
+    hashing stay structural, and the kernels read it instead of the rows.
+    """
+
+    __slots__ = ("rows", "ints", "den")
 
     def __init__(self, rows):
         data = tuple(tuple(map(_as_rational, row)) for row in rows)
@@ -54,15 +62,33 @@ class Matrix(Frozen):
         width = len(data[0])
         if any(len(r) != width for r in data):
             raise ValueError("ragged rows")
-        Frozen.__init__(self, data)
+        ints, den = _cleared(data)
+        Frozen.__init__(self, data, ints, den)
+
+    @classmethod
+    def _from_ints(cls, ints, den):
+        """The matrix ints / den, for nonempty integer rows of one width and
+        a positive integer den; the pair is reduced by its gcd."""
+        ints = [tuple(row) for row in ints]
+        g = math.gcd(den, *(x for row in ints for x in row))
+        if g > 1:
+            ints = [tuple(x // g for x in row) for row in ints]
+            den //= g
+        if den == 1:
+            rows = tuple(tuple(map(Rational, row)) for row in ints)
+        else:
+            rows = tuple(tuple(ZERO if x == 0 else Rational(x, den) for x in row) for row in ints)
+        m = object.__new__(cls)
+        Frozen.__init__(m, rows, tuple(ints), den)
+        return m
 
     @classmethod
     def identity(cls, n):
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._from_ints([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @classmethod
     def zeros(cls, n, m):
-        return cls([[ZERO] * m for _ in range(n)])
+        return cls._from_ints([[0] * m for _ in range(n)], 1)
 
     @classmethod
     def diagonal(cls, values):
@@ -93,7 +119,7 @@ class Matrix(Frozen):
 
     @property
     def is_zero(self):
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(map(any, self.ints))
 
     def column(self, j):
         return tuple(row[j] for row in self.rows)
@@ -112,9 +138,7 @@ class Matrix(Frozen):
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        a, da = _cleared(self.rows)
-        b, db = _cleared(other.rows)
-        return Matrix(_divided(_int_matmul(a, b), da * db))
+        return Matrix._from_ints(_int_matmul(self.ints, other.ints), self.den * other.den)
 
     def __add__(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -137,12 +161,13 @@ class Matrix(Frozen):
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        aug = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-               for i, row in enumerate(self.rows)]
-        reduced, pivots = _rref(aug)
+        # (A | d I) reduces to (I | d A^-1), and d A^-1 is the inverse of A / d
+        aug = [list(row) + [self.den if i == j else 0 for j in range(n)]
+               for i, row in enumerate(self.ints)]
+        pivots = _echelon(aug)
         if len(pivots) < n or any(p >= n for p in pivots):
             raise ValueError("matrix is singular")
-        return Matrix([row[n:] for row in reduced])
+        return Matrix(_pivot_rows(aug, pivots, n))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -158,15 +183,10 @@ def _int_row(row):
 
 
 def _cleared(rows):
-    """(A, d): integer rows A and the least d > 0 with rows = A / d."""
+    """(A, d): integer rows A (tuples) and the least d > 0 with rows = A / d."""
     scaled = [_int_row(row) for row in rows]
     d = math.lcm(*(e for _, e in scaled))
-    return [a if e == d else [x * (d // e) for x in a] for a, e in scaled], d
-
-
-def _divided(rows, d):
-    """Integer rows over the common denominator d, as rationals."""
-    return [[ZERO if x == 0 else Rational(x, d) for x in row] for row in rows]
+    return tuple(tuple(a) if e == d else tuple(x * (d // e) for x in a) for a, e in scaled), d
 
 
 def _int_matmul(a, b):
@@ -174,14 +194,15 @@ def _int_matmul(a, b):
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
+def _primitive_row(a):
+    """A nonzero integer row divided by its content (a positive gcd)."""
+    g = math.gcd(*a)
+    return [x // g for x in a] if g > 1 else a
+
+
 def _primitive_rows(rows):
     """Each rational row scaled to a primitive integer row (same row space)."""
-    out = []
-    for row in rows:
-        a = _int_row(row)[0]
-        g = math.gcd(*a)
-        out.append([x // g for x in a] if g > 1 else a)
-    return out
+    return [_primitive_row(_int_row(row)[0]) for row in rows]
 
 
 def _echelon(rows):
@@ -234,7 +255,7 @@ def _rref(rows):
 
 
 def rank(m):
-    return len(_echelon(_primitive_rows(m.rows)))
+    return len(_echelon(list(m.ints)))
 
 
 def kernel_dim(m):
@@ -244,7 +265,9 @@ def kernel_dim(m):
 
 def kernel_basis(m):
     """Canonical basis of the null space, one vector per free column."""
-    reduced, pivots = _rref([list(row) for row in m.rows])
+    rows = list(m.ints)
+    pivots = _echelon(rows)
+    reduced = _pivot_rows(rows, pivots)
     pivot_of = {c: i for i, c in enumerate(pivots)}
     free = [c for c in range(m.ncols) if c not in pivot_of]
     out = []
@@ -265,21 +288,21 @@ def solve_columns(a, b):
     if a.nrows != b.nrows:
         raise ValueError("row count mismatch in solve")
     k = a.ncols
-    aug = [list(ra) + list(rb) for ra, rb in zip(a.rows, b.rows)]
-    reduced, pivots = _rref(aug)
+    # A X = B on the cleared forms A = P / a.den, B = Q / b.den
+    aug = [[b.den * x for x in pa] + [a.den * y for y in qb] for pa, qb in zip(a.ints, b.ints)]
+    pivots = _echelon(aug)
     if any(p >= k for p in pivots):
         return None
     x = [[ZERO] * b.ncols for _ in range(k)]
-    for i, c in enumerate(pivots):
-        for j in range(b.ncols):
-            x[c][j] = reduced[i][k + j]
+    for c, row in zip(pivots, _pivot_rows(aug, pivots, k)):
+        x[c] = row
     return Matrix(x)
 
 
 def det(m):
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
-    a, d = _cleared(m.rows)
+    a, d = list(m.ints), m.den
     n = len(a)
     sign, prev = 1, 1
     for k in range(n - 1):
@@ -315,30 +338,35 @@ def matrix_power(m, k):
     return out
 
 
-def char_poly(m):
-    """Characteristic polynomial det(x*I - M), coefficients ascending, monic.
+def _int_char_poly(m):
+    """[c_0, ..., c_n] with c_k the coefficient of x^(n-k) in det(x*I - A)
+    for the cleared matrix A = d*M, and d.
 
-    Faddeev-LeVerrier recursion on the integer matrix A = d*M: with B_1 = A
-    and B_k = A (B_(k-1) + c_(k-1) I), c_k = -tr(B_k) / k is the coefficient
-    of x^(n-k) in det(x*I - A), an integer, so the division by k is exact.
-    The coefficient of x^(n-k) for M is c_k / d^k.
+    Faddeev-LeVerrier recursion: with B_1 = A and B_k = A (B_(k-1) +
+    c_(k-1) I), c_k = -tr(B_k) / k is an integer, so the division by k is
+    exact. The coefficient of x^(n-k) for M is c_k / d^k.
     """
     if not m.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    a, d = _cleared(m.rows)
+    a = m.ints
     n = len(a)
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
+    out = [1]
     b = a
     for k in range(1, n + 1):
         if k > 1:
-            shifted = [row[:] for row in b]
+            shifted = [list(row) for row in b]
             for i in range(n):
-                shifted[i][i] += c
+                shifted[i][i] += out[-1]
             b = _int_matmul(a, shifted)
-        c = -sum(b[i][i] for i in range(n)) // k
-        coeffs[n - k] = Rational(c, d ** k)
-    return tuple(coeffs)
+        out.append(-sum(b[i][i] for i in range(n)) // k)
+    return out, m.den
+
+
+def char_poly(m):
+    """Characteristic polynomial det(x*I - M), coefficients ascending, monic."""
+    c, d = _int_char_poly(m)
+    n = len(c) - 1
+    return tuple(Rational(c[n - i], d ** (n - i)) for i in range(n + 1))
 
 
 def exterior_trace(m, r):
@@ -377,21 +405,22 @@ class EigenSplit(Frozen):
         return out
 
 
-def _poly_eval(coeffs, x):
-    acc = ZERO
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _divide_linear(poly, a, b):
+    """poly / (b*x - a) in Z[x] when that factor divides it, else None.
 
-
-def _deflate(coeffs, root):
-    # divide the monic polynomial by (x - root); exact synthetic division
-    out = [ZERO] * (len(coeffs) - 1)
-    carry = ZERO
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[i] + carry * root
-        out[i - 1] = carry
-    return out
+    Synthetic division from the top: the quotient q satisfies
+    b*q[i-1] - a*q[i] = poly[i], so each step must divide by b exactly,
+    and the constant term must come out as poly[0] + a*q[0] = 0.
+    """
+    out = [0] * (len(poly) - 1)
+    carry = 0
+    for i in range(len(poly) - 1, 0, -1):
+        q, r = divmod(poly[i] + carry, b)
+        if r:
+            return None
+        out[i - 1] = q
+        carry = a * q
+    return out if poly[0] + carry == 0 else None
 
 
 def _primitive(poly):
@@ -476,9 +505,9 @@ def _reconstruct(u, modulus, num_bound):
     return r1, t1
 
 
-def _rational_roots(coeffs):
-    """Candidates that include every rational root of a rational polynomial
-    with nonzero constant term; the caller confirms each by exact evaluation.
+def _rational_roots(f):
+    """Candidates that include every rational root of a primitive integer
+    polynomial with nonzero constant term; the caller confirms each.
 
     p-adic expansion (Loos 1983): the simple roots of the squarefree part h
     mod a small prime ell are lifted to ell-adic precision beyond
@@ -486,8 +515,6 @@ def _rational_roots(coeffs):
     numerator divides h(0) and whose denominator divides lead(h). The cost
     is polynomial in the degree and in the bit size of the coefficients.
     """
-    scale = math.lcm(*(int(c.denominator) for c in coeffs))
-    f = _primitive([int(c * scale) for c in coeffs])
     h = _exact_quotient(f, _poly_gcd(f, _derivative(f)))
     dh = _derivative(h)
     ell, lifted = _simple_roots_mod_prime(h, dh)
@@ -511,25 +538,28 @@ def rational_eigenvalues(m):
     """Split the characteristic polynomial into rational roots and a residual.
 
     Never raises on irrational spectrum; inspect ``is_split`` instead. The
-    candidates come from ``_rational_roots``; exact evaluation in the
-    deflation loop confirms each one and counts its multiplicity.
+    work is in Z[x], on the primitive multiple f of d^n * det(x*I - M) for
+    the cleared matrix d*M. The candidates come from ``_rational_roots``;
+    exact division of f by (b*x - a) confirms each candidate a/b and counts
+    its multiplicity (by Gauss's lemma the quotient stays primitive and
+    integral). The residual is what is left of f, made monic.
     """
-    coeffs = list(char_poly(m))
+    c, d = _int_char_poly(m)
+    n = len(c) - 1
+    f = _primitive([c[n - i] * d ** i for i in range(n + 1)])
     roots = {}
-    zero_mult = 0
-    while coeffs[0] == 0 and len(coeffs) > 1:
-        coeffs = coeffs[1:]
-        zero_mult += 1
+    zero_mult = next(i for i, x in enumerate(f) if x)
     if zero_mult:
         roots[ZERO] = zero_mult
-    if len(coeffs) > 1:
-        for cand in sorted(_rational_roots(coeffs)):
-            while len(coeffs) > 1 and _poly_eval(coeffs, cand) == 0:
-                coeffs = _deflate(coeffs, cand)
+        f = f[zero_mult:]
+    if len(f) > 1:
+        for cand in sorted(_rational_roots(f)):
+            a, b = int(cand.numerator), int(cand.denominator)
+            while len(f) > 1 and (quotient := _divide_linear(f, a, b)) is not None:
+                f = quotient
                 roots[cand] = roots.get(cand, 0) + 1
-    residual = None if len(coeffs) == 1 else tuple(coeffs)
-    ordered = tuple(sorted(roots.items()))
-    return EigenSplit(ordered, residual)
+    residual = None if len(f) == 1 else tuple(Rational(x, f[-1]) for x in f)
+    return EigenSplit(tuple(sorted(roots.items())), residual)
 
 
 def jordan_nilpotent(sizes):
@@ -538,13 +568,13 @@ def jordan_nilpotent(sizes):
     if not sizes or any(k < 1 for k in sizes):
         raise ValueError("block sizes must be positive")
     n = sum(sizes)
-    rows = [[ZERO] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     offset = 0
     for k in sizes:
         for i in range(k - 1):
-            rows[offset + i][offset + i + 1] = ONE
+            rows[offset + i][offset + i + 1] = 1
         offset += k
-    return Matrix(rows)
+    return Matrix._from_ints(rows, 1)
 
 
 def jordan_partition(n_mat):

@@ -31,12 +31,10 @@ from .errors import (
 from .linalg import (
     Matrix,
     Subspace,
-    _cleared,
     _echelon,
     _int_matmul,
-    _primitive_rows,
+    _primitive_row,
     det,
-    kernel_basis,
     matrix_power,
     rational_eigenvalues,
 )
@@ -136,14 +134,14 @@ def check_phi_n(phi, monodromy, scale):
     n = phi.nrows
     if det(phi) == 0:
         raise SingularFrobenius("phi is singular")
-    a, da = _cleared(monodromy.rows)
+    a, da = monodromy.ints, monodromy.den
     power, reach = a, 1
     while reach < n:
         power = _int_matmul(power, power)
         reach *= 2
     if any(map(any, power)):
         raise NonNilpotentMonodromy(n)
-    f, df = _cleared(phi.rows)
+    f, df = phi.ints, phi.den
     scale = Rational(scale)
     s, t = int(scale.numerator), int(scale.denominator)
     lhs = _int_matmul(a, f)
@@ -182,7 +180,7 @@ def build_module(field, n, phi, monodromy, filtration):
         if det(basis) == 0:
             raise BadFlag(f"flag[{label}] basis is singular")
         order = sorted(range(n), key=lambda j: (jumps[j], j))
-        basis = Matrix.from_columns([basis.column(j) for j in order], n)
+        basis = Matrix._from_ints([[row[j] for j in order] for row in basis.ints], basis.den)
         flags[label] = Flag(basis, tuple(jumps[j] for j in order))
     return FilteredPhiNModule(field, n, phi, monodromy, flags)
 
@@ -250,14 +248,34 @@ def hodge_number(d, sub=None):
     return _hodge(sub, _filtration_levels(d))
 
 
-def _eigen_frame(d):
-    """Eigen-coordinates of a split multiplicity-free spectrum.
+def _kernel_line(rows):
+    """The primitive integer vector spanning the null space of integer rows
+    whose null space is a line, its free coordinate positive."""
+    pivots = _echelon(rows)
+    free = next(c for c in range(len(rows[0])) if c not in pivots)
+    lead = math.lcm(*(rows[i][c] for i, c in enumerate(pivots)))
+    v = [0] * len(rows[0])
+    v[free] = lead
+    for i, c in enumerate(pivots):
+        v[c] = -rows[i][free] * (lead // rows[i][c])
+    return tuple(_primitive_row(v))
 
-    Returns (valuations, eigvecs, to_eigen, closed): the p-adic valuation
-    of each rational eigenvalue, ascending by value; the eigenvector of
-    each, a column of the basis B; B^-1; and every N-closed index set as an
+
+def _eigen_frame(d):
+    """Eigen-coordinates of a split multiplicity-free spectrum, on integers.
+
+    Returns (valuations, eigvecs, flags, closed): the p-adic valuation of
+    each rational eigenvalue, ascending by value; the eigenvector of each,
+    a primitive integer column of the basis B; per embedding, the flag in
+    eigen-coordinates B^-1 * flag as primitive integer rows, columns by
+    descending jump, with those jumps; and every N-closed index set as an
     integer bitmask (bit i is eigvecs[i]). The spans of the closed sets are
     exactly the phi- and N-stable subspaces.
+
+    With phi = F/d, the eigenvector of a/b spans the kernel of b*F - a*d*I.
+    One echelon form of (B | N*B | flag_1 | ...) is (D | D*B^-1*N*B | ...)
+    for a diagonal D, which gives N's support in eigen-coordinates and each
+    flag's rows up to a scale per row; neither depends on that scale.
     """
     check_enumeration_size(d.n, "stable-subspace enumeration")
     split = rational_eigenvalues(d.phi)
@@ -270,15 +288,22 @@ def _eigen_frame(d):
         roots = ", ".join(f"{format_rational(v)} (multiplicity {mult})" for v, mult in split.roots)
         raise RepeatedEigenvalues(f"phi spectrum has repeated roots: {roots}")
     n = d.n
+    f, den = d.phi.ints, d.phi.den
     eigvecs = []
     for value, _ in split.roots:
-        shifted = [[x - value if i == j else x for j, x in enumerate(row)]
-                   for i, row in enumerate(d.phi.rows)]
-        eigvecs.append(kernel_basis(Matrix(shifted))[0])
-    basis = Matrix.from_columns(eigvecs, n)
-    to_eigen = basis.inverse()
-    support = (to_eigen @ d.monodromy @ basis).rows
-    image = [sum(1 << j for j in range(n) if support[j][i]) for i in range(n)]
+        a, b = int(value.numerator) * den, int(value.denominator)
+        eigvecs.append(_kernel_line([[b * x - a if i == j else b * x for j, x in enumerate(row)]
+                                     for i, row in enumerate(f)]))
+    basis = [list(row) for row in zip(*eigvecs)]
+    moved = _int_matmul(d.monodromy.ints, basis)
+    entries = [d.filtration[label] for label in d.field.embeddings]
+    stack = [basis[i] + moved[i] + [x for entry in entries for x in entry.basis.ints[i]]
+             for i in range(n)]
+    _echelon(stack)
+    image = [sum(1 << j for j in range(n) if stack[j][n + i]) for i in range(n)]
+    # flag k (from 0) fills columns (k + 2)n to (k + 3)n of the stack
+    flags = [([_primitive_row(row[(k + 2) * n:(k + 3) * n])[::-1] for row in stack],
+              entry.jumps[::-1]) for k, entry in enumerate(entries)]
     valuations = [padic_val(value, d.field.p).value for value, _ in split.roots]
     # N maps the eigenline of a value v into that of v / p^f, of smaller
     # valuation, so in ascending valuation every index follows its image:
@@ -286,7 +311,7 @@ def _eigen_frame(d):
     closed = [0]
     for i in sorted(range(n), key=valuations.__getitem__):
         closed += [s | 1 << i for s in closed if not image[i] & ~s]
-    return valuations, eigvecs, to_eigen, closed
+    return valuations, eigvecs, flags, closed
 
 
 def _members(mask):
@@ -374,23 +399,18 @@ def _candidate_witness(d, subs):
     return None
 
 
-def _smallest_violating_size(d, t_h, valuations, eigvecs, to_eigen, closed):
+def _smallest_violating_size(d, t_h, valuations, eigvecs, flags, closed):
     """The smallest |S| of an N-closed set S with t_H(W_S) > t_N(W_S), or None.
 
     t_N(W_S) is the scaled sum of the valuations of the eigenvalues in S.
-    For t_H, each flag is written in eigen-coordinates once, as primitive
-    integer rows with the columns ordered by descending jump, so Fil^i is
-    the first m_i = #{jumps >= i} columns. Projecting away the coordinates
+    For t_H, ``flags`` holds each flag in eigen-coordinates with the
+    columns ordered by descending jump, so Fil^i is the first
+    m_i = #{jumps >= i} columns. Projecting away the coordinates
     in S, dim(W_S cap Fil^i) = m_i - rank of those columns, and in one
     echelon form of the rows outside S that rank is #{pivots < m_i}. So
     the jumps W_S meets are those of the non-pivot columns, and t_H(W_S)
     is the total of the jumps less the jumps of the pivot columns.
     """
-    flags = []
-    for label in d.field.embeddings:
-        entry = d.filtration[label]
-        rows = _primitive_rows((to_eigen @ entry.basis).rows)
-        flags.append(([row[::-1] for row in rows], entry.jumps[::-1]))
     for mask in sorted(closed, key=int.bit_count):
         size = mask.bit_count()
         if size in (0, d.n):

@@ -19,6 +19,7 @@ __all__ = [
     "Dominance",
     "conjugate",
     "partitions_of",
+    "partition_count",
     "dominates",
     "compare",
     "paper_leq",
@@ -68,6 +69,15 @@ def partitions_of(n, cap=None):
     for first in range(cap, 0, -1):
         for rest in partitions_of(n - first, first):
             yield Partition((first,) + rest.parts)
+
+
+def partition_count(n):
+    """p(n), the number of partitions of n, counted in O(n^2) without listing them."""
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            counts[total] += counts[total - part]
+    return counts[n]
 
 
 def _partial_sums(parts, length):

@@ -19,6 +19,7 @@ __all__ = [
     "Frozen",
     "is_prime",
     "parse_rational",
+    "rational_literal",
     "format_rational",
     "rational_power",
     "PAdicValuation",
@@ -136,18 +137,32 @@ def is_prime(n):
     return True
 
 
+def _is_digits(s):
+    return s.isascii() and s.isdigit()
+
+
+def rational_literal(text):
+    """(num, den) integers of the literal 'a' or 'a/b' with b > 0, not reduced.
+
+    The grammar is deliberately strict: an optional '-', ASCII digits, and
+    an optional '/' with a nonzero ASCII-digit denominator, surrounded by
+    whitespace at most. Anything else raises ``not a rational literal``.
+    """
+    s = text.strip()
+    negative = s[:1] == "-"
+    num, slash, den = (s[1:] if negative else s).partition("/")
+    if not _is_digits(num) or (slash and not (_is_digits(den) and int(den))):
+        raise ValueError(f"not a rational literal: {text!r}")
+    return (-int(num) if negative else int(num)), (int(den) if slash else 1)
+
+
 def parse_rational(text):
     """Parse 'a' or 'a/b' with b > 0 into an exact rational.
 
-    The grammar is deliberately strict so that both backends accept exactly
-    the same strings.
+    The literal is read into integers by ``rational_literal``, never by a
+    backend's own parser, so both backends accept exactly the same strings.
     """
-    s = text.strip()
-    body = s[1:] if s[:1] == "-" else s
-    num, slash, den = body.partition("/")
-    if not num.isdigit() or (slash and (not den.isdigit() or int(den) == 0)):
-        raise ValueError(f"not a rational literal: {text!r}")
-    return Rational(s)
+    return Rational(*rational_literal(text))
 
 
 def format_rational(x):

@@ -2,7 +2,9 @@
 
 Input side: parse_module turns the one shared JSON shape into a validated
 module, naming the offending field path on any violation. Numbers arrive
-as rational strings or ints; floats are rejected outright.
+as rational strings or ints; floats are rejected outright. Each entry is
+read once into an integer pair, and a matrix is built from its integer
+rows over their least common denominator.
 
 Output side: every report dict produced here contains only strings, ints,
 bools, lists and dicts, with all rationals rendered as strings, so
@@ -10,11 +12,12 @@ json.dumps with sorted keys is byte-stable across runs and backends.
 """
 
 import json
+import math
 
-from .errors import InputError, SchemaError
+from .errors import SchemaError
 from .linalg import Matrix
 from .modules import FieldDescriptor, build_module
-from .scalars import PAdicValuation, format_rational, parse_rational
+from .scalars import PAdicValuation, format_rational, rational_literal
 from .weil_deligne import Segment
 
 __all__ = [
@@ -57,17 +60,19 @@ def _as_int(value, path):
     return value
 
 
-def _as_rational(value, path):
-    if isinstance(value, bool) or isinstance(value, float):
-        raise SchemaError(path, f"numbers must be ints or rational strings, got {value!r}")
-    if isinstance(value, int):
-        return parse_rational(str(value))
+def _literal(value, row_path, j):
+    """(num, den) integers of the matrix entry at row_path.j, read once."""
     if isinstance(value, str):
         try:
-            return parse_rational(value)
-        except (InputError, ValueError) as err:
-            raise SchemaError(path, str(err))
-    raise SchemaError(path, f"expected a rational, got {type(value).__name__}")
+            return rational_literal(value)
+        except ValueError as err:
+            raise SchemaError(_key(row_path, j), str(err))
+    if isinstance(value, bool) or isinstance(value, float):
+        raise SchemaError(_key(row_path, j),
+                          f"numbers must be ints or rational strings, got {value!r}")
+    if isinstance(value, int):
+        return value, 1
+    raise SchemaError(_key(row_path, j), f"expected a rational, got {type(value).__name__}")
 
 
 def _as_matrix(value, n, path):
@@ -75,10 +80,12 @@ def _as_matrix(value, n, path):
         raise SchemaError(path, f"expected a list of {n} rows")
     rows = []
     for i, row in enumerate(value):
+        row_path = _key(path, i)
         if not isinstance(row, list) or len(row) != n:
-            raise SchemaError(_key(path, i), f"expected a list of {n} entries")
-        rows.append([_as_rational(x, _key(_key(path, i), j)) for j, x in enumerate(row)])
-    return Matrix(rows)
+            raise SchemaError(row_path, f"expected a list of {n} entries")
+        rows.append([_literal(x, row_path, j) for j, x in enumerate(row)])
+    den = math.lcm(*(b for row in rows for _, b in row))
+    return Matrix._from_ints([[a * (den // b) for a, b in row] for row in rows], den)
 
 
 def _reject_unknown(obj, allowed, path):

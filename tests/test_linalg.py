@@ -739,3 +739,111 @@ def test_intersect_matches_the_kernel_basis_reference():
             assert cap == sa == sb
         seen.add((kind, cap.dim == 0, cap.dim == n))
     assert {("trivial", True, False), ("equal", False, False), ("transversal", True, False)} <= seen
+
+
+# ---------------------------------------------------------------------------
+# the cleared form a Matrix carries, against the Fraction rows it stands for
+
+import copy  # noqa: E402
+import pickle  # noqa: E402
+
+
+def lcd_form(rows):
+    """Integer rows over the least common denominator of rational rows."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(int(x * den) for x in row) for row in rows), den
+
+
+def assert_same_matrix(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert (got.rows, got.ints, got.den) == (want.rows, want.ints, want.den)
+    assert all_rational(got.rows)
+
+
+def test_matrix_carries_its_least_common_denominator_form():
+    rng = random.Random(67)
+    seen = set()
+    for i in range(150):
+        n, k = rng.randint(1, 6), rng.randint(1, 6)
+        digits = rng.choice((1, 2, 20))
+        rows = random_rows(rng, n, k, digits, zero_rows=rng.randint(0, 1))
+        m = Matrix(rows)
+        ints, den = lcd_form(rows)
+        assert (m.ints, m.den) == (ints, den)
+        assert all(type(x) is int for row in m.ints for x in row) and type(m.den) is int
+        assert math.gcd(m.den, *(x for row in m.ints for x in row)) == 1
+        seen.add("integral" if den == 1 else "fractional")
+        # any common multiple of the cleared pair builds the same matrix
+        scale = rng.randint(1, 30)
+        assert_same_matrix(Matrix._from_ints([[scale * x for x in row] for row in ints], scale * den), m)
+        other = random_rows(rng, k, rng.randint(1, 5), digits)
+        assert_same_matrix(m @ Matrix(other), Matrix(matmul_reference(rows, other)))
+        same_shape = random_rows(rng, n, k, digits)
+        assert_same_matrix(m + Matrix(same_shape),
+                           Matrix([[x + y for x, y in zip(r, s)] for r, s in zip(rows, same_shape)]))
+        assert_same_matrix(-m, Matrix([[-x for x in row] for row in rows]))
+        c = random_entry(rng, 1)
+        assert_same_matrix(m * c, Matrix([[c * x for x in row] for row in rows]))
+        assert_same_matrix(m.transpose(), Matrix(list(zip(*rows))))
+        for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert_same_matrix(twin, m)
+    assert_same_matrix(Matrix.identity(3), Matrix([[int(i == j) for j in range(3)] for i in range(3)]))
+    assert_same_matrix(Matrix.zeros(2, 3), Matrix([[0] * 3] * 2))
+    assert_same_matrix(Matrix.zeros(2, 3), Matrix([[Fraction(0, 5)] * 3] * 2))
+    assert Matrix.zeros(2, 3).den == 1
+    assert seen == {"integral", "fractional"}
+
+
+# ---------------------------------------------------------------------------
+# rational_eigenvalues against the Fraction confirm-and-deflate loop it
+# replaced: the same candidates, each confirmed by exact evaluation of the
+# monic characteristic polynomial and divided out by synthetic division
+
+from phinlab.linalg import _rational_roots  # noqa: E402
+
+
+def rational_eigenvalues_fraction_loop(m):
+    coeffs = [as_fraction(c) for c in char_poly(m)]
+    roots = {}
+    zero_mult = 0
+    while coeffs[0] == 0 and len(coeffs) > 1:
+        coeffs = coeffs[1:]
+        zero_mult += 1
+    if zero_mult:
+        roots[Fraction(0)] = zero_mult
+    if len(coeffs) > 1:
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        ints = [int(c * scale) for c in coeffs]
+        ints = [x // math.gcd(*ints) for x in ints]
+        for cand in sorted(as_fraction(c) for c in _rational_roots(ints)):
+            while len(coeffs) > 1 and poly_value(coeffs, cand) == 0:
+                coeffs = deflate_oracle(coeffs, cand)
+                roots[cand] = roots.get(cand, 0) + 1
+    residual = None if len(coeffs) == 1 else tuple(coeffs)
+    return tuple(sorted(roots.items())), residual
+
+
+def test_rational_eigenvalues_match_the_fraction_deflation_loop():
+    rng = random.Random(71)
+    seen = set()
+    matrices = [companion(random_root_polynomial(rng)) for _ in range(300)]
+    matrices += [Matrix(square_case(rng, n, "mixed")) for n in range(1, 7) for _ in range(5)]
+    matrices += [Matrix.diagonal([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)])
+                 for n in range(1, 7) for _ in range(10)]
+    for m in matrices:
+        split = rational_eigenvalues(m)
+        got = (tuple((as_fraction(v), k) for v, k in split.roots),
+               None if split.residual is None else tuple(as_fraction(c) for c in split.residual))
+        assert got == rational_eigenvalues_fraction_loop(m)
+        assert split.residual is None or all_rational([split.residual])
+        for value, mult in got[0]:
+            seen.add("zero root" if value == 0 else "non-integral root" if value.denominator > 1
+                     else "integral root")
+            if mult > 1:
+                seen.add("repeated root")
+        if any(c.denominator > 1 for c in char_poly(m)):
+            seen.add("non-integral polynomial")
+        if got[1] is not None:
+            seen.add("irrational residual")
+    assert seen == {"zero root", "non-integral root", "integral root", "repeated root",
+                    "non-integral polynomial", "irrational residual"}

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from phinlab.errors import (
     RepeatedEigenvalues,
     SingularFrobenius,
 )
-from phinlab.linalg import Matrix, Subspace, kernel_basis, rational_eigenvalues
+from phinlab.linalg import Matrix, Subspace, _echelon, kernel_basis, rational_eigenvalues
 from phinlab.modules import (
     FieldDescriptor,
     build_module,
@@ -512,6 +513,80 @@ def test_eigen_coordinate_verdict_matches_the_subspace_scan():
     assert {("N = 0", True), ("N = 0", False), ("repeated jumps", True)} <= seen
     assert {("e, f", e, f) for e in (1, 2) for f in (1, 2)} <= seen
     assert {"admissible", "t_H != t_N", "violating subspace", "tied violators"} <= seen
+
+
+def fraction_pivots(rows):
+    """Pivot columns of rational rows, by Gauss elimination over Fractions."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        for i in range(r + 1, len(rows)):
+            if rows[i][c]:
+                factor = rows[i][c] / rows[r][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots
+
+
+def fraction_eigen_frame(d):
+    """The eigen-coordinates by the Fraction route: kernel_basis of
+    phi - lambda per eigenvalue, B^-1 by inverse, the products B^-1 N B and
+    B^-1 flag, and the N-closed sets by trying every index set.
+
+    Returns (valuations, eigenvectors, sorted closed masks, per flag its
+    rows in eigen-coordinates with the columns by descending jump).
+    """
+    from phinlab.scalars import padic_val
+
+    n = d.n
+    values = [value for value, _ in rational_eigenvalues(d.phi).roots]
+    eigvecs = [kernel_basis(d.phi - Matrix.identity(n) * value)[0] for value in values]
+    basis = Matrix.from_columns(eigvecs, n)
+    to_eigen = basis.inverse()
+    support = (to_eigen @ d.monodromy @ basis).rows
+    image = [sum(1 << j for j in range(n) if support[j][i]) for i in range(n)]
+    closed = sorted(mask for mask in range(1 << n)
+                    if all(not image[i] & ~mask for i in range(n) if mask >> i & 1))
+    flags = [[row[::-1] for row in (to_eigen @ d.filtration[label].basis).rows]
+             for label in d.field.embeddings]
+    return [padic_val(v, d.field.p).value for v in values], eigvecs, closed, flags
+
+
+def test_integer_eigen_frame_matches_the_fraction_route():
+    from phinlab.modules import _eigen_frame
+
+    rng = random.Random(59)
+    for _ in range(200):
+        d = random_oracle_module(rng)
+        valuations, eigvecs, flags, closed = _eigen_frame(d)
+        want_valuations, want_eigvecs, want_closed, want_flags = fraction_eigen_frame(d)
+        assert valuations == want_valuations
+        assert sorted(closed) == want_closed and len(set(closed)) == len(closed)
+        for got, want in zip(eigvecs, want_eigvecs, strict=True):
+            # a primitive integer vector, a positive multiple of the kernel basis vector
+            assert all(type(x) is int for x in got) and math.gcd(*got) == 1
+            free = next(i for i, x in enumerate(want) if x)
+            scale = Fraction(got[free]) / Fraction(want[free])
+            assert scale > 0 and [Fraction(x) for x in got] == [scale * x for x in want]
+        for (rows, jumps), want_rows, label in zip(flags, want_flags, d.field.embeddings, strict=True):
+            assert jumps == d.jumps(label)[::-1]
+            # each row a primitive integer multiple of the Fraction row, so
+            # every set of rows spans what the Fraction rows span
+            for got, want in zip(rows, want_rows, strict=True):
+                assert all(type(x) is int for x in got) and math.gcd(*got) == 1
+                free = next(i for i, x in enumerate(want) if x)
+                scale = Fraction(got[free]) / Fraction(want[free])
+                assert [Fraction(x) for x in got] == [scale * x for x in want]
+            # the pivot columns the verdict reads, on the closed sets of at most one member
+            for mask in (m for m in want_closed if m.bit_count() <= 1):
+                outside = [r for r in range(d.n) if not mask >> r & 1]
+                assert _echelon([rows[r] for r in outside]) == fraction_pivots(
+                    [want_rows[r] for r in outside])
 
 
 def test_repeated_eigenvalues_come_before_the_totals_mismatch():

@@ -13,6 +13,7 @@ from phinlab.partitions import (
     conjugate,
     dominates,
     paper_leq,
+    partition_count,
     strata_thresholds,
     stratum_member,
 )
@@ -27,6 +28,12 @@ def partitions_of(n, cap=None):
     for first in range(min(n, cap), 0, -1):
         for rest in partitions_of(n - first, first):
             yield (first,) + rest
+
+
+def test_partition_count_matches_the_enumeration():
+    assert [partition_count(n) for n in range(16)] == [
+        sum(1 for _ in enumerate_partitions(n)) for n in range(16)]
+    assert (partition_count(27), partition_count(28)) == (3010, 3718)
 
 
 @given(st.integers(min_value=0, max_value=11),

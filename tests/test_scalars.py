@@ -14,6 +14,7 @@ from phinlab.scalars import (
     is_prime,
     padic_val,
     parse_rational,
+    rational_literal,
     rational_power,
 )
 
@@ -40,6 +41,60 @@ def test_parse_rational_accepts_canonical_forms():
 def test_parse_rational_rejects_junk(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+@pytest.mark.parametrize("bad", [
+    "\u0661/\u0662",   # Arabic-Indic digits: isdigit and Fraction's regex both take them
+    "\u0661",
+    "3/\u00b2",         # a superscript two is a digit to isdigit but not to int()
+    "\u00b2",
+    "\uff11/2",         # a fullwidth one
+    "-\u0967",
+    "1/\u0660",
+])
+def test_parse_rational_takes_ascii_digits_only(bad):
+    for parse in (parse_rational, rational_literal):
+        with pytest.raises(ValueError) as exc:
+            parse(bad)
+        assert str(exc.value) == f"not a rational literal: {bad!r}"
+
+
+@pytest.mark.parametrize("text, pair", [
+    ("3/4", (3, 4)), ("-7", (-7, 1)), ("0", (0, 1)), ("-0", (0, 1)),
+    (" 2/4 ", (2, 4)), ("007/010", (7, 10)),
+])
+def test_rational_literal_reads_integers_unreduced(text, pair):
+    assert rational_literal(text) == pair
+    assert all(type(x) is int for x in rational_literal(text))
+    assert parse_rational(text) == Fraction(*pair)
+
+
+def old_parse_rational(text):
+    """The grammar before it was limited to ASCII digits: an isdigit check,
+    then Fraction's own parser."""
+    s = text.strip()
+    body = s[1:] if s[:1] == "-" else s
+    num, slash, den = body.partition("/")
+    if not num.isdigit() or (slash and (not den.isdigit() or int(den) == 0)):
+        raise ValueError(f"not a rational literal: {text!r}")
+    return Fraction(s)
+
+
+@given(st.text(alphabet="0123456789-+/ ._e\u0661\u00b2\uff11", max_size=8))
+def test_parse_rational_keeps_the_grammar_on_ascii_digits(text):
+    try:
+        got = parse_rational(text)
+    except ValueError as err:
+        assert str(err) == f"not a rational literal: {text!r}"
+        got = None
+    if all(c.isascii() for c in text if c.isdigit()):
+        try:
+            want = old_parse_rational(text)
+        except ValueError:
+            want = None
+        assert got == want
+    else:
+        assert got is None
 
 
 @given(st.fractions())

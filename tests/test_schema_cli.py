@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -200,6 +201,49 @@ def test_cli_strata(tmp_path, capsys):
     # the point's own stratum and everything below it contain it
     assert verdicts[(2,)] is True
     assert verdicts[(1, 1)] is False
+
+
+def diagonal_module(n):
+    """Rank n, phi = diag(1, 2, 4, ...), N = 0 and the standard flag."""
+    return {
+        "field": {"p": 2},
+        "n": n,
+        "phi": [[str(2 ** i) if i == j else "0" for j in range(n)] for i in range(n)],
+        "monodromy": [["0"] * n for _ in range(n)],
+        "filtration": {"k0": {"flag": [["1" if i == j else "0" for j in range(n)] for i in range(n)],
+                              "jumps": list(range(n))}},
+    }
+
+
+def test_cli_strata_runs_within_the_work_budget(tmp_path, capsys):
+    # p(27) * 27 = 3010 * 27 = 81270 work units, under the budget of 10^5
+    path = write_json(tmp_path, diagonal_module(27))
+    code, out, err = run_cli(capsys, ["strata", path, "--format", "json"])
+    assert (code, err) == (0, "")
+    strata = json.loads(out)["strata"]
+    assert len(strata) == 3010
+    assert all(s["member"] for s in strata)
+
+
+def test_cli_strata_over_the_work_budget_exits_2_at_once(tmp_path, capsys):
+    # p(28) * 28 = 3718 * 28 = 104104 work units
+    path = write_json(tmp_path, diagonal_module(28))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["strata", path])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: strata thresholds: 104104 work units exceed the budget of 100000\n"
+
+
+@pytest.mark.parametrize("entry", ["\u0661/\u0662", "3/\u00b2", "\u00b2"])
+def test_cli_non_ascii_digits_are_an_input_error(tmp_path, capsys, entry):
+    path = write_json(tmp_path, variant(phi=[["1", "0"], ["0", entry]]))
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, ["check-admissible", path, "--format", fmt])
+        assert (code, out) == (2, "")
+        message = f"phi.1.1: not a rational literal: {entry!r}"
+        assert err == (f"error: {message}\n" if fmt == "text"
+                       else json.dumps({"error": message}, indent=2, sort_keys=True) + "\n")
 
 
 def test_cli_input_errors(tmp_path, capsys):
