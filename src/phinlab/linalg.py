@@ -1,7 +1,7 @@
 """Exact linear algebra over Q: matrices, subspaces, spectra.
 
 Entries are exact rationals and no floating point appears anywhere, but
-the kernels do not compute with rationals. A ``Matrix`` carries its
+the kernels do not compute with rationals. A ``Matrix`` is held as its
 cleared form, integer rows over the least common denominator, computed
 once when it is built; products, ``det``, ``char_poly`` and ``rank`` read
 that form, run on Python integers, and divide back once on exit, so no
@@ -9,9 +9,13 @@ gcd is paid per arithmetic step. A product is built from its integer rows
 over the product of the two denominators; ``det`` is Bareiss
 fraction-free elimination; ``char_poly`` is Faddeev-LeVerrier with exact
 integer division; ``rational_eigenvalues`` confirms and deflates its roots
-in Z[x]; row reduction is Gauss-Jordan on integer rows, each pivot row
-divided by its pivot at the end. Subspaces keep the reduced-echelon
-basis, which is unique, so equality and hashing are structural.
+in Z[x]; row reduction is Gauss-Jordan on integer rows. A ``Subspace`` is
+held as its reduced echelon basis with each row scaled to a primitive
+integer row with a positive pivot, which is unique, so equality and
+hashing are structural; intersection, membership, stability and
+restriction run on those rows. Rationals are built only on access:
+``Matrix.rows``, ``Matrix.column``, ``Subspace.basis`` and the values the
+functions return.
 """
 
 import math
@@ -39,31 +43,25 @@ __all__ = [
 ]
 
 
-def _as_rational(x):
-    # both backends' rationals are immutable, so one can be shared as it is
-    return x if type(x) is Rational else Rational(x)
-
-
 class Matrix(Frozen):
     """Immutable exact-rational matrix.
 
-    ``rows`` holds the entries. ``ints`` and ``den`` are the same matrix
-    cleared once at construction: integer rows over the least common
-    denominator, rows = ints / den. That form is unique, so equality and
-    hashing stay structural, and the kernels read it instead of the rows.
+    ``ints`` and ``den`` hold it: integer rows over the least common
+    denominator of the entries, computed once at construction. That form
+    is unique, so equality and hashing stay structural, and the kernels
+    read it. ``rows``, the entries as rationals, is built on access.
     """
 
-    __slots__ = ("rows", "ints", "den")
+    __slots__ = ("ints", "den")
 
     def __init__(self, rows):
-        data = tuple(tuple(map(_as_rational, row)) for row in rows)
-        if not data or not data[0]:
+        scaled = [_int_row(row) for row in rows]
+        if not scaled or not scaled[0][0]:
             raise ValueError("matrix needs at least one row and one column")
-        width = len(data[0])
-        if any(len(r) != width for r in data):
+        if any(len(a) != len(scaled[0][0]) for a, _ in scaled):
             raise ValueError("ragged rows")
-        ints, den = _cleared(data)
-        Frozen.__init__(self, data, ints, den)
+        d = math.lcm(*(e for _, e in scaled))
+        Frozen.__init__(self, tuple(tuple(x * (d // e) for x in a) for a, e in scaled), d)
 
     @classmethod
     def _from_ints(cls, ints, den):
@@ -74,12 +72,8 @@ class Matrix(Frozen):
         if g > 1:
             ints = [tuple(x // g for x in row) for row in ints]
             den //= g
-        if den == 1:
-            rows = tuple(tuple(map(Rational, row)) for row in ints)
-        else:
-            rows = tuple(tuple(ZERO if x == 0 else Rational(x, den) for x in row) for row in ints)
         m = object.__new__(cls)
-        Frozen.__init__(m, rows, tuple(ints), den)
+        Frozen.__init__(m, tuple(ints), den)
         return m
 
     @classmethod
@@ -92,9 +86,9 @@ class Matrix(Frozen):
 
     @classmethod
     def diagonal(cls, values):
-        vals = [_as_rational(v) for v in values]
+        vals = list(values)
         n = len(vals)
-        return cls([[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_columns(cls, columns, nrows):
@@ -106,12 +100,17 @@ class Matrix(Frozen):
         return cls([[c[i] for c in cols] for i in range(nrows)])
 
     @property
+    def rows(self):
+        """The entries as rationals, built on each access."""
+        return tuple(_over(row, self.den) for row in self.ints)
+
+    @property
     def nrows(self):
-        return len(self.rows)
+        return len(self.ints)
 
     @property
     def ncols(self):
-        return len(self.rows[0])
+        return len(self.ints[0])
 
     @property
     def is_square(self):
@@ -122,18 +121,18 @@ class Matrix(Frozen):
         return not any(map(any, self.ints))
 
     def column(self, j):
-        return tuple(row[j] for row in self.rows)
+        return _over([row[j] for row in self.ints], self.den)
 
     def columns(self):
         return tuple(self.column(j) for j in range(self.ncols))
 
     def transpose(self):
-        return Matrix(self.columns())
+        return Matrix._from_ints(zip(*self.ints), self.den)
 
     def trace(self):
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), ZERO)
+        return Rational(sum(row[i] for i, row in enumerate(self.ints)), self.den)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
@@ -167,26 +166,24 @@ class Matrix(Frozen):
         pivots = _echelon(aug)
         if len(pivots) < n or any(p >= n for p in pivots):
             raise ValueError("matrix is singular")
-        return Matrix(_pivot_rows(aug, pivots, n))
+        return Matrix._from_ints(*_over_pivots(aug, pivots, n))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"Matrix[{body}]"
 
 
+def _over(row, d):
+    """Integers divided by a nonzero integer d, as rationals."""
+    return tuple(ZERO if x == 0 else Rational(x, d) for x in row)
+
+
 def _int_row(row):
-    """(a, d): integers a and the least d > 0 with row = a / d."""
-    nums = [int(x.numerator) for x in row]
-    dens = [int(x.denominator) for x in row]
-    d = math.lcm(*dens)
-    return (nums if d == 1 else [x * (d // e) for x, e in zip(nums, dens)]), d
-
-
-def _cleared(rows):
-    """(A, d): integer rows A (tuples) and the least d > 0 with rows = A / d."""
-    scaled = [_int_row(row) for row in rows]
-    d = math.lcm(*(e for _, e in scaled))
-    return tuple(tuple(a) if e == d else tuple(x * (d // e) for x in a) for a, e in scaled), d
+    """(a, d): integers a and the least d > 0 with row = a / d, for entries
+    that are ints or rationals; anything else is read through ``Rational``."""
+    row = [x if type(x) is int or type(x) is Rational else Rational(x) for x in row]
+    d = math.lcm(*(int(x.denominator) for x in row))
+    return [int(x.numerator) * (d // int(x.denominator)) for x in row], d
 
 
 def _int_matmul(a, b):
@@ -200,18 +197,14 @@ def _primitive_row(a):
     return [x // g for x in a] if g > 1 else a
 
 
-def _primitive_rows(rows):
-    """Each rational row scaled to a primitive integer row (same row space)."""
-    return [_primitive_row(_int_row(row)[0]) for row in rows]
-
-
 def _echelon(rows):
     """Gauss-Jordan elimination on integer rows, in place; returns the pivot columns.
 
-    Afterwards row i (i < rank) has its first nonzero entry in column
-    pivots[i], every other row is zero there, and rows from the rank on are
-    zero. Each row p*row - a*pivot_row is divided by its content, so the
-    entries stay as small as the row space allows.
+    Afterwards row i (i < rank) has its first nonzero entry, positive, in
+    column pivots[i], every other row is zero there, and rows from the rank
+    on are zero. Each row p*row - a*pivot_row is divided by its content, so
+    the entries stay as small as the row space allows, and the rows of a
+    matrix whose rows are primitive stay primitive.
     """
     nrows = len(rows)
     pivots = []
@@ -223,6 +216,9 @@ def _echelon(rows):
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         prow = rows[r]
         p = prow[c]
+        if p < 0:
+            rows[r] = prow = [-x for x in prow]
+            p = -p
         for i in range(nrows):
             a = rows[i][c]
             if a and i != r:
@@ -239,17 +235,20 @@ def _echelon(rows):
 
 
 def _pivot_rows(rows, pivots, start=0):
-    """Rows of an integer echelon form divided by their pivots, from column start on."""
-    out = []
-    for row, c in zip(rows, pivots):
-        p = row[c]
-        out.append([ZERO if x == 0 else Rational(x, p) for x in row[start:]])
-    return out
+    """Rows of an integer echelon form divided by their pivots, from column
+    start on, as rationals."""
+    return [_over(row[start:], row[c]) for row, c in zip(rows, pivots)]
+
+
+def _over_pivots(rows, pivots, start=0):
+    """The same rows as integer rows over one positive denominator: (A, d)."""
+    d = math.lcm(*(row[c] for row, c in zip(rows, pivots)))
+    return [[x * (d // row[c]) for x in row[start:]] for row, c in zip(rows, pivots)], d
 
 
 def _rref(rows):
     """Reduced row echelon form of rational rows: (nonzero rows, pivot columns)."""
-    ints = _primitive_rows(rows)
+    ints = [_int_row(row)[0] for row in rows]
     pivots = _echelon(ints)
     return _pivot_rows(ints, pivots), pivots
 
@@ -293,10 +292,11 @@ def solve_columns(a, b):
     pivots = _echelon(aug)
     if any(p >= k for p in pivots):
         return None
-    x = [[ZERO] * b.ncols for _ in range(k)]
-    for c, row in zip(pivots, _pivot_rows(aug, pivots, k)):
+    rows, d = _over_pivots(aug, pivots, k)
+    x = [[0] * b.ncols for _ in range(k)]
+    for c, row in zip(pivots, rows):
         x[c] = row
-    return Matrix(x)
+    return Matrix._from_ints(x, d)
 
 
 def det(m):
@@ -590,10 +590,12 @@ def jordan_partition(n_mat):
     size = n_mat.nrows
     growth = []
     prev = 0
-    power = Matrix.identity(size)
-    for _ in range(size):
-        power = power @ n_mat
-        cur = kernel_dim(power)
+    power = n_mat.ints
+    for k in range(size):
+        if k:
+            power = _int_matmul(power, n_mat.ints)
+        # the scale of N does not change the kernel of its powers
+        cur = size - len(_echelon(list(power)))
         if cur == prev:
             break
         growth.append(cur - prev)
@@ -604,26 +606,25 @@ def jordan_partition(n_mat):
 
 
 class Subspace(Frozen):
-    """A linear subspace of Q^n with a canonical reduced-echelon basis.
+    """A linear subspace of Q^n, held by its canonical basis on integers.
 
-    Two spans of the same space compare equal and hash equal.
+    ``ints`` are the rows of the reduced echelon basis, each scaled to a
+    primitive integer row with a positive pivot, and ``pivots`` their pivot
+    columns. That form is unique, so two spans of the same space compare
+    equal and hash equal. ``basis``, those rows divided by their pivots as
+    rationals, is built on access.
     """
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "ints", "pivots")
 
     def __init__(self, ambient, vectors):
         ambient = int(ambient)
-        rows = [list(map(_as_rational, v)) for v in vectors]
+        rows = [_int_row(v)[0] for v in vectors]
         if any(len(r) != ambient for r in rows):
             raise ValueError("vector length mismatch")
-        Frozen.__init__(self, ambient, tuple(map(tuple, _rref(rows)[0])) if rows else ())
-
-    @classmethod
-    def _reduced(cls, ambient, rows):
-        """The span of rows that are already a reduced echelon basis."""
-        sub = object.__new__(cls)
-        Frozen.__init__(sub, ambient, tuple(map(tuple, rows)))
-        return sub
+        rows = [_primitive_row(r) for r in rows]
+        pivots = _echelon(rows)
+        Frozen.__init__(self, ambient, tuple(map(tuple, rows[:len(pivots)])), tuple(pivots))
 
     @classmethod
     def zero(cls, ambient):
@@ -631,33 +632,41 @@ class Subspace(Frozen):
 
     @classmethod
     def full(cls, ambient):
-        return cls(ambient, Matrix.identity(ambient).rows)
+        return cls(ambient, Matrix.identity(ambient).ints)
+
+    @property
+    def basis(self):
+        """The reduced echelon basis as rationals, built on each access."""
+        return tuple(_pivot_rows(self.ints, self.pivots))
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.ints)
 
     def matrix(self):
-        if not self.basis:
+        if not self.ints:
             raise ValueError("the zero subspace has no basis matrix")
-        return Matrix.from_columns(self.basis, self.ambient)
+        rows, d = _over_pivots(self.ints, self.pivots)
+        return Matrix._from_ints(zip(*rows), d)
 
-    def _reduce(self, vector):
-        v = list(map(_as_rational, vector))
-        for row in self.basis:
-            pivot = next(i for i, x in enumerate(row) if x != 0)
-            if v[pivot] != 0:
-                factor = v[pivot]
-                v = [a - factor * b for a, b in zip(v, row)]
-        return v
+    def _holds(self, v):
+        """Whether the integer vector v lies in the subspace: v reduced
+        against the echelon rows comes out zero."""
+        for row, c in zip(self.ints, self.pivots):
+            a = v[c]
+            if a:
+                g = math.gcd(row[c], a)
+                p, a = row[c] // g, a // g
+                v = [p * x - a * y for x, y in zip(v, row)]
+        return not any(v)
 
     def contains_vector(self, vector):
-        return all(x == 0 for x in self._reduce(vector))
+        return self._holds(_int_row(vector)[0])
 
     def contains(self, other):
         if other.ambient != self.ambient:
             raise ValueError("ambient dimension mismatch")
-        return all(self.contains_vector(v) for v in other.basis)
+        return all(map(self._holds, other.ints))
 
     def intersect(self, other):
         if other.ambient != self.ambient:
@@ -667,30 +676,46 @@ class Subspace(Frozen):
             return self
         if other.dim == 0 or self.dim == n:
             return other
+        # a line meets a subspace in all of it or in zero
+        if self.dim == 1:
+            return self if other._holds(self.ints[0]) else Subspace.zero(n)
+        if other.dim == 1:
+            return other if self._holds(other.ints[0]) else Subspace.zero(n)
         # Zassenhaus: in the echelon form of the rows (u | u) and (v | 0), the
         # rows whose pivot lies in the right half are (0 | w) for w running
         # over a reduced echelon basis of the intersection
-        stack = [u + u for u in _primitive_rows(self.basis)]
-        stack += [v + [0] * n for v in _primitive_rows(other.basis)]
+        stack = [u + u for u in self.ints] + [v + (0,) * n for v in other.ints]
         pivots = _echelon(stack)
         k = sum(1 for c in pivots if c < n)
-        return Subspace._reduced(n, _pivot_rows(stack[k:], pivots[k:], n))
+        cap = object.__new__(Subspace)
+        Frozen.__init__(cap, n, tuple(tuple(row[n:]) for row in stack[k:len(pivots)]),
+                        tuple(c - n for c in pivots[k:]))
+        return cap
+
+    def _images(self, m):
+        """F r for each stored row r, where m = F / m.den maps Q^n to itself."""
+        if (m.nrows, m.ncols) != (self.ambient, self.ambient):
+            raise ValueError("ambient dimension mismatch")
+        return [[sum(map(operator.mul, row, r)) for row in m.ints] for r in self.ints]
 
     def is_stable_under(self, m):
-        if m.ncols != self.ambient:
-            raise ValueError("ambient dimension mismatch")
-        return all(self.contains_vector((m @ Matrix.from_columns([v], self.ambient)).column(0))
-                   for v in self.basis)
+        return all(map(self._holds, self._images(m)))
 
     def restrict(self, m):
         """Matrix of m on this subspace in its canonical basis."""
         if self.dim == 0:
             raise ValueError("cannot restrict to the zero subspace")
-        b = self.matrix()
-        x = solve_columns(b, m @ b)
-        if x is None:
+        images = self._images(m)
+        if not all(map(self._holds, images)):
             raise ValueError("subspace is not stable under the given matrix")
-        return x
+        # the basis vector b_i = r_i / p_i (r_i a stored row, p_i its pivot)
+        # is 1 at its pivot column c_i and the others are 0 there, so a
+        # vector of the span has its entry at c_i as its coordinate on b_i;
+        # here the vectors are m b_j = F r_j / (den p_j)
+        pivots = [r[c] for r, c in zip(self.ints, self.pivots)]
+        d = math.lcm(*pivots)
+        return Matrix._from_ints([[y[c] * (d // p) for y, p in zip(images, pivots)]
+                                  for c in self.pivots], m.den * d)
 
     def sort_key(self):
         return (self.dim, self.basis)

@@ -110,8 +110,9 @@ class FilteredPhiNModule(Frozen):
     def fil_subspace(self, label, i):
         """Span of flag columns whose jump is at least i."""
         entry = self.filtration[label]
-        cols = [entry.basis.column(j) for j, jump in enumerate(entry.jumps) if jump >= i]
-        return Subspace(self.n, cols)
+        # the integer columns of the cleared flag span the same space
+        return Subspace(self.n, [[row[j] for row in entry.basis.ints]
+                                 for j, jump in enumerate(entry.jumps) if jump >= i])
 
     def __repr__(self):
         return f"FilteredPhiNModule(n={self.n}, p={self.field.p})"
@@ -332,12 +333,13 @@ def enumerate_stable_subspaces(d, dim=None, *, frame=None):
     _, eigvecs, _, closed = frame or _eigen_frame(d)
     masks = closed if dim is None else [m for m in closed if m.bit_count() == dim]
     out = [Subspace(d.n, [eigvecs[i] for i in _members(mask)]) for mask in masks]
-    # the order of Subspace.sort_key, compared on integers: every entry
-    # scaled by one common multiple of all the denominators; bases of one
-    # dimension have equal shapes, so their flattened rows compare the same
-    scale = math.lcm(*{x.denominator for sub in out for row in sub.basis for x in row})
-    out.sort(key=lambda sub: (sub.dim, [x.numerator * (scale // x.denominator)
-                                        for row in sub.basis for x in row]))
+    # the order of Subspace.sort_key, compared on integers: every basis row
+    # r / p (r a stored row, p its pivot) scaled by one common multiple of
+    # all the pivots; bases of one dimension have equal shapes, so their
+    # flattened rows compare the same
+    scale = math.lcm(*{r[c] for sub in out for r, c in zip(sub.ints, sub.pivots)})
+    out.sort(key=lambda sub: (sub.dim, [x * (scale // r[c]) for r, c in zip(sub.ints, sub.pivots)
+                                        for x in r]))
     return out
 
 

@@ -15,7 +15,7 @@ from .errors import ChainMismatch, InputError, NotFullyRational
 from .linalg import Matrix, jordan_partition, rational_eigenvalues
 from .modules import check_phi_n
 from .partitions import PartitionFunction
-from .scalars import Frozen, Rational, padic_val
+from .scalars import Frozen, Rational, is_prime, padic_val
 
 __all__ = [
     "Segment",
@@ -35,25 +35,20 @@ __all__ = [
 
 
 def prime_power_base(q):
-    """Split q = p**f0 with p prime; InputError when q is not a prime power."""
+    """Split q = p**f0 with p prime; InputError when q is not a prime power.
+
+    Each f0 up to log2(q) is tried: p is the integer f0-th root of q, by
+    Newton's method from above, and must be prime.
+    """
     if not isinstance(q, int) or q < 2:
         raise InputError(f"residue cardinality must be an integer >= 2, got {q!r}")
-    p, m = None, q
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            p = d
-            break
-        d += 1
-    if p is None:
-        p = m
-    f0 = 0
-    while m % p == 0:
-        m //= p
-        f0 += 1
-    if m != 1:
-        raise InputError(f"residue cardinality must be a prime power, got {q}")
-    return p, f0
+    for f0 in range(1, q.bit_length()):
+        p = 1 << -(-q.bit_length() // f0)
+        while (step := ((f0 - 1) * p + q // p ** (f0 - 1)) // f0) < p:
+            p = step
+        if p ** f0 == q and is_prime(p):
+            return p, f0
+    raise InputError(f"residue cardinality must be a prime power, got {q}")
 
 
 class WeilDeligneRep(Frozen):
@@ -89,9 +84,16 @@ def wd_from_module(d):
 
     The module's commutation scale is p**f while this side checks against
     q = p**f0, so a module with f != f0 and nonzero N is rejected on entry.
+    When f = f0, ``build_module`` has already checked phi and N at q, and
+    the field gives p and f0, so the representation is built as it is.
     """
-    q = d.field.p ** d.field.f0
-    return WeilDeligneRep(d.phi, d.monodromy, q, embeddings=d.field.embeddings)
+    field = d.field
+    q = field.p ** field.f0
+    if field.f != field.f0:
+        check_phi_n(d.phi, d.monodromy, q)
+    w = object.__new__(WeilDeligneRep)
+    Frozen.__init__(w, d.phi, d.monodromy, q, field.p, field.f0, field.embeddings)
+    return w
 
 
 def monodromy_partition(w):

@@ -426,3 +426,26 @@ def test_cli_beta_on_repeated_eigenvalues_is_undecided_despite_a_totals_mismatch
     assert f"warning: admissibility undecided ({reason}); valuations reported raw" in out
     code, out, err = run_cli(capsys, ["check-admissible", path])
     assert (code, out, err) == (2, "", f"error: {reason}\n")
+
+
+def test_cli_wd_segments_and_consistency_finish_at_a_61_bit_prime(tmp_path):
+    # p = 2^61 - 1: splitting q = p by trial division up to sqrt(q) never ends
+    p = 2 ** 61 - 1
+    module = {
+        "field": {"p": p, "f0": 1, "e": 1, "f": 1, "embeddings": ["k0"]},
+        "n": 1,
+        "phi": [["1"]],
+        "monodromy": [["0"]],
+        "filtration": {"k0": {"flag": [["1"]], "jumps": [0]}},
+    }
+    path = write_json(tmp_path, module)
+    env = child_env()
+    for command in ("wd", "segments", "consistency"):
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "phinlab.cli", command, path],
+                              capture_output=True, text=True, timeout=10, env=env)
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 0, (command, done.stdout, done.stderr)
+        assert elapsed < 2, (command, elapsed)
+        if command == "wd":
+            assert f"q = {p}" in done.stdout

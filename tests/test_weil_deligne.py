@@ -234,3 +234,52 @@ def test_segment_validation():
         Segment(1, 0)
     with pytest.raises(ValueError):
         UnramifiedCharacter((1, 0))
+
+
+MERSENNE_61 = 2 ** 61 - 1
+
+
+def test_prime_power_base_finds_large_primes_without_trial_division():
+    assert prime_power_base(MERSENNE_61) == (MERSENNE_61, 1)
+    assert prime_power_base(MERSENNE_61 ** 2) == (MERSENNE_61, 2)
+    assert prime_power_base(3 ** 40) == (3, 40)
+    for bad in (3 * MERSENNE_61, 6):
+        with pytest.raises(InputError, match="must be a prime power"):
+            prime_power_base(bad)
+
+
+def test_prime_power_base_agrees_with_factoring_on_small_q():
+    for q in range(2, 2000):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        f0 = next(k for k in range(1, q.bit_length() + 1) if q % p ** (k + 1))
+        if p ** f0 == q:
+            assert prime_power_base(q) == (p, f0)
+        else:
+            with pytest.raises(InputError):
+                prime_power_base(q)
+
+
+def test_wd_from_module_checks_phi_n_again_only_when_f_differs_from_f0(monkeypatch):
+    import phinlab.weil_deligne as wd
+
+    d = steinberg_module(3)
+    checked = WeilDeligneRep(d.phi, d.monodromy, 3)
+    calls = []
+    monkeypatch.setattr(wd, "check_phi_n", lambda *args: calls.append(args))
+    w = wd_from_module(d)
+    assert calls == []
+    assert w == checked and (w.p, w.f0, w.embeddings) == (3, 1, ("k0",))
+    field = FieldDescriptor(p=2, f=2, f0=1)
+    crystalline = build_module(field, 2, [[1, 0], [0, 4]], [[0, 0], [0, 0]],
+                               {"k0": (Matrix.identity(2), [0, 1])})
+    w = wd_from_module(crystalline)
+    assert calls == [(crystalline.phi, crystalline.monodromy, 2)]
+    assert (w.q, w.p, w.f0) == (2, 2, 1)
+
+
+def test_wd_from_module_takes_p_from_the_field():
+    d = build_module(FieldDescriptor(p=MERSENNE_61), 1, [[1]], [[0]],
+                     {"k0": (Matrix.identity(1), [0])})
+    w = wd_from_module(d)
+    assert (w.q, w.p, w.f0) == (MERSENNE_61, MERSENNE_61, 1)
+    assert segments_from_wd(w) == (seg(1, 1),)
