@@ -8,7 +8,10 @@ exponent of sqrt(q) per class, which must be even: a class whose sqrt(q)
 parts fail to cancel raises ArithmeticError, so every class value and the
 total are exact rationals. The class count C(n, r) goes through the work
 budget in config before any class is built. Keeping both routes alive is
-the point, so neither is defined in terms of the other.
+the point, so neither is defined in terms of the other. Both run on the
+integer numerators a_i and denominators b_i of psi: a class value is
+q^{k/2} * prod a_i / prod b_i over S, normalised once, and the classes are
+summed as one integer over the common denominator q^{rn - r(r+1)/2} * prod b_i.
 """
 
 import math
@@ -70,10 +73,18 @@ class CosetClass(Frozen):
 
 def _as_character(psi, n):
     if not isinstance(psi, UnramifiedCharacter):
-        psi = UnramifiedCharacter(tuple(psi))
+        psi = tuple(psi)
+        if 0 in psi:
+            raise InputError(f"psi entry {psi.index(0) + 1} is 0; character values must be nonzero")
+        psi = UnramifiedCharacter(psi)
     if len(psi) != n:
         raise InputError(f"character needs {n} values, got {len(psi)}")
     return psi
+
+
+def _split(values):
+    """Numerators a_i and positive denominators b_i of ints or rationals."""
+    return [v.numerator for v in values], [v.denominator for v in values]
 
 
 def coset_classes(h, psi=None):
@@ -84,11 +95,11 @@ def coset_classes(h, psi=None):
     """
     check_work_units(math.comb(h.n, h.r), "coset classes")
     if psi is not None:
-        psi = _as_character(psi, h.n)
+        nums, dens = _split(_as_character(psi, h.n))
     out = []
     for S in combinations(range(1, h.n + 1), h.r):
         exp = h.r * (h.n - h.r) + h.r * (h.r + 1) // 2 - sum(S)
-        foval = None if psi is None else spherical_value(S, psi, h)
+        foval = None if psi is None else _spherical(S, nums, dens, h)
         out.append(CosetClass(S, h.q**exp, foval))
     return out
 
@@ -104,41 +115,52 @@ def spherical_value(S, psi, h):
     even k gives the rational q^{k/2} * prod(psi_i for i in S). An S
     that is not r indices in 1..n raises InputError.
     """
-    psi = _as_character(psi, h.n)
+    nums, dens = _split(_as_character(psi, h.n))
     S = tuple(S)
     if len(S) != h.r or not all(1 <= i <= h.n for i in S):
         raise InputError(f"S={S} must hold r={h.r} indices in 1..n={h.n}")
+    return _spherical(S, nums, dens, h)
+
+
+def _spherical(S, nums, dens, h):
+    """spherical_value for a valid S, from the split entries of psi."""
     k = (2 * sum(S) - h.r * (h.n + 1)) - h.r * (h.n - 1)
     if k % 2:
         raise ArithmeticError(f"sqrt({h.q}) does not cancel in the spherical value at S={S}")
-    value = rational_power(h.q, k // 2)
+    num = den = 1
     for i in S:
-        value = value * psi[i - 1]
-    return QExtScalar.from_rational(value, h.q)
+        num *= nums[i - 1]
+        den *= dens[i - 1]
+    # k = 2 * (sum(S) - r*n) <= 0, so q^{k/2} goes to the denominator
+    return QExtScalar.from_rational(Rational(num, den * h.q ** (-k // 2)), h.q)
 
 
 def elementary_symmetric(values, r):
-    """e_r(values) via the running expansion of prod(1 + v*x)."""
-    if r == 0:
-        return ONE
-    dp = [ONE] + [ZERO] * r
-    for v in values:
+    """e_r of ints or rationals a_i/b_i: the x^r coefficient of prod(b_i + a_i*x)
+    over prod b_i, expanded on integers."""
+    dp = [1] + [0] * r
+    for a, b in zip(*_split(values)):
         for k in range(r, 0, -1):
-            dp[k] = dp[k] + v * dp[k - 1]
-    return dp[r]
+            dp[k] = dp[k] * b + a * dp[k - 1]
+        dp[0] *= b
+    return Rational(dp[r], dp[0])
 
 
 def theta_closed(psi, h):
     """q^{r(1-r)/2} * e_r(psi); r(r-1) is even so this is always rational."""
-    psi = _as_character(psi, h.n)
-    pref = rational_power(Rational(h.q), h.r * (1 - h.r) // 2)
-    return pref * elementary_symmetric(list(psi), h.r)
+    return elementary_symmetric(_as_character(psi, h.n), h.r) / h.q ** (h.r * (h.r - 1) // 2)
 
 
 def theta_enumerated(psi, h):
-    """Sum count * f(beta_S) over all classes, as exact rationals."""
+    """Sum count * f(beta_S) over all classes, as one integer over a
+    denominator that every class value's denominator divides."""
     psi = _as_character(psi, h.n)
-    return sum((c.count * c.foval.rational() for c in coset_classes(h, psi)), ZERO)
+    den = h.q ** (h.r * h.n - h.r * (h.r + 1) // 2) * math.prod(v.denominator for v in psi)
+    total = 0
+    for c in coset_classes(h, psi):
+        v = c.foval.rational()
+        total += c.count * v.numerator * (den // v.denominator)
+    return Rational(total, den)
 
 
 def theta_tilde(psi, h, xi, field):

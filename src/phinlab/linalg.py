@@ -246,13 +246,6 @@ def _over_pivots(rows, pivots, start=0):
     return [[x * (d // row[c]) for x in row[start:]] for row, c in zip(rows, pivots)], d
 
 
-def _rref(rows):
-    """Reduced row echelon form of rational rows: (nonzero rows, pivot columns)."""
-    ints = [_int_row(row)[0] for row in rows]
-    pivots = _echelon(ints)
-    return _pivot_rows(ints, pivots), pivots
-
-
 def rank(m):
     return len(_echelon(list(m.ints)))
 

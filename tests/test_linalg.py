@@ -494,8 +494,16 @@ def test_subspace_membership():
 # with a division per pivot, elimination det, Faddeev-LeVerrier over Q, and
 # intersection through the kernel of the stacked bases.
 
-from phinlab.linalg import _rref  # noqa: E402
+from phinlab.linalg import _echelon, _int_row, _pivot_rows  # noqa: E402
 from phinlab.scalars import Rational  # noqa: E402
+
+
+def _rref(rows):
+    """Reduced row echelon form of rational rows from the integer kernels:
+    (nonzero rows, pivot columns)."""
+    ints = [_int_row(row)[0] for row in rows]
+    pivots = _echelon(ints)
+    return _pivot_rows(ints, pivots), pivots
 
 
 def fraction_rows(rows):

@@ -156,6 +156,21 @@ def test_cli_hecke_rejects_bad_psi(capsys):
     assert "--psi" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_hecke_zero_psi_entry_exits_2_without_a_traceback(fmt):
+    done = subprocess.run([sys.executable, "-m", "phinlab.cli", "hecke", "--n", "3", "--r", "2",
+                           "--q", "2", "--psi=1,0,2", "--format", fmt],
+                          capture_output=True, text=True, timeout=60, env=child_env())
+    text = "psi entry 2 is 0; character values must be nonzero"
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    if fmt == "json":
+        assert json.loads(done.stderr) == {"error": text}
+    else:
+        assert done.stderr == f"error: {text}\n"
+
+
 def test_cli_beta(tmp_path, capsys):
     path = write_json(tmp_path, STEINBERG)
     code, out, _ = run_cli(capsys, ["beta", path, "--format", "json"])
