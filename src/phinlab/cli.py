@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from .config import check_work_units, enumeration_cap
+from .config import check_work_units
 from .errors import ChainMismatch, InputError
 from .hecke import HeckeParams, theta_closed, theta_enumerated
 from .interpolation import check_integrality, consistency_check, ht_from_module, xi_from_ht
@@ -283,9 +283,7 @@ def _parser():
 
 def main(argv=None):
     args = _parser().parse_args(_attach_psi_values(sys.argv[1:] if argv is None else argv))
-    # surface the enumeration cap misconfiguration early and as an input error
     try:
-        enumeration_cap()
         code, report, lines = _HANDLERS[args.command](args)
     except ChainMismatch as err:
         _emit({"error": str(err), "report": err.report}, [f"error: {err}"], args.format, sys.stdout)

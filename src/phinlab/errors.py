@@ -82,7 +82,7 @@ class NotFullyRational(InputError):
 
 
 class EnumerationCapExceeded(InputError):
-    """An exhaustive enumeration was refused because the rank exceeds the cap."""
+    """An exhaustive enumeration was refused because its work units exceed the budget."""
 
 
 class ChainMismatch(PhinlabError):

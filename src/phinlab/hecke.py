@@ -3,15 +3,14 @@
 theta_closed evaluates the scalar q^{r(1-r)/2} * e_r(psi) directly, while
 theta_enumerated rebuilds it from the coset decomposition: one class per
 r-subset S of {1..n}, each contributing |Lambda_S| copies of the spherical
-value f(beta_S). The half-powers of q inside f are carried as one integer
-exponent of sqrt(q) per class, which must be even: a class whose sqrt(q)
-parts fail to cancel raises ArithmeticError, so every class value and the
-total are exact rationals. The class count C(n, r) goes through the work
-budget in config before any class is built. Keeping both routes alive is
-the point, so neither is defined in terms of the other. Both run on the
-integer numerators a_i and denominators b_i of psi: a class value is
-q^{k/2} * prod a_i / prod b_i over S, normalised once, and the classes are
-summed as one integer over the common denominator q^{rn - r(r+1)/2} * prod b_i.
+value f(beta_S). The half-powers of q inside f add up to the whole power
+q^{sum(S) - rn}, so every class value and the total are exact rationals.
+The class count C(n, r) goes through the work budget in config before any
+class is built. Keeping both routes alive is the point, so neither is
+defined in terms of the other. Both run on the integer numerators a_i and
+denominators b_i of psi: a class value is prod a_i / (prod b_i *
+q^{rn - sum(S)}) over S, normalised once, and the classes are summed as one
+integer over the common denominator q^{rn - r(r+1)/2} * prod b_i.
 """
 
 import math
@@ -23,7 +22,6 @@ from .linalg import Matrix
 from .scalars import (
     ONE,
     Frozen,
-    QExtScalar,
     Rational,
     TwistedScalar,
     ZERO,
@@ -61,8 +59,9 @@ class HeckeParams(Frozen):
 class CosetClass(Frozen):
     """An r-subset S with the size of its block Lambda_S.
 
-    foval is the common spherical value on the block; it needs a character
-    to evaluate, so it is None when the classes are listed without one.
+    foval is the common spherical value on the block, a rational; it needs
+    a character to evaluate, so it is None when the classes are listed
+    without one.
     """
 
     __slots__ = ("S", "count", "foval")
@@ -110,10 +109,9 @@ def spherical_value(S, psi, h):
     Both factors are half-powers of q times rationals: delta^{1/2}
     contributes q^{(2*sum(S) - r(n+1))/2} and the character side
     contributes q^{-r(n-1)/2} times the product of the S-entries. The two
-    exponents of sqrt(q) are added as one integer k; an odd k would leave
-    a sqrt(q) in the value, so it raises ArithmeticError naming S, and an
-    even k gives the rational q^{k/2} * prod(psi_i for i in S). An S
-    that is not r indices in 1..n raises InputError.
+    half-powers add up to q^{sum(S) - rn}, so the value is the rational
+    q^{sum(S) - rn} * prod(psi_i for i in S). An S that is not r indices
+    in 1..n raises InputError.
     """
     nums, dens = _split(_as_character(psi, h.n))
     S = tuple(S)
@@ -124,15 +122,12 @@ def spherical_value(S, psi, h):
 
 def _spherical(S, nums, dens, h):
     """spherical_value for a valid S, from the split entries of psi."""
-    k = (2 * sum(S) - h.r * (h.n + 1)) - h.r * (h.n - 1)
-    if k % 2:
-        raise ArithmeticError(f"sqrt({h.q}) does not cancel in the spherical value at S={S}")
     num = den = 1
     for i in S:
         num *= nums[i - 1]
         den *= dens[i - 1]
-    # k = 2 * (sum(S) - r*n) <= 0, so q^{k/2} goes to the denominator
-    return QExtScalar.from_rational(Rational(num, den * h.q ** (-k // 2)), h.q)
+    # sum(S) <= rn, so q^{sum(S) - rn} goes to the denominator
+    return Rational(num, den * h.q ** (h.r * h.n - sum(S)))
 
 
 def elementary_symmetric(values, r):
@@ -158,8 +153,7 @@ def theta_enumerated(psi, h):
     den = h.q ** (h.r * h.n - h.r * (h.r + 1) // 2) * math.prod(v.denominator for v in psi)
     total = 0
     for c in coset_classes(h, psi):
-        v = c.foval.rational()
-        total += c.count * v.numerator * (den // v.denominator)
+        total += c.count * c.foval.numerator * (den // c.foval.denominator)
     return Rational(total, den)
 
 
@@ -200,6 +194,7 @@ def materialize_representatives(S, h):
         raise InputError(f"explicit representatives need a prime q, got {h.q}")
     S = tuple(S)
     free = [(i, j) for i in S for j in range(1, h.n + 1) if j not in S and j > i]
+    check_work_units(h.q ** len(free), "coset representatives")
     out = []
     for combo in product(range(h.q), repeat=len(free)):
         rows = [

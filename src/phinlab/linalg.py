@@ -39,7 +39,6 @@ __all__ = [
     "matrix_power",
     "rank",
     "rational_eigenvalues",
-    "solve_columns",
 ]
 
 
@@ -182,8 +181,8 @@ def _int_row(row):
     """(a, d): integers a and the least d > 0 with row = a / d, for entries
     that are ints or rationals; anything else is read through ``Rational``."""
     row = [x if type(x) is int or type(x) is Rational else Rational(x) for x in row]
-    d = math.lcm(*(int(x.denominator) for x in row))
-    return [int(x.numerator) * (d // int(x.denominator)) for x in row], d
+    d = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row], d
 
 
 def _int_matmul(a, b):
@@ -270,26 +269,6 @@ def kernel_basis(m):
             v[c] = -reduced[i][f]
         out.append(tuple(v))
     return tuple(out)
-
-
-def solve_columns(a, b):
-    """One exact solution X of A @ X = B, or None when inconsistent.
-
-    Free variables, if any, are set to zero.
-    """
-    if a.nrows != b.nrows:
-        raise ValueError("row count mismatch in solve")
-    k = a.ncols
-    # A X = B on the cleared forms A = P / a.den, B = Q / b.den
-    aug = [[b.den * x for x in pa] + [a.den * y for y in qb] for pa, qb in zip(a.ints, b.ints)]
-    pivots = _echelon(aug)
-    if any(p >= k for p in pivots):
-        return None
-    rows, d = _over_pivots(aug, pivots, k)
-    x = [[0] * b.ncols for _ in range(k)]
-    for c, row in zip(pivots, rows):
-        x[c] = row
-    return Matrix._from_ints(x, d)
 
 
 def det(m):
@@ -547,7 +526,7 @@ def rational_eigenvalues(m):
         f = f[zero_mult:]
     if len(f) > 1:
         for cand in sorted(_rational_roots(f)):
-            a, b = int(cand.numerator), int(cand.denominator)
+            a, b = cand.numerator, cand.denominator
             while len(f) > 1 and (quotient := _divide_linear(f, a, b)) is not None:
                 f = quotient
                 roots[cand] = roots.get(cand, 0) + 1

@@ -18,7 +18,7 @@ valuations, and t_H(W_S) comes from one integer echelon form per flag.
 
 import math
 
-from .config import check_enumeration_size
+from .config import check_work_units
 from .errors import (
     BadFlag,
     InputError,
@@ -35,7 +35,6 @@ from .linalg import (
     _int_matmul,
     _primitive_row,
     det,
-    matrix_power,
     rational_eigenvalues,
 )
 from .scalars import Frozen, Rational, format_rational, is_prime, padic_val
@@ -52,7 +51,6 @@ __all__ = [
     "hodge_number",
     "enumerate_stable_subspaces",
     "is_weakly_admissible",
-    "weil_trace",
 ]
 
 
@@ -144,7 +142,7 @@ def check_phi_n(phi, monodromy, scale):
         raise NonNilpotentMonodromy(n)
     f, df = phi.ints, phi.den
     scale = Rational(scale)
-    s, t = int(scale.numerator), int(scale.denominator)
+    s, t = scale.numerator, scale.denominator
     lhs = _int_matmul(a, f)
     rhs = _int_matmul(f, a)
     for i in range(n):
@@ -277,8 +275,12 @@ def _eigen_frame(d):
     One echelon form of (B | N*B | flag_1 | ...) is (D | D*B^-1*N*B | ...)
     for a diagonal D, which gives N's support in eigen-coordinates and each
     flag's rows up to a scale per row; neither depends on that scale.
+
+    N moves each eigenline into at most one other, never two into the same
+    one, so the indices fall into chains, and a chain of length l has
+    l + 1 closed subsets. The product of those counts, times n for the work
+    per set, goes through the work budget before any set is listed.
     """
-    check_enumeration_size(d.n, "stable-subspace enumeration")
     split = rational_eigenvalues(d.phi)
     if not split.is_split:
         coeffs = ", ".join(format_rational(c) for c in split.residual)
@@ -292,7 +294,7 @@ def _eigen_frame(d):
     f, den = d.phi.ints, d.phi.den
     eigvecs = []
     for value, _ in split.roots:
-        a, b = int(value.numerator) * den, int(value.denominator)
+        a, b = value.numerator * den, value.denominator
         eigvecs.append(_kernel_line([[b * x - a if i == j else b * x for j, x in enumerate(row)]
                                      for i, row in enumerate(f)]))
     basis = [list(row) for row in zip(*eigvecs)]
@@ -302,6 +304,17 @@ def _eigen_frame(d):
              for i in range(n)]
     _echelon(stack)
     image = [sum(1 << j for j in range(n) if stack[j][n + i]) for i in range(n)]
+    # the images are distinct single bits; a chain starts at an index no
+    # image holds and follows image down to an index N kills
+    targets = sum(image)
+    units = n
+    for head in range(n):
+        if not targets >> head & 1:
+            length, i = 1, head
+            while image[i]:
+                length, i = length + 1, image[i].bit_length() - 1
+            units *= length + 1
+    check_work_units(units, "stable-subspace enumeration")
     # flag k (from 0) fills columns (k + 2)n to (k + 3)n of the stack
     flags = [([_primitive_row(row[(k + 2) * n:(k + 3) * n])[::-1] for row in stack],
               entry.jumps[::-1]) for k, entry in enumerate(entries)]
@@ -445,8 +458,3 @@ def _enumerated_witness(d, t_h, frame):
     if (witness is None) != (size is None):
         raise ArithmeticError(f"eigen-coordinate and subspace verdicts disagree in dimension {dim}")
     return witness
-
-
-def weil_trace(d, a):
-    """Trace of the inverse Frobenius power: Tr(phi^(-a))."""
-    return matrix_power(d.phi, -int(a)).trace()

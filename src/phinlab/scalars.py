@@ -1,16 +1,11 @@
 """Exact scalar arithmetic: rationals, p-adic valuations, and Q(sqrt(q)).
 
-The rational backend is chosen once at import time. gmpy2.mpq is a compiled
-drop-in for fractions.Fraction (both keep lowest terms with a positive
-denominator and print identically), so every report is byte-for-byte the
-same under either backend. Set PHINLAB_BACKEND=fraction or =gmpy2 to force
-one; the default tries gmpy2 and falls back to the stdlib.
+Every rational is a ``fractions.Fraction``; ``Rational`` names that type.
 
 ``Frozen`` here is the base of every immutable value type in the package.
 """
 
 import math
-import os
 from fractions import Fraction
 
 __all__ = [
@@ -28,22 +23,8 @@ __all__ = [
     "TwistedScalar",
 ]
 
-_choice = os.environ.get("PHINLAB_BACKEND", "auto").lower()
-if _choice not in ("auto", "gmpy2", "fraction"):
-    raise ImportError(f"PHINLAB_BACKEND must be 'fraction' or 'gmpy2', not {_choice!r}")
-if _choice in ("auto", "gmpy2"):
-    try:
-        from gmpy2 import mpq as Rational
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _choice == "gmpy2":
-            raise
-        Rational = Fraction
-        BACKEND = "fraction"
-else:
-    Rational = Fraction
-    BACKEND = "fraction"
+Rational = Fraction
+BACKEND = "fraction"
 
 ZERO = Rational(0)
 ONE = Rational(1)
@@ -159,14 +140,14 @@ def rational_literal(text):
 def parse_rational(text):
     """Parse 'a' or 'a/b' with b > 0 into an exact rational.
 
-    The literal is read into integers by ``rational_literal``, never by a
-    backend's own parser, so both backends accept exactly the same strings.
+    The literal is read into integers by ``rational_literal``, never by
+    Fraction's own parser, which also accepts decimals and exponents.
     """
     return Rational(*rational_literal(text))
 
 
 def format_rational(x):
-    """Lowest-terms string, 'a/b' or 'a'; identical under both backends."""
+    """Lowest-terms string, 'a/b' or 'a'."""
     return str(x)
 
 
@@ -288,9 +269,7 @@ def padic_val(x, p):
     q = Rational(x)
     if q == 0:
         return PAdicValuation.infinity()
-    num = int(q.numerator)
-    den = int(q.denominator)
-    return PAdicValuation(_int_val(abs(num), p) - _int_val(den, p))
+    return PAdicValuation(_int_val(abs(q.numerator), p) - _int_val(q.denominator, p))
 
 
 def _sqrt_if_square(n):

@@ -8,7 +8,7 @@ rows over their least common denominator.
 
 Output side: every report dict produced here contains only strings, ints,
 bools, lists and dicts, with all rationals rendered as strings, so
-json.dumps with sorted keys is byte-stable across runs and backends.
+json.dumps with sorted keys is byte-stable across runs.
 """
 
 import json

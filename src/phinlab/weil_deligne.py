@@ -140,7 +140,8 @@ class UnramifiedCharacter(Frozen):
 def match_chains(values, parts, q):
     """Group an eigenvalue multiset into geometric chains of given lengths.
 
-    ``parts`` lists the chain lengths (they must sum to len(values)).
+    ``parts`` lists the chain lengths; InputError when they do not sum to
+    len(values).
     Returns one Segment per part. Chain bases are tried in ascending
     (valuation, value) order with backtracking, so ambiguous multisets like
     {1, q, q^2} under (2, 1) always resolve the same way: [(1, 2), (q^2, 1)].
@@ -149,7 +150,8 @@ def match_chains(values, parts, q):
     p, _ = prime_power_base(q)
     values = [Rational(v) for v in values]
     parts = sorted((int(k) for k in parts), reverse=True)
-    assert sum(parts) == len(values), "chain lengths must account for every eigenvalue"
+    if sum(parts) != len(values):
+        raise InputError(f"chain lengths {parts} must add up to the {len(values)} eigenvalues")
     counts = Counter(values)
     qr = Rational(q)
 
@@ -191,7 +193,7 @@ def canonical_segments(segments, p):
     """Sort by (valuation of base, numerator, length, denominator)."""
 
     def key(s):
-        return (padic_val(s.chi, p), int(s.chi.numerator), s.length, int(s.chi.denominator))
+        return (padic_val(s.chi, p), s.chi.numerator, s.length, s.chi.denominator)
 
     return tuple(sorted(segments, key=key))
 
@@ -214,7 +216,7 @@ def _q_power_offset(a, b, q):
     ratio = b / a
     if ratio == 1:
         return 0
-    num, den = int(ratio.numerator), int(ratio.denominator)
+    num, den = ratio.numerator, ratio.denominator
     if den == 1:
         m = 0
         while num % q == 0:

@@ -18,9 +18,9 @@ from phinlab.hecke import (
     theta_enumerated,
     theta_tilde,
 )
-from phinlab.errors import InputError
+from phinlab.errors import EnumerationCapExceeded, InputError
 from phinlab.modules import FieldDescriptor
-from phinlab.scalars import padic_val
+from phinlab.scalars import Rational, padic_val
 from phinlab.weil_deligne import UnramifiedCharacter
 from tests_helpers import child_env
 
@@ -89,18 +89,18 @@ def test_coset_total_matches_gauss_binomial():
 def test_spherical_value_rank_one():
     h = HeckeParams(1, 3, 1)
     v = spherical_value((1,), UnramifiedCharacter((Fraction(5, 2),)), h)
-    assert v.is_rational and v.rational() == Fraction(5, 2)
+    assert type(v) is Rational and v == Fraction(5, 2)
 
 
 def test_spherical_value_half_powers_cancel_in_pairs():
     # n=2, r=1: each factor carries sqrt(q) but the product is rational
     h = HeckeParams(2, 2, 1)
     v = spherical_value((1,), UnramifiedCharacter((1, 1)), h)
-    assert v.is_rational and v.rational() == Fraction(1, 2)
+    assert type(v) is Rational and v == Fraction(1, 2)
     w = spherical_value((2,), UnramifiedCharacter((1, 1)), h)
-    assert w.is_rational and w.rational() == 1
+    assert type(w) is Rational and w == 1
     # weighted by the counts these sum to e_1(1,1): 2*(1/2) + 1*1 = 2
-    assert 2 * v.rational() + w.rational() == 2
+    assert 2 * v + w == 2
 
 
 def test_theta_closed_pinned():
@@ -224,6 +224,13 @@ def test_materialized_representatives_match_counts():
 def test_materialize_requires_prime_q():
     with pytest.raises(InputError):
         materialize_representatives((1,), HeckeParams(2, 4, 1))
+
+
+def test_materialize_over_the_work_budget_is_refused_up_front():
+    # S = {1, 2, 3} in n = 7 has 3 * 4 free residues: 3^12 = 531441 matrices
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        materialize_representatives((1, 2, 3), HeckeParams(7, 3, 3))
+    assert str(exc.value) == "coset representatives: 531441 work units exceed the budget of 100000"
 
 
 def test_class_count_over_the_work_budget_is_refused_up_front():

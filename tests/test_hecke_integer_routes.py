@@ -22,7 +22,7 @@ from phinlab.hecke import (
     theta_closed,
     theta_enumerated,
 )
-from phinlab.scalars import QExtScalar, Rational
+from phinlab.scalars import Rational
 from phinlab.weil_deligne import UnramifiedCharacter
 
 
@@ -81,8 +81,7 @@ def test_integer_routes_match_the_fraction_references():
         got = coset_classes(h, UnramifiedCharacter(psi))
         assert [(c.S, c.count) for c in got] == [(S, count) for S, count, _ in want]
         for c, (_, _, value) in zip(got, want):
-            assert isinstance(c.foval, QExtScalar) and c.foval.is_rational
-            assert type(c.foval.rational()) is Rational and c.foval.rational() == value
+            assert type(c.foval) is Rational and c.foval == value
             assert spherical_value(c.S, psi, h) == c.foval
         total = sum((count * value for _, count, value in want), Fraction(0))
         closed = Fraction(q) ** (r * (1 - r) // 2) * elementary_symmetric_reference(psi, r)

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from phinlab import errors
+from phinlab import errors, modules
+from phinlab.config import check_work_units
 from phinlab.errors import (
     BadFlag,
     EnumerationCapExceeded,
@@ -23,7 +24,6 @@ from phinlab.modules import (
     hodge_number,
     is_weakly_admissible,
     newton_number,
-    weil_trace,
 )
 
 F2 = FieldDescriptor(p=2)
@@ -205,18 +205,47 @@ def test_enumerate_rejects_repeated_or_irrational():
         enumerate_stable_subspaces(d)
 
 
-def test_enumeration_cap(monkeypatch):
-    monkeypatch.setenv("PHINLAB_MAX_N", "1")
-    with pytest.raises(InputError):
-        enumerate_stable_subspaces(steinberg())
+def diagonal(n):
+    """The admissible rank-n module with phi = diag(1, 2, ..., 2^(n-1)), N = 0
+    and jumps 0..n-1 on the standard flag: 2^n N-closed sets."""
+    return crystalline(F2, [2**i for i in range(n)], Matrix.identity(n), list(range(n)))
+
+
+def test_enumeration_cap():
+    # n * 2^n work units: 12 * 4096 is within the budget, 13 * 8192 is not
+    assert is_weakly_admissible(diagonal(12)).subspaces_checked == 4096
+    with pytest.raises(InputError) as exc:
+        is_weakly_admissible(diagonal(13))
+    assert str(exc.value) == "stable-subspace enumeration: 106496 work units exceed the budget of 100000"
 
 
 def test_enumeration_cap_raises_its_own_input_error(monkeypatch):
-    monkeypatch.setenv("PHINLAB_MAX_N", "1")
+    units = []
+
+    def gate(count, what):
+        units.append(count)
+        return check_work_units(count, what)
+
+    def no_subspace(*args):
+        raise AssertionError("a stable subspace was built past the gate")
+
+    monkeypatch.setattr(modules, "check_work_units", gate)
+    monkeypatch.setattr(modules, "Subspace", no_subspace)
     with pytest.raises(EnumerationCapExceeded) as exc:
-        enumerate_stable_subspaces(steinberg())
+        enumerate_stable_subspaces(diagonal(13))
+    assert units == [13 * 2**13]
     assert isinstance(exc.value, InputError)
     assert "EnumerationCapExceeded" in errors.__all__
+
+
+def test_enumeration_cap_counts_closed_sets_not_rank():
+    # N = one chain e_19 -> e_18 -> ... -> e_0: 21 closed sets at rank 20
+    n = 20
+    chain = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+    d = build_module(F2, n, Matrix.diagonal([2**i for i in range(n)]), chain,
+                     {"k0": (Matrix.identity(n), list(range(n)))})
+    report = is_weakly_admissible(d)
+    assert report.admissible and report.subspaces_checked == n + 1
 
 
 def test_steinberg_is_weakly_admissible():
@@ -306,14 +335,6 @@ def test_newton_number_additive_on_direct_sums():
         db = crystalline(FieldDescriptor(p=p), b, Matrix.identity(2), [0, 0])
         dsum = crystalline(FieldDescriptor(p=p), a + b, Matrix.identity(4), [0, 0, 0, 0])
         assert newton_number(dsum) == newton_number(da) + newton_number(db)
-
-
-def test_weil_trace_pinned():
-    st = steinberg()
-    assert weil_trace(st, 0) == 2
-    assert weil_trace(st, 1) == Fraction(3, 2)
-    assert weil_trace(st, -1) == 3
-    assert weil_trace(st, 2) == Fraction(5, 4)
 
 
 def random_semistable_two_label(rng):

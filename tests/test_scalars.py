@@ -19,8 +19,8 @@ from phinlab.scalars import (
 )
 
 
-def test_backend_is_one_of_the_two():
-    assert BACKEND in ("fraction", "gmpy2")
+def test_backend_is_fraction():
+    assert BACKEND == "fraction" and Rational is Fraction
 
 
 def test_rational_strings_are_lowest_terms():

@@ -279,15 +279,52 @@ def test_cli_input_errors(tmp_path, capsys):
     assert "phi" in err
 
 
-def test_cli_respects_enumeration_cap(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PHINLAB_MAX_N", "1")
+def diagonal_module(n, monodromy=None):
+    """phi = diag(1, 2, ..., 2^(n-1)) with jumps 0..n-1 on the standard flag,
+    admissible for N = 0 and for N the chain e_(n-1) -> ... -> e_0."""
+    return {
+        "field": {"p": 2, "f0": 1, "e": 1, "f": 1, "embeddings": ["k0"]},
+        "n": n,
+        "phi": [[str(2 ** i) if i == j else "0" for j in range(n)] for i in range(n)],
+        "monodromy": monodromy or [["0"] * n for _ in range(n)],
+        "filtration": {"k0": {"flag": [["1" if i == j else "0" for j in range(n)] for i in range(n)],
+                              "jumps": list(range(n))}},
+    }
+
+
+def test_cli_respects_enumeration_cap(tmp_path, capsys):
+    # N = 0 has 2^n closed sets, n * 2^n work units against a budget of 10^5
+    code, out, err = run_cli(capsys, ["check-admissible", write_json(tmp_path, diagonal_module(12))])
+    assert code == 0 and err == ""
+    assert "subspaces checked: 4096 (enumerated)" in out
+    for n, units in ((13, 106496), (40, 40 * 2**40)):
+        path = write_json(tmp_path, diagonal_module(n))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["check-admissible", path])
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == ""
+        assert err == f"error: stable-subspace enumeration: {units} work units exceed the budget of 100000\n"
+
+
+def test_cli_decides_a_long_monodromy_chain(tmp_path, capsys):
+    n = 20
+    chain = [["1" if j == i + 1 else "0" for j in range(n)] for i in range(n)]
+    path = write_json(tmp_path, diagonal_module(n, chain))
+    code, out, err = run_cli(capsys, ["check-admissible", path])
+    assert code == 0 and err == ""
+    assert "admissible: yes" in out
+    assert "subspaces checked: 21 (enumerated)" in out
+
+
+def test_cli_reads_no_environment(tmp_path):
     path = write_json(tmp_path, STEINBERG)
-    code, _, err = run_cli(capsys, ["check-admissible", path])
-    assert code == 2
-    monkeypatch.setenv("PHINLAB_MAX_N", "zero")
-    code, _, err = run_cli(capsys, ["check-admissible", path])
-    assert code == 2
-    assert "PHINLAB_MAX_N" in err
+    clean = {k: v for k, v in child_env().items() if not k.startswith("PHINLAB_")}
+    runs = [subprocess.run([sys.executable, "-m", "phinlab.cli", "check-admissible", path],
+                           capture_output=True, timeout=60, env=env)
+            for env in (clean, dict(clean, PHINLAB_MAX_N="1", PHINLAB_BACKEND="bogus"))]
+    assert runs[0].returncode == 0 and runs[0].stderr == b""
+    assert [(r.returncode, r.stdout, r.stderr) for r in runs[1:]] == [
+        (runs[0].returncode, runs[0].stdout, runs[0].stderr)]
 
 
 def test_cli_sweep_deterministic(capsys):
@@ -406,27 +443,27 @@ def test_cli_hecke_over_the_class_budget_exits_2_at_once():
     assert "155117520" in done.stderr and "budget" in done.stderr
 
 
-def test_cli_beta_reports_an_enumeration_cap_hit_as_undecided(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("PHINLAB_MAX_N", raising=False)
-    n = 9
-    module = {
-        "field": {"p": 2, "f0": 1, "e": 1, "f": 1, "embeddings": ["k0"]},
-        "n": n,
-        "phi": [[str(2 ** i) if i == j else "0" for j in range(n)] for i in range(n)],
-        "monodromy": [["0"] * n for _ in range(n)],
-        "filtration": {"k0": {"flag": [["1" if i == j else "0" for j in range(n)] for i in range(n)],
-                              "jumps": list(range(n))}},
-    }
-    path = write_json(tmp_path, module)
-    cap_text = "stable-subspace enumeration at size 9 exceeds the enumeration cap 8"
+def test_cli_beta_reports_an_enumeration_cap_hit_as_undecided(tmp_path, capsys):
+    # rank 9 is decided; its rank-13 twin is past the work budget
+    path = write_json(tmp_path, diagonal_module(9))
+    code, out, err = run_cli(capsys, ["beta", path])
+    assert code == 0 and err == ""
+    assert "undecided" not in out
+    code, out, err = run_cli(capsys, ["check-admissible", path])
+    assert code == 0 and err == ""
+    assert "subspaces checked: 512 (enumerated)" in out
+
+    n = 13
+    path = write_json(tmp_path, diagonal_module(n))
+    cap_text = "stable-subspace enumeration: 106496 work units exceed the budget of 100000"
     code, out, err = run_cli(capsys, ["beta", path])
     assert code == 0 and err == ""
     assert [line.split(":")[0] for line in out.splitlines() if line.startswith("r=")] == [
         f"r={r}" for r in range(1, n + 1)]
-    assert f"warning: admissibility undecided ({cap_text}; raise PHINLAB_MAX_N to allow it)" in out
+    assert f"warning: admissibility undecided ({cap_text}); valuations reported raw" in out
     code, out, err = run_cli(capsys, ["check-admissible", path])
     assert code == 2 and out == ""
-    assert err == f"error: {cap_text}; raise PHINLAB_MAX_N to allow it\n"
+    assert err == f"error: {cap_text}\n"
 
 
 def test_cli_beta_on_repeated_eigenvalues_is_undecided_despite_a_totals_mismatch(tmp_path, capsys):

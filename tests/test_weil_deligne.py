@@ -1,5 +1,7 @@
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,7 +31,7 @@ from phinlab.weil_deligne import (
     wd_from_module,
     wd_from_segments,
 )
-from tests_helpers import random_unimodular
+from tests_helpers import child_env, random_unimodular
 
 
 def steinberg_module(p=2):
@@ -131,6 +133,28 @@ def test_match_chains_mismatch():
         match_chains([Fraction(1), Fraction(5)], (2,), 3)
     assert exc.value.report["partition"] == [2]
     assert "5" in exc.value.report["eigenvalues"]
+
+
+def test_match_chains_rejects_lengths_that_miss_an_eigenvalue():
+    # the parts (1,) leave the eigenvalue 2 unmatched
+    with pytest.raises(InputError) as exc:
+        match_chains([1, 2], [1], 2)
+    assert str(exc.value) == "chain lengths [1] must add up to the 2 eigenvalues"
+
+
+def test_match_chains_checks_its_lengths_under_python_o():
+    code = (
+        "from phinlab.errors import InputError\n"
+        "from phinlab.weil_deligne import match_chains\n"
+        "try:\n"
+        "    print(match_chains([1, 2], [1], 2))\n"
+        "except InputError as err:\n"
+        "    print(err)\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=child_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (
+        0, "chain lengths [1] must add up to the 2 eigenvalues\n", "")
 
 
 def test_match_chains_with_multiplicity():
