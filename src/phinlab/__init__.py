@@ -52,7 +52,7 @@ from .partitions import (
     strata_thresholds,
     stratum_member,
 )
-from .scalars import PAdicValuation, QExtScalar, Rational, TwistedScalar, padic_val
+from .scalars import QExtScalar, Rational, TwistedScalar, padic_val
 from .weil_deligne import (
     Segment,
     UnramifiedCharacter,
@@ -83,7 +83,7 @@ __all__ = [
     "newton_number",
     "Partition", "PartitionFunction", "conjugate", "dominates", "paper_leq",
     "partitions_of", "strata_thresholds", "stratum_member",
-    "PAdicValuation", "QExtScalar", "Rational", "TwistedScalar", "padic_val",
+    "QExtScalar", "Rational", "TwistedScalar", "padic_val",
     "Segment", "UnramifiedCharacter", "WeilDeligneRep", "find_linked_pair",
     "is_generic", "monodromy_partition", "psi_from_segments",
     "segments_from_wd", "wd_from_module", "wd_from_segments",

@@ -19,15 +19,7 @@ from itertools import combinations, product
 from .config import check_work_units
 from .errors import InputError
 from .linalg import Matrix
-from .scalars import (
-    ONE,
-    Frozen,
-    Rational,
-    TwistedScalar,
-    ZERO,
-    is_prime,
-    rational_power,
-)
+from .scalars import ONE, ZERO, Frozen, Rational, TwistedScalar, is_prime
 from .weil_deligne import UnramifiedCharacter
 
 __all__ = [
@@ -81,6 +73,25 @@ def _as_character(psi, n):
     return psi
 
 
+def _index_set(S, h):
+    """S as a tuple, checked to hold r distinct indices in 1..n."""
+    S = tuple(S)
+    if len(S) != h.r or len(set(S)) != h.r or not all(1 <= i <= h.n for i in S):
+        raise InputError(f"S={S} must hold r={h.r} indices in 1..n={h.n}")
+    return S
+
+
+def check_weights(xi, embeddings, n):
+    """Raise InputError unless xi gives n weights to each embedding and to no other label."""
+    if set(xi) != set(embeddings):
+        raise InputError(
+            f"weight labels {sorted(xi)} do not match embeddings {sorted(embeddings)}"
+        )
+    for label in xi:
+        if len(xi[label]) != n:
+            raise InputError(f"xi[{label}] needs {n} entries, got {len(xi[label])}")
+
+
 def _split(values):
     """Numerators a_i and positive denominators b_i of ints or rationals."""
     return [v.numerator for v in values], [v.denominator for v in values]
@@ -110,14 +121,11 @@ def spherical_value(S, psi, h):
     contributes q^{(2*sum(S) - r(n+1))/2} and the character side
     contributes q^{-r(n-1)/2} times the product of the S-entries. The two
     half-powers add up to q^{sum(S) - rn}, so the value is the rational
-    q^{sum(S) - rn} * prod(psi_i for i in S). An S that is not r indices
-    in 1..n raises InputError.
+    q^{sum(S) - rn} * prod(psi_i for i in S). An S that is not r distinct
+    indices in 1..n raises InputError.
     """
     nums, dens = _split(_as_character(psi, h.n))
-    S = tuple(S)
-    if len(S) != h.r or not all(1 <= i <= h.n for i in S):
-        raise InputError(f"S={S} must hold r={h.r} indices in 1..n={h.n}")
-    return _spherical(S, nums, dens, h)
+    return _spherical(_index_set(S, h), nums, dens, h)
 
 
 def _spherical(S, nums, dens, h):
@@ -168,17 +176,9 @@ def theta_tilde(psi, h, xi, field):
         raise InputError(
             f"params have q={h.q} but the field's residue cardinality is {field.p**field.f0}"
         )
-    if set(xi) != set(field.embeddings):
-        raise InputError(
-            f"weight labels {sorted(xi)} do not match embeddings {sorted(field.embeddings)}"
-        )
-    twist = 0
-    for label in field.embeddings:
-        weights = tuple(xi[label])
-        if len(weights) != h.n:
-            raise InputError(f"xi[{label}] needs {h.n} entries, got {len(weights)}")
-        twist += sum(weights[j - 1] for j in range(h.r, h.n + 1))
-    coeff = rational_power(Rational(h.q), h.r * (h.r - 1) // 2) * theta_closed(psi, h)
+    check_weights(xi, field.embeddings, h.n)
+    twist = sum(xi[label][j] for label in field.embeddings for j in range(h.r - 1, h.n))
+    coeff = Rational(h.q) ** (h.r * (h.r - 1) // 2) * theta_closed(psi, h)
     return TwistedScalar(coeff, -twist, field.p, field.e)
 
 
@@ -188,11 +188,12 @@ def materialize_representatives(S, h):
     Upper triangular with diagonal q at the S positions and 1 elsewhere,
     and a free residue in {0..q-1} at each (i, j) with i in S, j not in S,
     i < j. Composite q has no integer residue system, so it is rejected;
-    counts for those come from the formula alone.
+    counts for those come from the formula alone. An S that is not r
+    distinct indices in 1..n raises InputError.
     """
     if not is_prime(h.q):
         raise InputError(f"explicit representatives need a prime q, got {h.q}")
-    S = tuple(S)
+    S = _index_set(S, h)
     free = [(i, j) for i in S for j in range(1, h.n + 1) if j not in S and j > i]
     check_work_units(h.q ** len(free), "coset representatives")
     out = []

@@ -11,7 +11,7 @@ alongside.
 """
 
 from .errors import EnumerationCapExceeded, InputError, NotFullyRational, RepeatedEigenvalues
-from .hecke import HeckeParams, theta_tilde
+from .hecke import HeckeParams, check_weights, theta_tilde
 from .linalg import exterior_trace, exterior_traces
 from .modules import is_weakly_admissible
 from .partitions import LabelMap
@@ -82,16 +82,6 @@ def ht_from_module(d):
     return HodgeTateWeights({label: d.jumps(label) for label in d.field.embeddings})
 
 
-def _check_xi(xi, d):
-    if set(xi) != set(d.field.embeddings):
-        raise InputError(
-            f"weight labels {sorted(xi)} do not match embeddings {sorted(d.field.embeddings)}"
-        )
-    for label in xi:
-        if len(xi[label]) != d.n:
-            raise InputError(f"xi[{label}] needs {d.n} entries, got {len(xi[label])}")
-
-
 def beta_value(d, r, xi):
     """Twisted trace of the r-th exterior power of Frobenius.
 
@@ -101,7 +91,7 @@ def beta_value(d, r, xi):
     """
     if not (1 <= r <= d.n):
         raise InputError(f"r must satisfy 1 <= r <= {d.n}, got {r}")
-    _check_xi(xi, d)
+    check_weights(xi, d.field.embeddings, d.n)
     return _twisted(d, r, xi, exterior_trace(d.phi, r))
 
 
@@ -117,7 +107,7 @@ def check_integrality(d, xi):
     are still worth seeing, and deliberately broken modules are how the
     check shows it has power.
     """
-    _check_xi(xi, d)
+    check_weights(xi, d.field.embeddings, d.n)
     try:
         verdict = is_weakly_admissible(d)
         admissible = verdict.admissible
@@ -144,7 +134,7 @@ def consistency_check(d, xi):
     failure of exact equality (which would falsify the interpolation)
     comes back as status "fail" with the offending rows visible.
     """
-    _check_xi(xi, d)
+    check_weights(xi, d.field.embeddings, d.n)
     w = wd_from_module(d)
     segs = segments_from_wd(w)
     pair = find_linked_pair(segs, w.q)
@@ -160,11 +150,10 @@ def consistency_check(d, xi):
         return report
     psi = psi_from_segments(segs, w.q)
     report["psi"] = psi
-    xi_dict = {label: xi[label] for label in xi}
     all_equal = True
     traces = exterior_traces(d.phi)
     for r in range(1, d.n + 1):
-        left = theta_tilde(psi, HeckeParams(d.n, w.q, r), xi_dict, d.field)
+        left = theta_tilde(psi, HeckeParams(d.n, w.q, r), xi, d.field)
         right = _twisted(d, r, xi, traces[r])
         equal = left == right
         all_equal = all_equal and equal

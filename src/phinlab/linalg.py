@@ -233,10 +233,9 @@ def _echelon(rows):
     return pivots
 
 
-def _pivot_rows(rows, pivots, start=0):
-    """Rows of an integer echelon form divided by their pivots, from column
-    start on, as rationals."""
-    return [_over(row[start:], row[c]) for row, c in zip(rows, pivots)]
+def _pivot_rows(rows, pivots):
+    """Rows of an integer echelon form divided by their pivots, as rationals."""
+    return [_over(row, row[c]) for row, c in zip(rows, pivots)]
 
 
 def _over_pivots(rows, pivots, start=0):

@@ -79,10 +79,6 @@ class FieldDescriptor(Frozen):
     def q(self):
         return self.p ** self.f0
 
-    def val_f(self, x):
-        """Valuation normalized so a uniformizer has valuation 1."""
-        return padic_val(x, self.p).scaled(self.e)
-
 
 class Flag(Frozen):
     """A full flag basis with one integer jump per column, jumps ascending."""
@@ -202,7 +198,7 @@ def _scaled_newton(field, val):
 
 
 def _newton(d, frobenius_det):
-    return _scaled_newton(d.field, padic_val(frobenius_det, d.field.p).value)
+    return _scaled_newton(d.field, padic_val(frobenius_det, d.field.p))
 
 
 def newton_number(d, sub=None):
@@ -318,7 +314,7 @@ def _eigen_frame(d):
     # flag k (from 0) fills columns (k + 2)n to (k + 3)n of the stack
     flags = [([_primitive_row(row[(k + 2) * n:(k + 3) * n])[::-1] for row in stack],
               entry.jumps[::-1]) for k, entry in enumerate(entries)]
-    valuations = [padic_val(value, d.field.p).value for value, _ in split.roots]
+    valuations = [padic_val(value, d.field.p) for value, _ in split.roots]
     # N maps the eigenline of a value v into that of v / p^f, of smaller
     # valuation, so in ascending valuation every index follows its image:
     # adding index i to a closed set s keeps it closed when s holds the image

@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 
-def random_unimodular(rng, n, spread=2):
+def random_unimodular(rng, n):
     """Product of a unit lower, a unit upper, and a permutation matrix."""
     lower = [[Rational(0)] * n for _ in range(n)]
     upper = [[Rational(0)] * n for _ in range(n)]
@@ -37,8 +37,8 @@ def random_unimodular(rng, n, spread=2):
         lower[i][i] = Rational(1)
         upper[i][i] = Rational(1)
         for j in range(i):
-            lower[i][j] = Rational(rng.randint(-spread, spread))
-            upper[j][i] = Rational(rng.randint(-spread, spread))
+            lower[i][j] = Rational(rng.randint(-2, 2))
+            upper[j][i] = Rational(rng.randint(-2, 2))
     perm = list(range(n))
     rng.shuffle(perm)
     p_rows = [[Rational(1) if j == perm[i] else Rational(0) for j in range(n)] for i in range(n)]
@@ -75,16 +75,16 @@ def _units_coprime(p, k, rng):
     return rng.sample(pool, k)
 
 
-def random_wa_module(rng, p=None, n=None, max_tries=200):
+def random_wa_module(rng, n=None):
     """A weakly admissible crystalline module with distinct eigenvalues.
 
     Jumps are strictly increasing and nonnegative (the effective regular
     range where integrality always holds). Random flags are rejection
-    sampled; if the budget runs out we fall back to the split-ordinary
-    shape (slope = jump on an eigenbasis), which is admissible outright,
-    conjugated to hide the eigenbasis.
+    sampled, 200 at most; if none is admissible we fall back to the
+    split-ordinary shape (slope = jump on an eigenbasis), which is
+    admissible outright, conjugated to hide the eigenbasis.
     """
-    p = p or rng.choice([2, 3, 5])
+    p = rng.choice([2, 3, 5])
     n = n or rng.randint(1, 3)
     field = FieldDescriptor(p=p)
     jumps = []
@@ -94,7 +94,7 @@ def random_wa_module(rng, p=None, n=None, max_tries=200):
         j += rng.randint(1, 2)
     total = sum(jumps)
     units = _units_coprime(p, n, rng)
-    for _ in range(max_tries):
+    for _ in range(200):
         cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
         slopes = [b - a for a, b in zip([0] + cuts, cuts + [total])]
         diag = [Rational(u) * Rational(p) ** s for u, s in zip(units, slopes)]
@@ -113,17 +113,17 @@ def random_wa_module(rng, p=None, n=None, max_tries=200):
     return build_module(field, n, phi, Matrix.zeros(n, n), {"k0": (s, list(jumps))})
 
 
-def non_admissible_witness(p=2):
-    """Rank one with slope -1 against jump 0; beta valuation lands at -1."""
+def non_admissible_witness():
+    """Rank one over p = 2 with slope -1 against jump 0; beta valuation lands at -1."""
     return build_module(
-        FieldDescriptor(p=p), 1, [[Rational(1) / p]], [[0]],
+        FieldDescriptor(p=2), 1, [[Rational(1, 2)]], [[0]],
         {"k0": (Matrix.identity(1), [0])},
     )
 
 
-def random_generic_module(rng, p=None):
+def random_generic_module(rng):
     """Semistable module whose segments sit on distinct q-lines (so generic)."""
-    p = p or rng.choice([2, 3, 5])
+    p = rng.choice([2, 3, 5])
     units = _units_coprime(p, rng.randint(1, 2), rng)
     segs = [
         Segment(Rational(u) * Rational(p) ** rng.randint(0, 1), rng.randint(1, 2))

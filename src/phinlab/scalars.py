@@ -1,6 +1,8 @@
 """Exact scalar arithmetic: rationals, p-adic valuations, and Q(sqrt(q)).
 
 Every rational is a ``fractions.Fraction``; ``Rational`` names that type.
+A p-adic valuation is a plain int, or ``math.inf`` for the valuation of 0;
+that is the package's one float, and reports print it as "inf".
 
 ``Frozen`` here is the base of every immutable value type in the package.
 """
@@ -16,8 +18,6 @@ __all__ = [
     "parse_rational",
     "rational_literal",
     "format_rational",
-    "rational_power",
-    "PAdicValuation",
     "padic_val",
     "QExtScalar",
     "TwistedScalar",
@@ -151,16 +151,6 @@ def format_rational(x):
     return str(x)
 
 
-def rational_power(base, exponent):
-    """base**exponent as an exact rational, exponent any integer."""
-    if exponent >= 0:
-        return Rational(base) ** exponent
-    b = Rational(base)
-    if b == 0:
-        raise ZeroDivisionError("0 to a negative power")
-    return (ONE / b) ** (-exponent)
-
-
 def _int_val(n, p):
     v = 0
     while n % p == 0:
@@ -169,107 +159,20 @@ def _int_val(n, p):
     return v
 
 
-class PAdicValuation(Frozen):
-    """An integer valuation extended by +infinity (the valuation of 0).
-
-    Supports ordering against other valuations and plain ints, addition,
-    and scaling by a positive integer (ramification).
-    """
-
-    __slots__ = ("_v",)
-
-    def __init__(self, value=None):
-        if value is not None and not isinstance(value, int):
-            raise TypeError("valuation must be an int or None for +infinity")
-        Frozen.__init__(self, value)
-
-    @classmethod
-    def infinity(cls):
-        return cls(None)
-
-    @property
-    def is_infinite(self):
-        return self._v is None
-
-    @property
-    def value(self):
-        if self._v is None:
-            raise ValueError("valuation is +infinity")
-        return self._v
-
-    def scaled(self, e):
-        return PAdicValuation(None if self._v is None else self._v * e)
-
-    def __add__(self, other):
-        if isinstance(other, PAdicValuation):
-            o = other._v
-        elif isinstance(other, int):
-            o = other
-        else:
-            return NotImplemented
-        if self._v is None or o is None:
-            return PAdicValuation(None)
-        return PAdicValuation(self._v + o)
-
-    __radd__ = __add__
-
-    def _key(self, other):
-        if isinstance(other, PAdicValuation):
-            return other._v
-        if isinstance(other, int):
-            return other
-        return NotImplemented
-
-    def __eq__(self, other):
-        o = self._key(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._v == o
-
-    def __lt__(self, other):
-        o = self._key(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if self._v is None:
-            return False
-        return o is None or self._v < o
-
-    def __le__(self, other):
-        o = self._key(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._v == o or self.__lt__(other)
-
-    def __gt__(self, other):
-        o = self._key(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._v != o and not self.__lt__(other)
-
-    def __ge__(self, other):
-        o = self._key(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return not self.__lt__(other)
-
-    def __hash__(self):
-        return hash(self._v)
-
-    def __repr__(self):
-        return "inf" if self._v is None else str(self._v)
-
-
 def padic_val(x, p):
-    """p-adic valuation of a rational; val(0) is +infinity.
+    """p-adic valuation of a rational: an int, or ``math.inf`` for 0.
 
-    Additive: padic_val(x*y) = padic_val(x) + padic_val(y).
+    ``math.inf`` lies above every int and stays infinite when an int is
+    added or when it is scaled by a ramification index e >= 1, so the
+    valuation of 0 needs no type of its own. Additive:
+    padic_val(x*y) = padic_val(x) + padic_val(y).
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     q = Rational(x)
     if q == 0:
-        return PAdicValuation.infinity()
-    return PAdicValuation(_int_val(abs(q.numerator), p) - _int_val(q.denominator, p))
+        return math.inf
+    return _int_val(abs(q.numerator), p) - _int_val(q.denominator, p)
 
 
 def _sqrt_if_square(n):
@@ -310,7 +213,7 @@ class QExtScalar(Frozen):
     def q_half_power(cls, q, k):
         """q**(k/2) for any integer k (negative allowed)."""
         half, odd = divmod(k, 2)
-        body = rational_power(q, half)
+        body = Rational(q) ** half
         if odd:
             return cls(0, body, q)
         return cls(body, 0, q)
@@ -393,7 +296,7 @@ class TwistedScalar(Frozen):
         coeff = Rational(coeff)
         pi_exp = int(pi_exp)
         if e == 1 and pi_exp:
-            coeff = coeff * rational_power(p, pi_exp)
+            coeff = coeff * Rational(p) ** pi_exp
             pi_exp = 0
         Frozen.__init__(self, coeff, pi_exp, int(p), int(e))
 
@@ -407,7 +310,7 @@ class TwistedScalar(Frozen):
         return self.coeff
 
     def val_f(self):
-        return padic_val(self.coeff, self.p).scaled(self.e) + self.pi_exp
+        return padic_val(self.coeff, self.p) * self.e + self.pi_exp
 
     def __eq__(self, other):
         if not isinstance(other, TwistedScalar):

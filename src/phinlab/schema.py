@@ -17,7 +17,7 @@ import math
 from .errors import SchemaError
 from .linalg import Matrix
 from .modules import FieldDescriptor, build_module
-from .scalars import PAdicValuation, format_rational, rational_literal
+from .scalars import format_rational, rational_literal
 from .weil_deligne import Segment
 
 __all__ = [
@@ -94,24 +94,25 @@ def _reject_unknown(obj, allowed, path):
         raise SchemaError(path or "<root>", f"unknown fields {extra}")
 
 
-def parse_field(obj, path="field"):
+def parse_field(obj):
+    """The module's ``field`` object; errors name paths under ``field``."""
     if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    _reject_unknown(obj, {"p", "f0", "e", "f", "embeddings", "degree_factor"}, path)
-    p = _as_int(_need(obj, "p", path), _key(path, "p"))
+        raise SchemaError("field", "expected an object")
+    _reject_unknown(obj, {"p", "f0", "e", "f", "embeddings", "degree_factor"}, "field")
+    p = _as_int(_need(obj, "p", "field"), "field.p")
     kwargs = {}
     for name in ("f0", "e", "f", "degree_factor"):
         if name in obj:
-            kwargs[name] = _as_int(obj[name], _key(path, name))
+            kwargs[name] = _as_int(obj[name], f"field.{name}")
     if "embeddings" in obj:
         emb = obj["embeddings"]
         if not isinstance(emb, list) or not all(isinstance(x, str) for x in emb):
-            raise SchemaError(_key(path, "embeddings"), "expected a list of strings")
+            raise SchemaError("field.embeddings", "expected a list of strings")
         kwargs["embeddings"] = tuple(emb)
     try:
         return FieldDescriptor(p=p, **kwargs)
     except ValueError as err:
-        raise SchemaError(path, str(err))
+        raise SchemaError("field", str(err))
 
 
 def parse_module(obj):
@@ -152,9 +153,7 @@ def matrix_json(m):
 
 
 def valuation_json(v):
-    if isinstance(v, PAdicValuation):
-        return "inf" if v.is_infinite else v.value
-    return int(v)
+    return "inf" if v == math.inf else v
 
 
 def twisted_json(t):

@@ -149,7 +149,7 @@ def test_criterion_5_two_dimensional_family_closed_form():
     for p in (2, 3, 5):
         for alpha in (Rational(1), Rational(p), Rational(1) / p, Rational(2),
                       Rational(p) ** 2):
-            v = padic_val(alpha, p).value
+            v = padic_val(alpha, p)
             for k in range(6):
                 d = build_module(
                     FieldDescriptor(p=p), 2,
@@ -174,7 +174,7 @@ def test_criterion_6_beta_integrality_on_weakly_admissible_modules():
     bad = non_admissible_witness()
     bad_report = check_integrality(bad, xi_from_ht(ht_from_module(bad)))
     assert bad_report["admissible"] is False
-    assert any(row["valuation"].value < 0 for row in bad_report["rows"])
+    assert any(row["valuation"] < 0 for row in bad_report["rows"])
     print(f"criterion 6 PASS: {count} admissible modules integral, witness negative")
 
 

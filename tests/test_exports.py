@@ -1,0 +1,19 @@
+"""Every name a module exports through ``__all__`` exists."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import phinlab
+
+MODULES = ["phinlab"] + sorted(
+    f"phinlab.{info.name}" for info in pkgutil.iter_modules(phinlab.__path__)
+)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []

@@ -19,7 +19,9 @@ from phinlab.hecke import (
     theta_tilde,
 )
 from phinlab.errors import EnumerationCapExceeded, InputError
-from phinlab.modules import FieldDescriptor
+from phinlab.interpolation import beta_value
+from phinlab.linalg import Matrix
+from phinlab.modules import FieldDescriptor, build_module
 from phinlab.scalars import Rational, padic_val
 from phinlab.weil_deligne import UnramifiedCharacter
 from tests_helpers import child_env
@@ -252,9 +254,36 @@ def test_class_count_over_the_work_budget_is_refused_up_front():
     ((3,), "S=(3,) must hold r=1 indices in 1..n=2"),
 ])
 def test_spherical_value_rejects_a_bad_index_set(S, text):
-    with pytest.raises(InputError) as exc:
-        spherical_value(S, UnramifiedCharacter((3, 5)), HeckeParams(2, 2, 1))
-    assert str(exc.value) == text
+    h = HeckeParams(2, 2, 1)
+    for route in (lambda: spherical_value(S, UnramifiedCharacter((3, 5)), h),
+                  lambda: materialize_representatives(S, h)):
+        with pytest.raises(InputError) as exc:
+            route()
+        assert str(exc.value) == text
+
+
+def test_hecke_classes_reject_a_repeated_index():
+    h = HeckeParams(2, 2, 2)
+    for route in (lambda: spherical_value((1, 1), UnramifiedCharacter((3, 5)), h),
+                  lambda: materialize_representatives((1, 1), h)):
+        with pytest.raises(InputError) as exc:
+            route()
+        assert str(exc.value) == "S=(1, 1) must hold r=2 indices in 1..n=2"
+
+
+@pytest.mark.parametrize("xi, text", [
+    ({"k0": (0, 1), "k1": (0, 1)}, "weight labels ['k0', 'k1'] do not match embeddings ['k0']"),
+    ({"k0": (0, 1, 2)}, "xi[k0] needs 2 entries, got 3"),
+])
+def test_theta_tilde_and_beta_value_check_the_weights_alike(xi, text):
+    d = build_module(FieldDescriptor(p=2), 2, Matrix.diagonal([1, 2]), Matrix.zeros(2, 2),
+                     {"k0": (Matrix.identity(2), [0, 1])})
+    for route in (lambda: theta_tilde(UnramifiedCharacter((2, 1)), HeckeParams(2, 2, 1), xi,
+                                      d.field),
+                  lambda: beta_value(d, 1, xi)):
+        with pytest.raises(InputError) as exc:
+            route()
+        assert str(exc.value) == text
 
 
 def test_spherical_value_checks_its_index_set_under_python_o():

@@ -365,7 +365,7 @@ def random_semistable_two_label(rng):
     monodromy = s @ Matrix(nil) @ si
     field = FieldDescriptor(p=p, embeddings=("k0", "k1"))
     jumps = {label: [rng.randint(-1, 3) for _ in range(n)] for label in field.embeddings}
-    t_n = sum(padic_val(x, p).value for x in diag)
+    t_n = sum(padic_val(x, p) for x in diag)
     if rng.random() < 0.85:
         jumps["k1"][-1] += t_n - sum(jumps["k0"]) - sum(jumps["k1"])
     flags = {label: (random_unimodular(rng, n), jumps[label]) for label in field.embeddings}
@@ -449,7 +449,7 @@ def random_oracle_module(rng):
     labels = ("k0", "k1", "k2")[:rng.randint(1, 3)]
     field = FieldDescriptor(p=p, e=e, f=f, embeddings=labels)
     jumps = {label: [rng.randint(-1, 2) for _ in range(n)] for label in labels}
-    t_n = Fraction(e * sum(padic_val(x, p).value for x in diag), f)
+    t_n = Fraction(e * sum(padic_val(x, p) for x in diag), f)
     if t_n.denominator == 1 and rng.random() < 0.85:
         jumps[labels[-1]][-1] += int(t_n) - sum(sum(j) for j in jumps.values())
     flags = {}
@@ -575,7 +575,7 @@ def fraction_eigen_frame(d):
                     if all(not image[i] & ~mask for i in range(n) if mask >> i & 1))
     flags = [[row[::-1] for row in (to_eigen @ d.filtration[label].basis).rows]
              for label in d.field.embeddings]
-    return [padic_val(v, d.field.p).value for v in values], eigvecs, closed, flags
+    return [padic_val(v, d.field.p) for v in values], eigvecs, closed, flags
 
 
 def test_integer_eigen_frame_matches_the_fraction_route():

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import time
@@ -7,7 +8,8 @@ import pytest
 
 from phinlab.cli import main
 from phinlab.errors import SchemaError
-from phinlab.scalars import PAdicValuation, TwistedScalar
+from phinlab.interpolation import CONVENTIONS
+from phinlab.scalars import TwistedScalar
 from phinlab.schema import (
     load_json,
     matrix_json,
@@ -83,8 +85,8 @@ def test_load_json_reports_position():
 
 
 def test_serializers():
-    assert valuation_json(PAdicValuation.infinity()) == "inf"
-    assert valuation_json(PAdicValuation(-2)) == -2
+    assert valuation_json(math.inf) == "inf"
+    assert valuation_json(-2) == -2
     assert twisted_json(TwistedScalar(3, -1, 2, 1)) == "3/2"
     assert twisted_json(TwistedScalar(3, -1, 2, 2)) == {"coeff": "3", "pi_exp": -1}
     d = parse_module(STEINBERG)
@@ -204,6 +206,62 @@ def test_cli_consistency_not_generic(tmp_path, capsys):
     assert report["status"] == "not_generic"
     assert report["linked_pair"] == [0, 1]
     assert report["rows"] == []
+
+
+ZERO_BETA = {
+    "field": {"p": 3}, "n": 2,
+    "phi": [["1", "0"], ["0", "-1"]],
+    "monodromy": [[0, 0], [0, 0]],
+    "filtration": {"k0": {"flag": [[1, 0], [0, 1]], "jumps": [0, 1]}},
+}
+
+
+def test_cli_prints_an_infinite_valuation_as_inf(tmp_path, capsys):
+    # Tr(phi) = 0, so the r = 1 beta value is 0 and its valuation is infinite
+    path = write_json(tmp_path, ZERO_BETA)
+    code, out, err = run_cli(capsys, ["beta", path])
+    assert (code, err) == (0, "")
+    assert out == (
+        "xi: {'k0': [0, 0]}\n"
+        "r=1: beta = 0 (val inf, integral)\n"
+        "r=2: beta = -1 (val 0, integral)\n"
+        "warning: module is not weakly admissible; valuations reported raw\n"
+        "all integral: yes\n"
+    )
+    code, out, err = run_cli(capsys, ["beta", path, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out == json.dumps({
+        "admissible": False,
+        "passed": True,
+        "rows": [
+            {"integral": True, "r": 1, "valuation": "inf", "value": "0"},
+            {"integral": True, "r": 2, "valuation": 0, "value": "-1"},
+        ],
+        "warning": "module is not weakly admissible; valuations reported raw",
+        "xi": {"k0": [0, 0]},
+    }, indent=2, sort_keys=True) + "\n"
+
+    code, out, err = run_cli(capsys, ["consistency", path])
+    assert (code, err) == (0, "")
+    assert out == (
+        "status: pass\n"
+        "r=1: hecke = 0, galois = 0, equal: yes (val inf)\n"
+        "r=2: hecke = -1, galois = -1, equal: yes (val 0)\n"
+    )
+    code, out, err = run_cli(capsys, ["consistency", path, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out == json.dumps({
+        "conventions": CONVENTIONS,
+        "linked_pair": None,
+        "psi": ["-1", "1"],
+        "q": 3,
+        "rows": [
+            {"equal": True, "galois": "0", "hecke": "0", "r": 1, "valuation": "inf"},
+            {"equal": True, "galois": "-1", "hecke": "-1", "r": 2, "valuation": 0},
+        ],
+        "segments": [{"chi": "-1", "len": 1}, {"chi": "1", "len": 1}],
+        "status": "pass",
+    }, indent=2, sort_keys=True) + "\n"
 
 
 def test_cli_strata(tmp_path, capsys):

@@ -18,7 +18,7 @@ from phinlab.modules import (
     build_module,
 )
 from phinlab.partitions import Partition, PartitionFunction
-from phinlab.scalars import Frozen, PAdicValuation, QExtScalar, Rational, TwistedScalar
+from phinlab.scalars import Frozen, QExtScalar, Rational, TwistedScalar
 from phinlab.weil_deligne import Segment, UnramifiedCharacter, WeilDeligneRep
 from tests_helpers import child_env
 
@@ -64,7 +64,6 @@ CASES = {
                 "Witness(subspace=Subspace(dim=1 of Q^2), t_h=1, t_n=0)"),
     "WeilDeligneRep": (lambda: WeilDeligneRep(Matrix.diagonal([1, 2]), jordan_nilpotent([2]), 2), "q",
                        "WeilDeligneRep(n=2, q=2)"),
-    "PAdicValuation": (lambda: PAdicValuation(3), "_v", "3"),
 }
 
 
