@@ -6,7 +6,10 @@ from .errors import EnumerationCapExceeded
 DEFAULT_MAX_N = 8
 
 # Largest number of work units (one coset class, say) a single call may
-# enumerate. A Hecke class costs about 30 us, so the budget is a few seconds.
+# enumerate. theta_enumerated costs about 5 us a Hecke class at n=12 (the
+# 924 classes of r=6, q=5 in about 5 ms) and about 10 us at n=20 (the
+# 77,520 classes of r=7, q=5 in 0.73 s), on a 2-core VM with Python 3.11.7,
+# so a full budget of classes takes about a second.
 WORK_BUDGET = 10**5
 
 

@@ -7,15 +7,15 @@ once when it is built; products, ``det``, ``char_poly`` and ``rank`` read
 that form, run on Python integers, and divide back once on exit, so no
 gcd is paid per arithmetic step. A product is built from its integer rows
 over the product of the two denominators; ``det`` is Bareiss
-fraction-free elimination; ``char_poly`` is Faddeev-LeVerrier with exact
-integer division; ``rational_eigenvalues`` confirms and deflates its roots
-in Z[x]; row reduction is Gauss-Jordan on integer rows. A ``Subspace`` is
-held as its reduced echelon basis with each row scaled to a primitive
-integer row with a positive pivot, which is unique, so equality and
-hashing are structural; intersection, membership, stability and
-restriction run on those rows. Rationals are built only on access:
-``Matrix.rows``, ``Matrix.column``, ``Subspace.basis`` and the values the
-functions return.
+fraction-free elimination; ``char_poly`` is Newton's identities on the
+power sums tr(A^k) with exact integer division; ``rational_eigenvalues``
+confirms and deflates its roots in Z[x]; row reduction is Gauss-Jordan on
+integer rows. A ``Subspace`` is held as its reduced echelon basis with
+each row scaled to a primitive integer row with a positive pivot, which
+is unique, so equality and hashing are structural; intersection,
+membership, stability and restriction run on those rows. Rationals are
+built only on access: ``Matrix.rows``, ``Matrix.column``,
+``Subspace.basis`` and the values the functions return.
 """
 
 import math
@@ -313,23 +313,29 @@ def _int_char_poly(m):
     """[c_0, ..., c_n] with c_k the coefficient of x^(n-k) in det(x*I - A)
     for the cleared matrix A = d*M, and d.
 
-    Faddeev-LeVerrier recursion: with B_1 = A and B_k = A (B_(k-1) +
-    c_(k-1) I), c_k = -tr(B_k) / k is an integer, so the division by k is
-    exact. The coefficient of x^(n-k) for M is c_k / d^k.
+    Newton's identities on the power sums p_k = tr(A^k): k c_k =
+    -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1), and c_k is an integer, so
+    the division by k is exact. Only A^2 .. A^h, h = ceil(n/2), are
+    formed; for k > h, tr(A^k) = sum of A^h[i][j] A^(k-h)[j][i]. The
+    coefficient of x^(n-k) for M is c_k / d^k.
     """
     if not m.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
     a = m.ints
     n = len(a)
+    h = (n + 1) // 2
+    powers = [None, a]
+    for _ in range(h - 1):
+        powers.append(_int_matmul(powers[-1], a))
+    top = powers[h]
+    sums = [None] + [sum(b[i][i] for i in range(n)) for b in powers[1:]]
+    for k in range(h + 1, n + 1):
+        # tr(A^h A^(k-h)): row i of A^h against column i of A^(k-h)
+        low = powers[k - h]
+        sums.append(sum(x * low[j][i] for i, row in enumerate(top) for j, x in enumerate(row)))
     out = [1]
-    b = a
     for k in range(1, n + 1):
-        if k > 1:
-            shifted = [list(row) for row in b]
-            for i in range(n):
-                shifted[i][i] += out[-1]
-            b = _int_matmul(a, shifted)
-        out.append(-sum(b[i][i] for i in range(n)) // k)
+        out.append(-sum(out[k - i] * sums[i] for i in range(1, k + 1)) // k)
     return out, m.den
 
 
@@ -552,7 +558,9 @@ def jordan_partition(n_mat):
     """Jordan block sizes of a nilpotent matrix, largest first.
 
     Computed as the conjugate of the kernel-growth partition
-    (dim ker N^i - dim ker N^(i-1)).
+    (dim ker N^i - dim ker N^(i-1)). The powers stop at the first one
+    whose kernel is the whole space, or whose kernel stops growing, which
+    means N is not nilpotent.
     """
     from .partitions import Partition, conjugate
 
@@ -562,18 +570,16 @@ def jordan_partition(n_mat):
     growth = []
     prev = 0
     power = n_mat.ints
-    for k in range(size):
-        if k:
-            power = _int_matmul(power, n_mat.ints)
+    while True:
         # the scale of N does not change the kernel of its powers
         cur = size - len(_echelon(list(power)))
         if cur == prev:
-            break
+            raise NonNilpotentMonodromy(size)
         growth.append(cur - prev)
+        if cur == size:
+            return conjugate(Partition(growth))
         prev = cur
-    if prev != size:
-        raise NonNilpotentMonodromy(size)
-    return conjugate(Partition(growth))
+        power = _int_matmul(power, n_mat.ints)
 
 
 class Subspace(Frozen):

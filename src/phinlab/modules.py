@@ -123,29 +123,39 @@ def check_phi_n(phi, monodromy, scale):
     """Reject a singular phi, a non-nilpotent N, or N*phi != scale*phi*N.
 
     Both checks run on the cleared integer matrices A = a*N and F = b*phi:
-    N is nilpotent when A^(2^k) = 0 for the first 2^k >= n, and with
-    scale = s/t the relation holds when t*(A F) = s*(F A).
+    with scale = s/t the relation holds when t*(A F) = s*(F A), and N is
+    nilpotent when A^(2^k) = 0 for the first 2^k >= n. For an invertible
+    phi and |scale| != 1 the relation implies nilpotency: N is similar to
+    scale*N, so its eigenvalues are closed under multiplication by scale
+    and can only be 0. So N = 0 needs neither check, and the squarings run
+    only when |scale| = 1 or the relation fails; in the second case they
+    decide whether the error is the nilpotency or the first failing entry.
     """
     n = phi.nrows
     if det(phi) == 0:
         raise SingularFrobenius("phi is singular")
+    if monodromy.is_zero:
+        return
     a, da = monodromy.ints, monodromy.den
+    f, df = phi.ints, phi.den
+    scale = Rational(scale)
+    s, t = scale.numerator, scale.denominator
+    lhs = _int_matmul(a, f)
+    rhs = _int_matmul(f, a)
+    bad = next(((i, j) for i in range(n) for j in range(n)
+                if t * lhs[i][j] != s * rhs[i][j]), None)
+    if bad is None and abs(s) != t:
+        return
     power, reach = a, 1
     while reach < n:
         power = _int_matmul(power, power)
         reach *= 2
     if any(map(any, power)):
         raise NonNilpotentMonodromy(n)
-    f, df = phi.ints, phi.den
-    scale = Rational(scale)
-    s, t = scale.numerator, scale.denominator
-    lhs = _int_matmul(a, f)
-    rhs = _int_matmul(f, a)
-    for i in range(n):
-        for j in range(n):
-            if t * lhs[i][j] != s * rhs[i][j]:
-                raise RelationViolation((i, j), Rational(lhs[i][j], da * df),
-                                        scale * Rational(rhs[i][j], da * df), scale)
+    if bad is not None:
+        i, j = bad
+        raise RelationViolation(bad, Rational(lhs[i][j], da * df),
+                                scale * Rational(rhs[i][j], da * df), scale)
 
 
 def build_module(field, n, phi, monodromy, filtration):

@@ -18,7 +18,6 @@ from .errors import SchemaError
 from .linalg import Matrix
 from .modules import FieldDescriptor, build_module
 from .scalars import format_rational, rational_literal
-from .weil_deligne import Segment
 
 __all__ = [
     "load_json",

@@ -19,6 +19,7 @@ from phinlab.linalg import (
     rational_eigenvalues,
 )
 from phinlab.partitions import Partition
+from tests_helpers import random_unimodular
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +668,54 @@ def test_inverse_matches_the_reference_on_square_systems():
             assert all_rational(inv.rows)
             assert fraction_rows(inv.rows) == [row[n:] for row in reduced]
     assert seen == {"singular", "invertible"}
+
+
+def faddeev_leverrier(m):
+    """det(x*I - M), coefficients ascending, by Faddeev-LeVerrier on the
+    cleared matrix A = d*M: B_1 = A, B_k = A (B_(k-1) + c_(k-1) I),
+    c_k = -tr(B_k) / k exactly, and c_k / d^k is the coefficient of
+    x^(n-k) for M. n - 1 integer products."""
+    a, d = m.ints, m.den
+    n = len(a)
+    out, b = [1], a
+    for k in range(1, n + 1):
+        if k > 1:
+            shifted = [[x + (out[-1] if i == j else 0) for j, x in enumerate(row)]
+                       for i, row in enumerate(b)]
+            b = [[sum(x * y for x, y in zip(row, col)) for col in zip(*shifted)] for row in a]
+        out.append(-sum(b[i][i] for i in range(n)) // k)
+    return [Fraction(out[n - i], d ** (n - i)) for i in range(n + 1)]
+
+
+def test_char_poly_matches_faddeev_leverrier():
+    rng = random.Random(59)
+    kinds = ("zero", "nilpotent", "singular", "diagonal", "non-integer", "integer")
+    for n in range(1, 10):
+        for kind in kinds:
+            for _ in range(3):
+                if kind == "zero":
+                    m = Matrix.zeros(n, n)
+                elif kind == "nilpotent":
+                    sizes = []
+                    while sum(sizes) < n:
+                        sizes.append(rng.randint(1, n - sum(sizes)))
+                    p = random_unimodular(rng, n)
+                    m = p @ jordan_nilpotent(sizes) @ p.inverse() * Fraction(rng.randint(1, 9), 7)
+                elif kind == "singular":
+                    m = Matrix(random_rows(rng, n, n, 3, rank_cap=rng.randint(0, n - 1)))
+                elif kind == "diagonal":
+                    m = Matrix.diagonal([random_entry(rng, 2) for _ in range(n)])
+                elif kind == "non-integer":
+                    m = Matrix(random_rows(rng, n, n, rng.choice((1, 20))))
+                else:
+                    m = Matrix([[rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)] for _ in range(n)])
+                coeffs = char_poly(m)
+                assert all_rational([coeffs])
+                assert [as_fraction(c) for c in coeffs] == faddeev_leverrier(m)
+                if kind in ("zero", "nilpotent"):
+                    assert list(coeffs) == [0] * n + [1]
+                if kind == "singular":
+                    assert coeffs[0] == 0
 
 
 def subspace_pair(rng, n, kind):

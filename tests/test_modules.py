@@ -25,6 +25,7 @@ from phinlab.modules import (
     is_weakly_admissible,
     newton_number,
 )
+from tests_helpers import random_unimodular
 
 F2 = FieldDescriptor(p=2)
 
@@ -678,6 +679,104 @@ def test_check_phi_n_reports_a_singular_phi_first():
     assert str(exc.value) == "phi is singular"
     with pytest.raises(SingularFrobenius):
         check_phi_n(singular, Matrix([[0, 1], [0, 0]]), 2)
+
+
+def test_check_phi_n_names_the_first_error_at_scale_two():
+    from phinlab.linalg import jordan_nilpotent
+    from phinlab.modules import check_phi_n
+
+    # N breaks N*phi = 2*phi*N and is not nilpotent: the nilpotency error wins
+    with pytest.raises(NonNilpotentMonodromy) as exc:
+        check_phi_n(Matrix.identity(2), Matrix([[0, 1], [1, 0]]), 2)
+    assert str(exc.value) == "monodromy is not nilpotent: N^2 != 0"
+    with pytest.raises(NonNilpotentMonodromy) as exc:
+        check_phi_n(Matrix.identity(3), Matrix([[0, 1, 0], [0, 0, 0], [0, 0, Fraction(1, 3)]]), 4)
+    assert str(exc.value) == "monodromy is not nilpotent: N^3 != 0"
+    # a nilpotent N that breaks it: the first failing entry, row by row
+    with pytest.raises(RelationViolation) as exc:
+        check_phi_n(Matrix.diagonal([1, 2, 4, 8]), jordan_nilpotent([4]), 3)
+    assert str(exc.value) == (
+        "monodromy relation fails at entry (0,1): (N*Phi)[0][1] = 2 but 3*(Phi*N)[0][1] = 3")
+    monodromy = Matrix([[0, Fraction(1, 2), 5, 0], [0, 0, 3, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    with pytest.raises(RelationViolation) as exc:
+        check_phi_n(Matrix.diagonal([1, 2, Fraction(4, 3), 8]), monodromy, 2)
+    assert str(exc.value) == (
+        "monodromy relation fails at entry (0,2): (N*Phi)[0][2] = 20/3 but 2*(Phi*N)[0][2] = 10")
+    # N = 0 skips both checks, but not the one on phi
+    with pytest.raises(SingularFrobenius) as exc:
+        check_phi_n(Matrix([[1, 2], [2, 4]]), Matrix.zeros(2, 2), 2)
+    assert str(exc.value) == "phi is singular"
+
+
+def check_phi_n_reference(phi, monodromy, scale):
+    """The order of checks the shortcuts in check_phi_n must keep: phi's
+    determinant, then N^n = 0 by repeated products, then the relation
+    entry by entry, all over the rationals."""
+    from phinlab.linalg import det, matrix_power
+
+    n = phi.nrows
+    if det(phi) == 0:
+        raise SingularFrobenius("phi is singular")
+    if not matrix_power(monodromy, n).is_zero:
+        raise NonNilpotentMonodromy(n)
+    scale = Fraction(scale)
+    lhs, rhs = (monodromy @ phi).rows, (phi @ monodromy).rows
+    for i in range(n):
+        for j in range(n):
+            if lhs[i][j] != scale * rhs[i][j]:
+                raise RelationViolation((i, j), lhs[i][j], scale * rhs[i][j], scale)
+
+
+def test_check_phi_n_matches_the_reference_order_of_errors():
+    from phinlab.linalg import jordan_nilpotent
+    from phinlab.modules import check_phi_n
+
+    def outcome(check, *args):
+        try:
+            check(*args)
+        except InputError as exc:
+            return type(exc), str(exc)
+        return None
+
+    rng = random.Random(83)
+    seen = set()
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        scale = rng.choice((1, -1, 2, 3, Fraction(1, 2), Fraction(4, 9)))
+        # phi = P D P^-1 and N = P J P^-1 with J a sum of Jordan blocks and
+        # D = lambda * scale^k on the k-th vector of a block obey the relation
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(rng.randint(1, n - sum(sizes)))
+        diag = []
+        for size in sizes:
+            lam = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 1, 3)))
+            diag += [lam * Fraction(scale) ** k for k in range(size)]
+        base = Matrix.diagonal(diag)
+        if rng.random() < 0.1:
+            base = Matrix([[1] * n] * n)
+        chain = jordan_nilpotent(sizes)
+        kind = rng.choice(("chain", "perturbed", "upper", "zero", "scalar", "random"))
+        if kind == "zero":
+            chain = Matrix.zeros(n, n)
+        elif kind == "scalar":
+            chain = Matrix.diagonal([rng.choice((1, 2, Fraction(-1, 3)))] * n)
+        elif kind == "upper":
+            chain = Matrix([[rng.randint(-2, 2) if j > i else 0 for j in range(n)]
+                            for i in range(n)])
+        elif kind != "chain":
+            rows = [list(row) for row in chain.rows]
+            for _ in range(1 if kind == "perturbed" else n * n):
+                rows[rng.randrange(n)][rng.randrange(n)] = rng.randint(-2, 2)
+            chain = Matrix(rows)
+        p = random_unimodular(rng, n)
+        phi, monodromy = p @ base @ p.inverse(), p @ chain @ p.inverse()
+        want = outcome(check_phi_n_reference, phi, monodromy, scale)
+        assert outcome(check_phi_n, phi, monodromy, scale) == want
+        seen.add((abs(scale) == 1, want and want[0]))
+    # every error under both kinds of scale, and a pass under both
+    assert seen == {(u, e) for u in (True, False)
+                    for e in (None, SingularFrobenius, NonNilpotentMonodromy, RelationViolation)}
 
 
 def test_enumerate_stable_subspaces_of_one_dimension():
