@@ -71,9 +71,10 @@ def _cmd_check_admissible(args):
     ]
     if rep.witness is not None:
         w = rep.witness
+        relation = ">" if w.t_h > w.t_n else "<"
         lines.append(
             f"witness: dim {w.subspace.dim} subspace with "
-            f"t_H = {format_rational(w.t_h)} > t_N = {format_rational(w.t_n)}"
+            f"t_H = {format_rational(w.t_h)} {relation} t_N = {format_rational(w.t_n)}"
         )
     return (0 if rep.admissible else 1), report, lines
 

@@ -3,8 +3,10 @@
 theta_closed evaluates the scalar q^{r(1-r)/2} * e_r(psi) directly, while
 theta_enumerated rebuilds it from the coset decomposition: one class per
 r-subset S of {1..n}, each contributing |Lambda_S| copies of the spherical
-value f(beta_S). The half-powers of q inside f add up to the whole power
-q^{sum(S) - rn}, so every class value and the total are exact rationals.
+value f(beta_S); coset_classes(h) lists the classes and their sizes, and
+theta_enumerated prices each class in the loop that sums it. The
+half-powers of q inside f add up to the whole power q^{sum(S) - rn}, so
+every class value and the total are exact rationals.
 The class count C(n, r) goes through the work budget in config before any
 class is built. Keeping both routes alive is the point, so neither is
 defined in terms of the other. Both run on the integer numerators a_i and
@@ -49,17 +51,9 @@ class HeckeParams(Frozen):
 
 
 class CosetClass(Frozen):
-    """An r-subset S with the size of its block Lambda_S.
+    """An r-subset S with the size of its block Lambda_S."""
 
-    foval is the common spherical value on the block, a rational; it needs
-    a character to evaluate, so it is None when the classes are listed
-    without one.
-    """
-
-    __slots__ = ("S", "count", "foval")
-
-    def __init__(self, S, count, foval=None):
-        Frozen.__init__(self, S, count, foval)
+    __slots__ = ("S", "count")
 
 
 def _as_character(psi, n):
@@ -97,21 +91,15 @@ def _split(values):
     return [v.numerator for v in values], [v.denominator for v in values]
 
 
-def coset_classes(h, psi=None):
+def coset_classes(h):
     """One class per r-subset of {1..n}, in lexicographic order.
 
     count = q^{r(n-r) + r(r+1)/2 - sum(S)}; the exponent is never negative
     (it hits 0 exactly at the top subset {n-r+1..n}).
     """
     check_work_units(math.comb(h.n, h.r), "coset classes")
-    if psi is not None:
-        nums, dens = _split(_as_character(psi, h.n))
-    out = []
-    for S in combinations(range(1, h.n + 1), h.r):
-        exp = h.r * (h.n - h.r) + h.r * (h.r + 1) // 2 - sum(S)
-        foval = None if psi is None else _spherical(S, nums, dens, h)
-        out.append(CosetClass(S, h.q**exp, foval))
-    return out
+    top = h.r * (h.n - h.r) + h.r * (h.r + 1) // 2
+    return [CosetClass(S, h.q ** (top - sum(S))) for S in combinations(range(1, h.n + 1), h.r)]
 
 
 def spherical_value(S, psi, h):
@@ -157,11 +145,12 @@ def theta_closed(psi, h):
 def theta_enumerated(psi, h):
     """Sum count * f(beta_S) over all classes, as one integer over a
     denominator that every class value's denominator divides."""
-    psi = _as_character(psi, h.n)
-    den = h.q ** (h.r * h.n - h.r * (h.r + 1) // 2) * math.prod(v.denominator for v in psi)
+    nums, dens = _split(_as_character(psi, h.n))
+    den = h.q ** (h.r * h.n - h.r * (h.r + 1) // 2) * math.prod(dens)
     total = 0
-    for c in coset_classes(h, psi):
-        total += c.count * c.foval.numerator * (den // c.foval.denominator)
+    for c in coset_classes(h):
+        value = _spherical(c.S, nums, dens, h)
+        total += c.count * value.numerator * (den // value.denominator)
     return Rational(total, den)
 
 

@@ -22,7 +22,7 @@ import math
 import operator
 
 from .errors import NonNilpotentMonodromy
-from .scalars import Frozen, Rational, ZERO, ONE, is_prime
+from .scalars import Frozen, Rational, ZERO, ONE, _rebuild, is_prime
 
 __all__ = [
     "Matrix",
@@ -71,9 +71,7 @@ class Matrix(Frozen):
         if g > 1:
             ints = [tuple(x // g for x in row) for row in ints]
             den //= g
-        m = object.__new__(cls)
-        Frozen.__init__(m, tuple(ints), den)
-        return m
+        return _rebuild(cls, (tuple(ints), den))
 
     @classmethod
     def identity(cls, n):
@@ -664,10 +662,8 @@ class Subspace(Frozen):
         stack = [u + u for u in self.ints] + [v + (0,) * n for v in other.ints]
         pivots = _echelon(stack)
         k = sum(1 for c in pivots if c < n)
-        cap = object.__new__(Subspace)
-        Frozen.__init__(cap, n, tuple(tuple(row[n:]) for row in stack[k:len(pivots)]),
-                        tuple(c - n for c in pivots[k:]))
-        return cap
+        return _rebuild(Subspace, (n, tuple(tuple(row[n:]) for row in stack[k:len(pivots)]),
+                                   tuple(c - n for c in pivots[k:])))
 
     def _images(self, m):
         """F r for each stored row r, where m = F / m.den maps Q^n to itself."""

@@ -21,6 +21,7 @@ import math
 from .config import check_work_units
 from .errors import (
     BadFlag,
+    EnumerationCapExceeded,
     InputError,
     NonNilpotentMonodromy,
     NotFullyRational,
@@ -384,11 +385,21 @@ def is_weakly_admissible(d, candidates=None):
     ``candidates`` the check runs in certificate mode: the verdict is
     relative to the supplied stable subspaces (each is validated for
     stability), plus the always-checked equality on the full space.
+    Unequal totals decide "not admissible", with the full space as witness,
+    also when the spectrum is not split multiplicity-free or its closed
+    sets exceed the work budget; with equal totals those errors propagate.
     """
     t_h = hodge_number(d)
     t_n = newton_number(d)
     if candidates is None:
-        mode, frame = "enumerated", _eigen_frame(d)
+        mode = "enumerated"
+        try:
+            frame = _eigen_frame(d)
+        except (RepeatedEigenvalues, NotFullyRational, EnumerationCapExceeded):
+            if t_h == t_n:
+                raise
+            # unequal totals fail on the full space, whatever the spectrum
+            return AdmissibilityReport(False, t_h, t_n, Witness(Subspace.full(d.n), t_h, t_n), 1, mode)
         checked = len(frame[-1])
     else:
         mode, subs = "certificate", list(candidates)

@@ -7,8 +7,6 @@ label, so the single-block partition is the smallest element and
 (1, ..., 1) the largest.
 """
 
-import enum
-
 from .linalg import jordan_partition
 from .scalars import Frozen
 
@@ -16,12 +14,10 @@ __all__ = [
     "Partition",
     "LabelMap",
     "PartitionFunction",
-    "Dominance",
     "conjugate",
     "partitions_of",
     "partition_count",
     "dominates",
-    "compare",
     "paper_leq",
     "strata_thresholds",
     "reaches_thresholds",
@@ -98,26 +94,6 @@ def dominates(a, b):
         raise ValueError(f"totals differ: {a.total} vs {b.total}")
     length = max(len(a), len(b))
     return all(x >= y for x, y in zip(_partial_sums(a.parts, length), _partial_sums(b.parts, length)))
-
-
-class Dominance(enum.Enum):
-    EQUAL = "equal"
-    GREATER = "greater"
-    LESS = "less"
-    INCOMPARABLE = "incomparable"
-
-
-def compare(a, b):
-    """Three-valued dominance comparison exposing incomparability."""
-    forward = dominates(a, b)
-    backward = dominates(b, a)
-    if forward and backward:
-        return Dominance.EQUAL
-    if forward:
-        return Dominance.GREATER
-    if backward:
-        return Dominance.LESS
-    return Dominance.INCOMPARABLE
 
 
 class LabelMap(Frozen):

@@ -152,6 +152,7 @@ def format_rational(x):
 
 
 def _int_val(n, p):
+    """How many times p (any int >= 2) divides the nonzero int n."""
     v = 0
     while n % p == 0:
         n //= p

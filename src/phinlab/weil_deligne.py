@@ -15,7 +15,7 @@ from .errors import ChainMismatch, InputError, NotFullyRational
 from .linalg import Matrix, jordan_partition, rational_eigenvalues
 from .modules import check_phi_n
 from .partitions import PartitionFunction
-from .scalars import Frozen, Rational, is_prime, padic_val
+from .scalars import Frozen, Rational, _int_val, _rebuild, is_prime, padic_val
 
 __all__ = [
     "Segment",
@@ -91,9 +91,7 @@ def wd_from_module(d):
     q = field.p ** field.f0
     if field.f != field.f0:
         check_phi_n(d.phi, d.monodromy, q)
-    w = object.__new__(WeilDeligneRep)
-    Frozen.__init__(w, d.phi, d.monodromy, q, field.p, field.f0, field.embeddings)
-    return w
+    return _rebuild(WeilDeligneRep, (d.phi, d.monodromy, q, field.p, field.f0, field.embeddings))
 
 
 def monodromy_partition(w):
@@ -214,22 +212,13 @@ def segments_from_wd(w):
 def _q_power_offset(a, b, q):
     """Integer m with b == a * q**m, or None when b is off a's q-line."""
     ratio = b / a
-    if ratio == 1:
-        return 0
-    num, den = ratio.numerator, ratio.denominator
-    if den == 1:
-        m = 0
-        while num % q == 0:
-            num //= q
-            m += 1
-        return m if num == 1 else None
-    if num == 1:
-        m = 0
-        while den % q == 0:
-            den //= q
-            m += 1
-        return -m if den == 1 else None
-    return None
+    if ratio.denominator == 1:
+        m = _int_val(ratio.numerator, q)
+    elif ratio.numerator == 1:
+        m = -_int_val(ratio.denominator, q)
+    else:
+        return None
+    return m if ratio == Rational(q) ** m else None
 
 
 def _linked(s, t, q):

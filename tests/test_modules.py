@@ -611,12 +611,28 @@ def test_integer_eigen_frame_matches_the_fraction_route():
                     [want_rows[r] for r in outside])
 
 
-def test_repeated_eigenvalues_come_before_the_totals_mismatch():
-    d = crystalline(F2, [2, 2], Matrix.identity(2), [0, 1])
-    assert hodge_number(d) != newton_number(d)
-    with pytest.raises(RepeatedEigenvalues) as exc:
+@pytest.mark.parametrize("p, phi, jumps, error", [
+    (2, Matrix.identity(2), [0, 1], RepeatedEigenvalues),
+    (2, Matrix.diagonal([2, 2]), [0, 1], RepeatedEigenvalues),
+    (2, Matrix([[0, 2], [1, 0]]), [0, 0], NotFullyRational),
+    (3, Matrix.diagonal([2 ** i for i in range(13)]), list(range(13)), EnumerationCapExceeded),
+])
+def test_a_totals_mismatch_is_decided_before_the_spectrum(p, phi, jumps, error):
+    n = phi.nrows
+    d = build_module(FieldDescriptor(p=p), n, phi, Matrix.zeros(n, n),
+                     {"k0": (Matrix.identity(n), jumps)})
+    t_h, t_n = hodge_number(d), newton_number(d)
+    assert t_h != t_n
+    rep = is_weakly_admissible(d)
+    assert (rep.admissible, rep.t_h, rep.t_n, rep.subspaces_checked, rep.mode) == (
+        False, t_h, t_n, 1, "enumerated")
+    assert tuple(rep.witness) == (Subspace.full(n), t_h, t_n)
+    # with the totals made equal, the spectrum or the budget still decides first
+    jumps = jumps[:-1] + [jumps[-1] + int(t_n - t_h)]
+    d = build_module(FieldDescriptor(p=p), n, phi, Matrix.zeros(n, n),
+                     {"k0": (Matrix.identity(n), jumps)})
+    with pytest.raises(error):
         is_weakly_admissible(d)
-    assert str(exc.value) == "phi spectrum has repeated roots: 2 (multiplicity 2)"
 
 
 @pytest.mark.parametrize("n", range(2, 10))

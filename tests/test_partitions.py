@@ -6,10 +6,8 @@ from hypothesis import given, strategies as st
 
 from phinlab.linalg import Matrix, jordan_nilpotent, kernel_dim, matrix_power
 from phinlab.partitions import (
-    Dominance,
     Partition,
     PartitionFunction,
-    compare,
     conjugate,
     dominates,
     paper_leq,
@@ -79,14 +77,6 @@ def test_dominates_pinned():
 def test_dominates_requires_equal_totals():
     with pytest.raises(ValueError):
         dominates(Partition((2,)), Partition((1, 1, 1)))
-
-
-def test_compare_three_valued():
-    assert compare(Partition((2, 2)), Partition((2, 2))) is Dominance.EQUAL
-    assert compare(Partition((3, 1)), Partition((2, 2))) is Dominance.GREATER
-    assert compare(Partition((2, 2)), Partition((3, 1))) is Dominance.LESS
-    # the classical incomparable pair at n = 6
-    assert compare(Partition((4, 1, 1)), Partition((3, 3))) is Dominance.INCOMPARABLE
 
 
 def test_conjugation_reverses_dominance():

@@ -409,12 +409,15 @@ def test_cli_bad_field_block_is_an_input_error(tmp_path, capsys, field):
     assert err.startswith("error: field")
 
 
-@pytest.mark.parametrize("phi, text", [
-    ([["1", "0"], ["0", "1"]], "repeated roots: 1 (multiplicity 2)"),
-    ([["0", "2"], ["1", "0"]], "irrational factor with coefficients -2, 0, 1"),
+@pytest.mark.parametrize("phi, text, jumps", [
+    # jumps with t_H = t_N, so the spectrum error is reached
+    ([["1", "0"], ["0", "1"]], "repeated roots: 1 (multiplicity 2)", [-1, 1]),
+    ([["0", "2"], ["1", "0"]], "irrational factor with coefficients -2, 0, 1", [1, 0]),
 ])
-def test_cli_spectrum_errors_print_no_backend_reprs(tmp_path, capsys, phi, text):
-    path = write_json(tmp_path, variant(phi=phi, monodromy=[["0", "0"], ["0", "0"]]))
+def test_cli_spectrum_errors_print_no_backend_reprs(tmp_path, capsys, phi, text, jumps):
+    filtration = {"k0": dict(STEINBERG["filtration"]["k0"], jumps=jumps)}
+    path = write_json(tmp_path, variant(phi=phi, monodromy=[["0", "0"], ["0", "0"]],
+                                        filtration=filtration))
     code, out, err = run_cli(capsys, ["check-admissible", path])
     assert code == 2
     assert text in err
@@ -524,18 +527,35 @@ def test_cli_beta_reports_an_enumeration_cap_hit_as_undecided(tmp_path, capsys):
     assert err == f"error: {cap_text}\n"
 
 
-def test_cli_beta_on_repeated_eigenvalues_is_undecided_despite_a_totals_mismatch(tmp_path, capsys):
-    # phi = 2*I: t_N = 2 but the jumps sum to t_H = 1, and the repeated
-    # root is reported before the mismatch
+def test_cli_beta_on_repeated_eigenvalues_warns_not_admissible_on_a_totals_mismatch(tmp_path, capsys):
+    # phi = 2*I: t_N = 2 but the jumps sum to t_H = 1, which decides the
+    # verdict on the full space before the repeated root is looked at
     module = variant(phi=[["2", "0"], ["0", "2"]], monodromy=[["0", "0"], ["0", "0"]],
                      filtration={"k0": {"flag": [["1", "0"], ["0", "1"]], "jumps": [0, 1]}})
     path = write_json(tmp_path, module)
-    reason = "phi spectrum has repeated roots: 2 (multiplicity 2)"
     code, out, err = run_cli(capsys, ["beta", path])
     assert code == 0 and err == ""
-    assert f"warning: admissibility undecided ({reason}); valuations reported raw" in out
-    code, out, err = run_cli(capsys, ["check-admissible", path])
-    assert (code, out, err) == (2, "", f"error: {reason}\n")
+    assert "warning: module is not weakly admissible; valuations reported raw" in out
+    code, out, err = run_cli(capsys, ["check-admissible", path, "--format", "json"])
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert (report["admissible"], report["subspaces_checked"]) == (False, 1)
+    assert report["witness"] == {"dim": 2, "basis": [["1", "0"], ["0", "1"]], "t_h": "1", "t_n": "2"}
+
+
+@pytest.mark.parametrize("monodromy, jumps, line", [
+    # phi = diag(1, 2) on the standard flag: the stable line of 1 meets
+    # jump 1 against its t_N = 0
+    ([["0", "1"], ["0", "0"]], [1, 0], "witness: dim 1 subspace with t_H = 1 > t_N = 0"),
+    # unequal totals: the full space is the witness, with t_H below t_N
+    ([["0", "0"], ["0", "0"]], [0, 0], "witness: dim 2 subspace with t_H = 0 < t_N = 1"),
+])
+def test_cli_witness_line_prints_the_relation_it_has(tmp_path, capsys, monodromy, jumps, line):
+    module = variant(monodromy=monodromy,
+                     filtration={"k0": {"flag": [["1", "0"], ["0", "1"]], "jumps": jumps}})
+    code, out, err = run_cli(capsys, ["check-admissible", write_json(tmp_path, module)])
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1] == line
 
 
 def test_cli_wd_segments_and_consistency_finish_at_a_61_bit_prime(tmp_path):

@@ -59,7 +59,7 @@ CASES = {
     "UnramifiedCharacter": (lambda: UnramifiedCharacter((1, 2)), "values",
                             f"UnramifiedCharacter(values=({ONE_R}, {TWO_R}))"),
     "HeckeParams": (lambda: HeckeParams(3, 2, 1), "r", "HeckeParams(n=3, q=2, r=1)"),
-    "CosetClass": (lambda: CosetClass((1, 2), 4), "count", "CosetClass(S=(1, 2), count=4, foval=None)"),
+    "CosetClass": (lambda: CosetClass((1, 2), 4), "count", "CosetClass(S=(1, 2), count=4)"),
     "Witness": (lambda: Witness(Subspace(2, [(1, 0)]), 1, 0), "t_h",
                 "Witness(subspace=Subspace(dim=1 of Q^2), t_h=1, t_n=0)"),
     "WeilDeligneRep": (lambda: WeilDeligneRep(Matrix.diagonal([1, 2]), jordan_nilpotent([2]), 2), "q",

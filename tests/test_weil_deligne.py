@@ -164,6 +164,15 @@ def test_match_chains_with_multiplicity():
     assert sorted(got, key=lambda s: s.chi) == [seg(1, 2), seg(2, 2)]
 
 
+def test_match_chains_backtracks_out_of_a_dead_end():
+    # the 3-chain at base 1 (1, 2, 4) leaves {2, 3, 6, 12}, which holds no
+    # two 2-chains, so the matcher undoes it and takes (3, 6, 12) instead
+    got = match_chains([1, 2, 2, 4, 3, 6, 12], [3, 2, 2], 2)
+    assert got == (seg(3, 3), seg(1, 2), seg(2, 2))
+    w = wd_from_segments([(1, 2), (2, 2), (3, 3)], 2)
+    assert segments_from_wd(w) == (seg(1, 2), seg(3, 3), seg(2, 2))
+
+
 def test_segments_reject_irrational_spectrum():
     fr = Matrix([[0, 2], [1, 0]])
     w = WeilDeligneRep(fr, Matrix.zeros(2, 2), 2)
