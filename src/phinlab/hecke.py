@@ -161,10 +161,8 @@ def theta_tilde(psi, h, xi, field):
     at positions j >= r (1-indexed) across all labels. The uniformizer
     power folds into the coefficient exactly when field.e == 1.
     """
-    if h.q != field.p**field.f0:
-        raise InputError(
-            f"params have q={h.q} but the field's residue cardinality is {field.p**field.f0}"
-        )
+    if h.q != field.q:
+        raise InputError(f"params have q={h.q} but the field's residue cardinality is {field.q}")
     check_weights(xi, field.embeddings, h.n)
     twist = sum(xi[label][j] for label in field.embeddings for j in range(h.r - 1, h.n))
     coeff = Rational(h.q) ** (h.r * (h.r - 1) // 2) * theta_closed(psi, h)

@@ -12,7 +12,7 @@ alongside.
 
 from .errors import EnumerationCapExceeded, InputError, NotFullyRational, RepeatedEigenvalues
 from .hecke import HeckeParams, check_weights, theta_tilde
-from .linalg import exterior_trace, exterior_traces
+from .linalg import exterior_traces
 from .modules import is_weakly_admissible
 from .partitions import LabelMap
 from .scalars import TwistedScalar
@@ -92,7 +92,7 @@ def beta_value(d, r, xi):
     if not (1 <= r <= d.n):
         raise InputError(f"r must satisfy 1 <= r <= {d.n}, got {r}")
     check_weights(xi, d.field.embeddings, d.n)
-    return _twisted(d, r, xi, exterior_trace(d.phi, r))
+    return _twisted(d, r, xi, exterior_traces(d.phi)[r])
 
 
 def _twisted(d, r, xi, trace):

@@ -29,7 +29,6 @@ __all__ = [
     "Subspace",
     "char_poly",
     "det",
-    "exterior_trace",
     "exterior_traces",
     "EigenSplit",
     "jordan_nilpotent",
@@ -87,15 +86,6 @@ class Matrix(Frozen):
         n = len(vals)
         return cls([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_columns(cls, columns, nrows):
-        cols = [tuple(c) for c in columns]
-        if not cols:
-            raise ValueError("from_columns needs at least one column")
-        if any(len(c) != nrows for c in cols):
-            raise ValueError("column length mismatch")
-        return cls([[c[i] for c in cols] for i in range(nrows)])
-
     @property
     def rows(self):
         """The entries as rationals, built on each access."""
@@ -120,38 +110,10 @@ class Matrix(Frozen):
     def column(self, j):
         return _over([row[j] for row in self.ints], self.den)
 
-    def columns(self):
-        return tuple(self.column(j) for j in range(self.ncols))
-
-    def transpose(self):
-        return Matrix._from_ints(zip(*self.ints), self.den)
-
-    def trace(self):
-        if not self.is_square:
-            raise ValueError("trace of a non-square matrix")
-        return Rational(sum(row[i] for i, row in enumerate(self.ints)), self.den)
-
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         return Matrix._from_ints(_int_matmul(self.ints, other.ints), self.den * other.den)
-
-    def __add__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in +")
-        return Matrix([[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Matrix([[-a for a in row] for row in self.rows])
-
-    def __mul__(self, scalar):
-        c = Rational(scalar)
-        return Matrix([[c * a for a in row] for row in self.rows])
-
-    __rmul__ = __mul__
 
     def inverse(self):
         if not self.is_square:
@@ -342,14 +304,6 @@ def char_poly(m):
     c, d = _int_char_poly(m)
     n = len(c) - 1
     return tuple(Rational(c[n - i], d ** (n - i)) for i in range(n + 1))
-
-
-def exterior_trace(m, r):
-    """Trace of the r-th exterior power: the sum of r x r principal minors."""
-    n = m.nrows
-    if not 0 <= r <= n:
-        raise ValueError(f"need 0 <= r <= {n}, got {r}")
-    return exterior_traces(m)[r]
 
 
 def exterior_traces(m):

@@ -91,10 +91,17 @@ def _rebuild(cls, values):
     return obj
 
 
+_PSI_12 = 318665857834031151167461
+
+
 def is_prime(n):
-    """Deterministic Miller-Rabin, exact for anything this package meets."""
+    """Deterministic Miller-Rabin on the bases 2..37, exact below
+    318665857834031151167461, the least strong pseudoprime to all twelve
+    (Sorenson and Webster 2015); ValueError, before any power, from there on."""
     if n < 2:
         return False
+    if n >= _PSI_12:
+        raise ValueError(f"primality is decided only below {_PSI_12}")
     small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     for p in small:
         if n == p:

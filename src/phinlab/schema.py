@@ -36,11 +36,13 @@ __all__ = [
 
 
 def load_json(text):
-    """json.loads with decode errors rewritten to carry the position."""
+    """json.loads with every error as a SchemaError; decode errors carry the position."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise SchemaError("", f"malformed JSON at line {err.lineno} column {err.colno}: {err.msg}")
+    except ValueError as err:
+        raise SchemaError("", str(err))
 
 
 def _key(path, name):

@@ -37,18 +37,21 @@ __all__ = [
 def prime_power_base(q):
     """Split q = p**f0 with p prime; InputError when q is not a prime power.
 
-    Each f0 up to log2(q) is tried: p is the integer f0-th root of q, by
-    Newton's method from above, and must be prime.
+    f0 runs down from log2(q): p is the integer f0-th root of q, by
+    Newton's method from above. The first exact root has the largest f0,
+    so q is a prime power exactly when that p is prime.
     """
     if not isinstance(q, int) or q < 2:
         raise InputError(f"residue cardinality must be an integer >= 2, got {q!r}")
-    for f0 in range(1, q.bit_length()):
+    for f0 in range(q.bit_length() - 1, 0, -1):
         p = 1 << -(-q.bit_length() // f0)
         while (step := ((f0 - 1) * p + q // p ** (f0 - 1)) // f0) < p:
             p = step
-        if p ** f0 == q and is_prime(p):
-            return p, f0
-    raise InputError(f"residue cardinality must be a prime power, got {q}")
+        if p ** f0 == q:
+            break
+    if not is_prime(p):
+        raise InputError(f"residue cardinality must be a prime power, got {q}")
+    return p, f0
 
 
 class WeilDeligneRep(Frozen):
@@ -88,10 +91,9 @@ def wd_from_module(d):
     the field gives p and f0, so the representation is built as it is.
     """
     field = d.field
-    q = field.p ** field.f0
     if field.f != field.f0:
-        check_phi_n(d.phi, d.monodromy, q)
-    return _rebuild(WeilDeligneRep, (d.phi, d.monodromy, q, field.p, field.f0, field.embeddings))
+        check_phi_n(d.phi, d.monodromy, field.q)
+    return _rebuild(WeilDeligneRep, (d.phi, d.monodromy, field.q, field.p, field.f0, field.embeddings))
 
 
 def monodromy_partition(w):
@@ -135,17 +137,16 @@ class UnramifiedCharacter(Frozen):
         return self.values[i]
 
 
-def match_chains(values, parts, q):
-    """Group an eigenvalue multiset into geometric chains of given lengths.
+def match_chains(values, parts, q, p):
+    """Group an eigenvalue multiset into geometric chains of ratio q = p**f0.
 
     ``parts`` lists the chain lengths; InputError when they do not sum to
-    len(values).
-    Returns one Segment per part. Chain bases are tried in ascending
-    (valuation, value) order with backtracking, so ambiguous multisets like
-    {1, q, q^2} under (2, 1) always resolve the same way: [(1, 2), (q^2, 1)].
-    Raises ChainMismatch with a small report when no grouping exists.
+    len(values). Returns one Segment per part. Chain bases are tried in
+    ascending (p-adic valuation, value) order with backtracking, so
+    ambiguous multisets like {1, q, q^2} under (2, 1) always resolve the
+    same way: [(1, 2), (q^2, 1)]. Raises ChainMismatch with a small report
+    when no grouping exists.
     """
-    p, _ = prime_power_base(q)
     values = [Rational(v) for v in values]
     parts = sorted((int(k) for k in parts), reverse=True)
     if sum(parts) != len(values):
@@ -205,7 +206,7 @@ def segments_from_wd(w):
             f"residual factor has degree {len(split.residual) - 1}"
         )
     parts = jordan_partition(w.monodromy).parts
-    segs = match_chains(split.multiset(), parts, w.q)
+    segs = match_chains(split.multiset(), parts, w.q, w.p)
     return canonical_segments(segs, w.p)
 
 

@@ -5,9 +5,11 @@ at a chosen site: a wrong type, a float, a bool or a bad literal, a
 missing or unknown key, a ragged, empty or missing row, a bad ``field``
 value; or its JSON text is cut short or is not an object. Every site is
 its own test case, so each one runs whatever the example distribution.
-``hecke`` argvs mix valid and bad values, zero and negative psi entries
-among them. The runs are derandomized with bounded example counts, so
-the suite sees the same inputs every time.
+Four integer sites also get a 5,000-digit literal, past Python's limit for
+converting a decimal string to an int. ``hecke`` argvs mix valid and bad
+values, zero and negative psi entries among them. The runs are
+derandomized with bounded example counts, so the suite sees the same
+inputs every time.
 """
 
 import contextlib
@@ -164,6 +166,21 @@ def test_file_commands_on_faulty_modules(tmp_path_factory, site, data, command, 
         text = text[:data.draw(st.integers(0, len(text) - 1))]
     elif site == "not an object":
         text = json.dumps(obj["phi"])
+    check_file_command(tmp_path_factory, text, command, fmt)
+
+
+# json.dumps cannot write a 5,000-digit int, so this marker stands in for
+# it and the literal is spliced into the text
+LONG_INT = "<5,000-digit integer>"
+
+
+@pytest.mark.parametrize("site", ["n", "field.p", "field.e", "jumps.entry"])
+@fuzz(5)
+@given(obj=modules(), command=st.sampled_from(FILE_COMMANDS), fmt=st.sampled_from(["text", "json"]))
+def test_file_commands_on_integers_past_the_digit_limit(tmp_path_factory, site, obj, command, fmt):
+    put_fault(obj, SITES[site][0], LONG_INT)
+    text = json.dumps(obj).replace(json.dumps(LONG_INT), "7" * 5000)
+    assert "7" * 5000 in text
     check_file_command(tmp_path_factory, text, command, fmt)
 
 

@@ -9,7 +9,7 @@ from phinlab.linalg import (
     Subspace,
     char_poly,
     det,
-    exterior_trace,
+    exterior_traces,
     jordan_nilpotent,
     jordan_partition,
     kernel_basis,
@@ -26,7 +26,7 @@ from tests_helpers import random_unimodular
 # independent oracles
 #
 # char_poly is checked against a cofactor-expansion determinant of (x*I - M)
-# computed with plain coefficient-list polynomials, and exterior_trace
+# computed with plain coefficient-list polynomials, and exterior_traces
 # against explicit sums of principal minors. Both oracles share no code
 # with the implementations under test.
 
@@ -116,8 +116,6 @@ def test_matrix_constructors_and_equality():
     assert m == Matrix([["1", "2"], ["3", "4"]])
     assert Matrix.identity(2) == Matrix([[1, 0], [0, 1]])
     assert Matrix.diagonal([1, 2]) == Matrix([[1, 0], [0, 2]])
-    assert Matrix.from_columns([(1, 3), (2, 4)], 2) == m
-    assert m.transpose() == Matrix([[1, 3], [2, 4]])
     assert m.column(1) == (2, 4)
 
 
@@ -125,11 +123,6 @@ def test_matrix_arithmetic():
     a = Matrix([[1, 2], [3, 4]])
     b = Matrix([[0, 1], [1, 0]])
     assert a @ b == Matrix([[2, 1], [4, 3]])
-    assert a + b == Matrix([[1, 3], [4, 4]])
-    assert a - a == Matrix.zeros(2, 2)
-    assert (a - a).is_zero
-    assert 2 * a == Matrix([[2, 4], [6, 8]])
-    assert a.trace() == 5
 
 
 def test_det_rank_inverse():
@@ -160,7 +153,7 @@ def test_kernel_dim_and_basis():
     vecs = kernel_basis(n)
     assert len(vecs) == 2
     for v in vecs:
-        assert all(x == 0 for x in (n @ Matrix.from_columns([v], 3)).column(0))
+        assert all(x == 0 for x in (n @ Matrix([[x] for x in v])).column(0))
 
 
 # ---------------------------------------------------------------------------
@@ -192,21 +185,18 @@ def test_cayley_hamilton_random():
         for _ in range(5):
             m = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
             coeffs = char_poly(m)
-            acc = Matrix.zeros(n, n)
+            acc = [[0] * n for _ in range(n)]
             power = Matrix.identity(n)
             for c in coeffs:
-                acc = acc + c * power
+                acc = [[x + c * y for x, y in zip(r, s)] for r, s in zip(acc, power.rows)]
                 power = power @ m
-            assert acc.is_zero
+            assert Matrix(acc).is_zero
 
 
 def test_exterior_trace_pinned():
     m = Matrix.diagonal([1, 2, 3])
-    assert exterior_trace(m, 2) == 11
+    assert exterior_traces(m) == (1, 6, 11, 6)
     assert exterior_trace_oracle(m, 2) == 11
-    assert exterior_trace(m, 1) == 6
-    assert exterior_trace(m, 3) == 6
-    assert exterior_trace(m, 0) == 1
 
 
 def test_exterior_trace_matches_minor_sums_random():
@@ -215,7 +205,7 @@ def test_exterior_trace_matches_minor_sums_random():
         for _ in range(6):
             m = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
             for r in range(0, n + 1):
-                assert exterior_trace(m, r) == exterior_trace_oracle(m, r)
+                assert exterior_traces(m)[r] == exterior_trace_oracle(m, r)
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +690,8 @@ def test_char_poly_matches_faddeev_leverrier():
                     while sum(sizes) < n:
                         sizes.append(rng.randint(1, n - sum(sizes)))
                     p = random_unimodular(rng, n)
-                    m = p @ jordan_nilpotent(sizes) @ p.inverse() * Fraction(rng.randint(1, 9), 7)
+                    scale = Matrix.diagonal([Fraction(rng.randint(1, 9), 7)] * n)
+                    m = p @ jordan_nilpotent(sizes) @ p.inverse() @ scale
                 elif kind == "singular":
                     m = Matrix(random_rows(rng, n, n, 3, rank_cap=rng.randint(0, n - 1)))
                 elif kind == "diagonal":
@@ -798,13 +789,6 @@ def test_matrix_carries_its_least_common_denominator_form():
         assert_same_matrix(Matrix._from_ints([[scale * x for x in row] for row in ints], scale * den), m)
         other = random_rows(rng, k, rng.randint(1, 5), digits)
         assert_same_matrix(m @ Matrix(other), Matrix(matmul_reference(rows, other)))
-        same_shape = random_rows(rng, n, k, digits)
-        assert_same_matrix(m + Matrix(same_shape),
-                           Matrix([[x + y for x, y in zip(r, s)] for r, s in zip(rows, same_shape)]))
-        assert_same_matrix(-m, Matrix([[-x for x in row] for row in rows]))
-        c = random_entry(rng, 1)
-        assert_same_matrix(m * c, Matrix([[c * x for x in row] for row in rows]))
-        assert_same_matrix(m.transpose(), Matrix(list(zip(*rows))))
         for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
             assert_same_matrix(twin, m)
     assert_same_matrix(Matrix.identity(3), Matrix([[int(i == j) for j in range(3)] for i in range(3)]))

@@ -465,6 +465,12 @@ def random_oracle_module(rng):
     return build_module(field, n, s @ Matrix.diagonal(diag) @ si, s @ Matrix(nil) @ si, flags)
 
 
+def minus_scalar(m, value):
+    """m - value*I, entry by entry on the rational rows."""
+    return Matrix([[x - value if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(m.rows)])
+
+
 def brute_force_stable_subspaces(d):
     """Every span of a set of Frobenius eigenvectors that N preserves.
 
@@ -472,7 +478,7 @@ def brute_force_stable_subspaces(d):
     a split multiplicity-free phi these spans are all the stable
     subspaces. Returned in ``Subspace.sort_key`` order.
     """
-    eigvecs = [kernel_basis(d.phi - Matrix.identity(d.n) * value)[0]
+    eigvecs = [kernel_basis(minus_scalar(d.phi, value))[0]
                for value, _ in rational_eigenvalues(d.phi).roots]
     spans = (Subspace(d.n, [v for i, v in enumerate(eigvecs) if mask >> i & 1])
              for mask in range(1 << d.n))
@@ -567,8 +573,8 @@ def fraction_eigen_frame(d):
 
     n = d.n
     values = [value for value, _ in rational_eigenvalues(d.phi).roots]
-    eigvecs = [kernel_basis(d.phi - Matrix.identity(n) * value)[0] for value in values]
-    basis = Matrix.from_columns(eigvecs, n)
+    eigvecs = [kernel_basis(minus_scalar(d.phi, value))[0] for value in values]
+    basis = Matrix(list(zip(*eigvecs)))
     to_eigen = basis.inverse()
     support = (to_eigen @ d.monodromy @ basis).rows
     image = [sum(1 << j for j in range(n) if support[j][i]) for i in range(n)]

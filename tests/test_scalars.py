@@ -110,6 +110,15 @@ def test_is_prime_small_table():
     assert not is_prime(2**31)
 
 
+def test_is_prime_refuses_from_the_least_pseudoprime_to_its_bases_on():
+    # 399165290221 * 798330580441 is a strong pseudoprime to every base 2..37
+    psi_12 = 399165290221 * 798330580441
+    for n in (psi_12, psi_12 + 2, 2 ** 89 - 1, 10 ** 4298 + 7):
+        with pytest.raises(ValueError, match="only below 318665857834031151167461"):
+            is_prime(n)
+    assert is_prime(2 ** 61 - 1) and not is_prime(psi_12 - 1)
+
+
 def test_padic_val_basics():
     assert padic_val(8, 2) == 3
     assert padic_val(Fraction(9, 4), 2) == -2

@@ -9,6 +9,7 @@ import pytest
 from phinlab.cli import main
 from phinlab.errors import SchemaError
 from phinlab.interpolation import CONVENTIONS
+from phinlab.modules import FieldDescriptor
 from phinlab.scalars import TwistedScalar
 from phinlab.schema import (
     load_json,
@@ -82,6 +83,25 @@ def test_load_json_reports_position():
     with pytest.raises(SchemaError) as exc:
         load_json('{"field": }')
     assert "line 1 column 11" in str(exc.value)
+
+
+@pytest.mark.parametrize("site", ['"n": 2', '"p": 2', '"e": 1', '"jumps": [1'],
+                         ids=["n", "field.p", "field.e", "jump"])
+def test_cli_json_integer_past_the_digit_limit_is_an_input_error(tmp_path, capsys, site):
+    # json.dumps cannot write a 5,001-digit integer, so it goes into the text
+    text = json.dumps(STEINBERG)
+    assert text.count(site) == 1
+    path = tmp_path / "module.json"
+    path.write_text(text.replace(site, site[:-1] + "1" + "0" * 5000))
+    with pytest.raises(SchemaError, match="Exceeds the limit"):
+        load_json(path.read_text())
+    for command in ("check-admissible", "wd", "beta"):
+        for fmt in ("text", "json"):
+            code, out, err = run_cli(capsys, [command, str(path), "--format", fmt])
+            assert (code, out) == (2, ""), command
+            assert "Traceback" not in err
+            message = json.loads(err)["error"] if fmt == "json" else err
+            assert "Exceeds the limit (4300 digits) for integer string conversion" in message
 
 
 def test_serializers():
@@ -579,3 +599,48 @@ def test_cli_wd_segments_and_consistency_finish_at_a_61_bit_prime(tmp_path):
         assert elapsed < 2, (command, elapsed)
         if command == "wd":
             assert f"q = {p}" in done.stdout
+
+
+# the least strong pseudoprime to all of Miller-Rabin's bases 2..37
+PSI_12 = 318665857834031151167461
+
+
+def test_cli_refuses_p_past_the_exact_primality_bound(tmp_path, capsys):
+    # psi_12 = 399165290221 * 798330580441 passes every base, so a verdict
+    # over it would rest on a composite "prime"
+    assert PSI_12 == 399165290221 * 798330580441
+    with pytest.raises(ValueError, match="only below 318665857834031151167461"):
+        FieldDescriptor(p=PSI_12)
+    # 4,299 digits, one short of Python's limit for an int literal, and no
+    # factor below 41: one modular power at this size takes seconds
+    text = json.dumps(variant(field={"p": 2}))
+    path = tmp_path / "module.json"
+    for p in (PSI_12, 10 ** 4298 + 7):
+        path.write_text(text.replace('"p": 2', f'"p": {p}'))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["check-admissible", str(path)])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "error: field: primality is decided only below 318665857834031151167461\n"
+
+
+def test_cli_segments_and_consistency_take_p_from_the_field(tmp_path):
+    # q = 2^14000: splitting q into p and f0 again, with f0 tried upwards,
+    # took about 30 s
+    module = {
+        "field": {"p": 2, "f0": 14000, "e": 1, "f": 14000, "embeddings": ["k0"]},
+        "n": 1,
+        "phi": [["3"]],
+        "monodromy": [["0"]],
+        "filtration": {"k0": {"flag": [["1"]], "jumps": [0]}},
+    }
+    path = write_json(tmp_path, module)
+    env = child_env()
+    for command, line in (("segments", "segments: (3, 1)"), ("consistency", "status: pass")):
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "phinlab.cli", command, path],
+                              capture_output=True, text=True, timeout=60, env=env)
+        elapsed = time.perf_counter() - start
+        assert (done.returncode, done.stderr) == (0, ""), command
+        assert done.stdout.splitlines()[0] == line
+        assert elapsed < 5, (command, elapsed)

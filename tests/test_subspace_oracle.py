@@ -215,7 +215,7 @@ def stabilised(rng, n, k):
         pass
     u = Matrix([[entry(rng) if j >= i else 0 for j in range(n)] for i in range(n)])
     m = s @ u @ s.inverse()
-    return m, [list(col) for col in s.columns()[:k]]
+    return m, [list(s.column(j)) for j in range(k)]
 
 
 def _invertible(m):

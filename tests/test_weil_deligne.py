@@ -130,7 +130,7 @@ def test_match_chains_mismatch():
     # no length-2 chain exists through {1, 5} at q = 3; the validated
     # constructor cannot produce such data, so hit the matcher directly
     with pytest.raises(ChainMismatch) as exc:
-        match_chains([Fraction(1), Fraction(5)], (2,), 3)
+        match_chains([Fraction(1), Fraction(5)], (2,), 3, 3)
     assert exc.value.report["partition"] == [2]
     assert "5" in exc.value.report["eigenvalues"]
 
@@ -138,7 +138,7 @@ def test_match_chains_mismatch():
 def test_match_chains_rejects_lengths_that_miss_an_eigenvalue():
     # the parts (1,) leave the eigenvalue 2 unmatched
     with pytest.raises(InputError) as exc:
-        match_chains([1, 2], [1], 2)
+        match_chains([1, 2], [1], 2, 2)
     assert str(exc.value) == "chain lengths [1] must add up to the 2 eigenvalues"
 
 
@@ -147,7 +147,7 @@ def test_match_chains_checks_its_lengths_under_python_o():
         "from phinlab.errors import InputError\n"
         "from phinlab.weil_deligne import match_chains\n"
         "try:\n"
-        "    print(match_chains([1, 2], [1], 2))\n"
+        "    print(match_chains([1, 2], [1], 2, 2))\n"
         "except InputError as err:\n"
         "    print(err)\n"
     )
@@ -160,14 +160,14 @@ def test_match_chains_checks_its_lengths_under_python_o():
 def test_match_chains_with_multiplicity():
     # {1, 2, 2, 4} under (2, 2) splits as chains based at 1 and at 2
     vals = [Fraction(v) for v in (1, 2, 2, 4)]
-    got = match_chains(vals, (2, 2), 2)
+    got = match_chains(vals, (2, 2), 2, 2)
     assert sorted(got, key=lambda s: s.chi) == [seg(1, 2), seg(2, 2)]
 
 
 def test_match_chains_backtracks_out_of_a_dead_end():
     # the 3-chain at base 1 (1, 2, 4) leaves {2, 3, 6, 12}, which holds no
     # two 2-chains, so the matcher undoes it and takes (3, 6, 12) instead
-    got = match_chains([1, 2, 2, 4, 3, 6, 12], [3, 2, 2], 2)
+    got = match_chains([1, 2, 2, 4, 3, 6, 12], [3, 2, 2], 2, 2)
     assert got == (seg(3, 3), seg(1, 2), seg(2, 2))
     w = wd_from_segments([(1, 2), (2, 2), (3, 3)], 2)
     assert segments_from_wd(w) == (seg(1, 2), seg(3, 3), seg(2, 2))
@@ -279,6 +279,15 @@ def test_prime_power_base_finds_large_primes_without_trial_division():
     for bad in (3 * MERSENNE_61, 6):
         with pytest.raises(InputError, match="must be a prime power"):
             prime_power_base(bad)
+
+
+def test_prime_power_base_tests_one_root_for_primality():
+    # f0 runs down from log2(q), so 2^14000 splits at its first root, and
+    # MERSENNE_61^2 above (past the bound of is_prime) splits at f0 = 2
+    # without a primality test of q itself
+    assert prime_power_base(2 ** 14000) == (2, 14000)
+    with pytest.raises(InputError, match="must be a prime power"):
+        prime_power_base(6 ** 50)
 
 
 def test_prime_power_base_agrees_with_factoring_on_small_q():
