@@ -164,9 +164,15 @@ def theta_tilde(psi, h, xi, field):
     if h.q != field.q:
         raise InputError(f"params have q={h.q} but the field's residue cardinality is {field.q}")
     check_weights(xi, field.embeddings, h.n)
-    twist = sum(xi[label][j] for label in field.embeddings for j in range(h.r - 1, h.n))
     coeff = Rational(h.q) ** (h.r * (h.r - 1) // 2) * theta_closed(psi, h)
-    return TwistedScalar(coeff, -twist, field.p, field.e)
+    return _twisted(coeff, xi, h.r, h.n, field)
+
+
+def _twisted(value, xi, r, n, field):
+    """value * pi^{-t}, t the sum of the weights xi at positions j >= r
+    (1-indexed) of all n, across every embedding label."""
+    twist = sum(xi[label][j] for label in field.embeddings for j in range(r - 1, n))
+    return TwistedScalar(value, -twist, field.p, field.e)
 
 
 def materialize_representatives(S, h):

@@ -11,11 +11,10 @@ alongside.
 """
 
 from .errors import EnumerationCapExceeded, InputError, NotFullyRational, RepeatedEigenvalues
-from .hecke import HeckeParams, check_weights, theta_tilde
+from .hecke import HeckeParams, _twisted, check_weights, theta_tilde
 from .linalg import exterior_traces
 from .modules import is_weakly_admissible
 from .partitions import LabelMap
-from .scalars import TwistedScalar
 from .weil_deligne import (
     find_linked_pair,
     psi_from_segments,
@@ -92,12 +91,7 @@ def beta_value(d, r, xi):
     if not (1 <= r <= d.n):
         raise InputError(f"r must satisfy 1 <= r <= {d.n}, got {r}")
     check_weights(xi, d.field.embeddings, d.n)
-    return _twisted(d, r, xi, exterior_traces(d.phi)[r])
-
-
-def _twisted(d, r, xi, trace):
-    twist = sum(xi[label][j] for label in xi for j in range(r - 1, d.n))
-    return TwistedScalar(trace, -twist, d.field.p, d.field.e)
+    return _twisted(exterior_traces(d.phi)[r], xi, r, d.n, d.field)
 
 
 def check_integrality(d, xi):
@@ -119,7 +113,7 @@ def check_integrality(d, xi):
     all_ok = True
     traces = exterior_traces(d.phi)
     for r in range(1, d.n + 1):
-        value = _twisted(d, r, xi, traces[r])
+        value = _twisted(traces[r], xi, r, d.n, d.field)
         v = value.val_f()
         ok = v >= 0
         rows.append({"r": r, "value": value, "valuation": v, "integral": ok})
@@ -154,7 +148,7 @@ def consistency_check(d, xi):
     traces = exterior_traces(d.phi)
     for r in range(1, d.n + 1):
         left = theta_tilde(psi, HeckeParams(d.n, w.q, r), xi, d.field)
-        right = _twisted(d, r, xi, traces[r])
+        right = _twisted(traces[r], xi, r, d.n, d.field)
         equal = left == right
         all_equal = all_equal and equal
         report["rows"].append(

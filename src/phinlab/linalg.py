@@ -22,7 +22,7 @@ import math
 import operator
 
 from .errors import NonNilpotentMonodromy
-from .scalars import Frozen, Rational, ZERO, ONE, _rebuild, is_prime
+from .scalars import Frozen, Rational, ZERO, _rebuild, is_prime
 
 __all__ = [
     "Matrix",
@@ -213,21 +213,26 @@ def kernel_dim(m):
     return m.ncols - rank(m)
 
 
-def kernel_basis(m):
-    """Canonical basis of the null space, one vector per free column."""
-    rows = list(m.ints)
+def _kernel_vectors(rows):
+    """(f, v) for each free column f of integer rows, which ``_echelon``
+    reduces in place: v is the primitive integer kernel vector that is
+    positive at f and zero at the other free columns."""
+    ncols = len(rows[0])
     pivots = _echelon(rows)
-    reduced = _pivot_rows(rows, pivots)
-    pivot_of = {c: i for i, c in enumerate(pivots)}
-    free = [c for c in range(m.ncols) if c not in pivot_of]
+    lead = math.lcm(*(rows[i][c] for i, c in enumerate(pivots)))
     out = []
-    for f in free:
-        v = [ZERO] * m.ncols
-        v[f] = ONE
-        for c, i in pivot_of.items():
-            v[c] = -reduced[i][f]
-        out.append(tuple(v))
-    return tuple(out)
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = lead
+        for i, c in enumerate(pivots):
+            v[c] = -rows[i][f] * (lead // rows[i][c])
+        out.append((f, _primitive_row(v)))
+    return out
+
+
+def kernel_basis(m):
+    """Canonical basis of the null space: per free column, the kernel vector that is 1 there."""
+    return tuple(_over(v, v[f]) for f, v in _kernel_vectors(list(m.ints)))
 
 
 def det(m):
@@ -446,17 +451,20 @@ def _rational_roots(f):
     """
     h = _exact_quotient(f, _poly_gcd(f, _derivative(f)))
     dh = _derivative(h)
-    ell, lifted = _simple_roots_mod_prime(h, dh)
+    ell, roots = _simple_roots_mod_prime(h, dh)
     modulus = ell
+    # each root x with w = 1/h'(x), so that no step inverts modulo the lifted modulus
+    lifted = [(x, pow(_eval_mod(dh, x, ell), -1, ell)) for x in roots]
     while modulus <= 2 * abs(h[0]) * h[-1]:
-        # Newton step: doubles the ell-adic precision of each simple root
+        # Newton steps on x and on w: each doubles its ell-adic precision
         modulus *= modulus
-        lifted = [
-            (x - _eval_mod(h, x, modulus) * pow(_eval_mod(dh, x, modulus), -1, modulus)) % modulus
-            for x in lifted
-        ]
+        step = []
+        for x, w in lifted:
+            y = (x - _eval_mod(h, x, modulus) * w) % modulus
+            step.append((y, w * (2 - _eval_mod(dh, y, modulus) * w) % modulus))
+        lifted = step
     out = []
-    for x in lifted:
+    for x, _ in lifted:
         num, den = _reconstruct(x, modulus, abs(h[0]))
         if num and h[0] % num == 0 and h[-1] % den == 0:
             out.append(Rational(num) / den)

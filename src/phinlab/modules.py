@@ -23,7 +23,6 @@ from .errors import (
     BadFlag,
     EnumerationCapExceeded,
     InputError,
-    NonNilpotentMonodromy,
     NotFullyRational,
     RelationViolation,
     RepeatedEigenvalues,
@@ -34,8 +33,10 @@ from .linalg import (
     Subspace,
     _echelon,
     _int_matmul,
+    _kernel_vectors,
     _primitive_row,
     det,
+    jordan_partition,
     rational_eigenvalues,
 )
 from .scalars import Frozen, Rational, format_rational, is_prime, padic_val
@@ -124,13 +125,14 @@ def check_phi_n(phi, monodromy, scale):
     """Reject a singular phi, a non-nilpotent N, or N*phi != scale*phi*N.
 
     Both checks run on the cleared integer matrices A = a*N and F = b*phi:
-    with scale = s/t the relation holds when t*(A F) = s*(F A), and N is
-    nilpotent when A^(2^k) = 0 for the first 2^k >= n. For an invertible
+    with scale = s/t the relation holds when t*(A F) = s*(F A), and
+    ``jordan_partition`` decides whether N is nilpotent. For an invertible
     phi and |scale| != 1 the relation implies nilpotency: N is similar to
     scale*N, so its eigenvalues are closed under multiplication by scale
-    and can only be 0. So N = 0 needs neither check, and the squarings run
-    only when |scale| = 1 or the relation fails; in the second case they
-    decide whether the error is the nilpotency or the first failing entry.
+    and can only be 0. So N = 0 needs neither check, and the nilpotency
+    test runs only when |scale| = 1 or the relation fails; in the second
+    case it decides whether the error is the nilpotency or the first
+    failing entry.
     """
     n = phi.nrows
     if det(phi) == 0:
@@ -147,12 +149,7 @@ def check_phi_n(phi, monodromy, scale):
                 if t * lhs[i][j] != s * rhs[i][j]), None)
     if bad is None and abs(s) != t:
         return
-    power, reach = a, 1
-    while reach < n:
-        power = _int_matmul(power, power)
-        reach *= 2
-    if any(map(any, power)):
-        raise NonNilpotentMonodromy(n)
+    jordan_partition(monodromy)
     if bad is not None:
         i, j = bad
         raise RelationViolation(bad, Rational(lhs[i][j], da * df),
@@ -254,19 +251,6 @@ def hodge_number(d, sub=None):
     return _hodge(sub, _filtration_levels(d))
 
 
-def _kernel_line(rows):
-    """The primitive integer vector spanning the null space of integer rows
-    whose null space is a line, its free coordinate positive."""
-    pivots = _echelon(rows)
-    free = next(c for c in range(len(rows[0])) if c not in pivots)
-    lead = math.lcm(*(rows[i][c] for i, c in enumerate(pivots)))
-    v = [0] * len(rows[0])
-    v[free] = lead
-    for i, c in enumerate(pivots):
-        v[c] = -rows[i][free] * (lead // rows[i][c])
-    return tuple(_primitive_row(v))
-
-
 def _eigen_frame(d):
     """Eigen-coordinates of a split multiplicity-free spectrum, on integers.
 
@@ -302,8 +286,8 @@ def _eigen_frame(d):
     eigvecs = []
     for value, _ in split.roots:
         a, b = value.numerator * den, value.denominator
-        eigvecs.append(_kernel_line([[b * x - a if i == j else b * x for j, x in enumerate(row)]
-                                     for i, row in enumerate(f)]))
+        eigvecs.append(_kernel_vectors([[b * x - a if i == j else b * x for j, x in enumerate(row)]
+                                        for i, row in enumerate(f)])[0][1])
     basis = [list(row) for row in zip(*eigvecs)]
     moved = _int_matmul(d.monodromy.ints, basis)
     entries = [d.filtration[label] for label in d.field.embeddings]

@@ -159,11 +159,19 @@ def format_rational(x):
 
 
 def _int_val(n, p):
-    """How many times p (any int >= 2) divides the nonzero int n."""
+    """How many times p (any int >= 2) divides the nonzero int n: the powers
+    p^(2^k) that divide n, found by squaring, are divided out largest first,
+    so a valuation v takes O(log v) divisions, not v."""
+    powers = []
+    power = p
+    while n % power == 0:
+        powers.append(power)
+        power *= power
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    for k in range(len(powers) - 1, -1, -1):
+        if n % powers[k] == 0:
+            n //= powers[k]
+            v += 1 << k
     return v
 
 
@@ -298,15 +306,17 @@ class TwistedScalar(Frozen):
     val_F(coeff * pi^k) = e * val_p(coeff) + k.
     """
 
-    __slots__ = ("coeff", "pi_exp", "p", "e")
+    __slots__ = ("coeff", "pi_exp", "p", "e", "val")
 
     def __init__(self, coeff, pi_exp, p, e):
         coeff = Rational(coeff)
         pi_exp = int(pi_exp)
+        # valued before the fold, whose factor p^pi_exp it would only divide out again
+        val = padic_val(coeff, p) * e + pi_exp
         if e == 1 and pi_exp:
             coeff = coeff * Rational(p) ** pi_exp
             pi_exp = 0
-        Frozen.__init__(self, coeff, pi_exp, int(p), int(e))
+        Frozen.__init__(self, coeff, pi_exp, int(p), int(e), val)
 
     @property
     def is_rational(self):
@@ -318,7 +328,7 @@ class TwistedScalar(Frozen):
         return self.coeff
 
     def val_f(self):
-        return padic_val(self.coeff, self.p) * self.e + self.pi_exp
+        return self.val
 
     def __eq__(self, other):
         if not isinstance(other, TwistedScalar):

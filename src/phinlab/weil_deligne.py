@@ -10,6 +10,7 @@ expand into the eigenvalue list consumed by the Hecke side.
 """
 
 from collections import Counter
+from itertools import accumulate
 
 from .errors import ChainMismatch, InputError, NotFullyRational
 from .linalg import Matrix, jordan_partition, rational_eigenvalues
@@ -264,18 +265,11 @@ def psi_from_segments(segments, q):
 
 
 def wd_from_segments(segments, q, embeddings=("k0",)):
-    """Direct sum of one chain block per segment, for building examples."""
+    """Direct sum of one chain block per segment, for building examples: the
+    diagonal of ``psi_from_segments``, and N with ones below it within each block."""
     segs = [s if isinstance(s, Segment) else Segment(*s) for s in segments]
-    n = sum(s.length for s in segs)
-    qr = Rational(q)
-    zero, one = Rational(0), Rational(1)
-    fr = [[zero] * n for _ in range(n)]
-    nil = [[zero] * n for _ in range(n)]
-    pos = 0
-    for s in segs:
-        for j in range(s.length):
-            fr[pos + j][pos + j] = s.chi * qr ** (s.length - 1 - j)
-            if j + 1 < s.length:
-                nil[pos + j + 1][pos + j] = one
-        pos += s.length
-    return WeilDeligneRep(Matrix(fr), Matrix(nil), q, embeddings=embeddings)
+    diagonal = psi_from_segments(segs, q).values
+    n = len(diagonal)
+    starts = set(accumulate(s.length for s in segs))
+    nil = [[int(j == i - 1 and i not in starts) for j in range(n)] for i in range(n)]
+    return WeilDeligneRep(Matrix.diagonal(diagonal), Matrix(nil), q, embeddings=embeddings)

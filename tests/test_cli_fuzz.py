@@ -6,7 +6,9 @@ missing or unknown key, a ragged, empty or missing row, a bad ``field``
 value; or its JSON text is cut short or is not an object. Every site is
 its own test case, so each one runs whatever the example distribution.
 Four integer sites also get a 5,000-digit literal, past Python's limit for
-converting a decimal string to an int. ``hecke`` argvs mix valid and bad
+converting a decimal string to an int, and the commands whose reports
+print no powers of p meet phi entries p^k * u with k up to about 14,000.
+``hecke`` argvs mix valid and bad
 values, zero and negative psi entries among them. The runs are
 derandomized with bounded example counts, so the suite sees the same
 inputs every time.
@@ -16,10 +18,11 @@ import contextlib
 import copy
 import io
 import json
+import math
 import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from phinlab.cli import main
 
@@ -182,6 +185,48 @@ def test_file_commands_on_integers_past_the_digit_limit(tmp_path_factory, site, 
     text = json.dumps(obj).replace(json.dumps(LONG_INT), "7" * 5000)
     assert "7" * 5000 in text
     check_file_command(tmp_path_factory, text, command, fmt)
+
+
+@st.composite
+def high_power_modules(draw):
+    """A valid module, N = 0, whose phi entries are p^k * u with k up to the
+    most that keeps them under the 4,300-digit limit: 13,952 for p = 2.
+    phi is upper triangular, so its spectrum is rational; a diagonal phi
+    gets its exponents as jumps, so t_H = t_N and the verdict reaches the
+    stable subspaces. A diagonal phi goes up to rank 6, a triangular one
+    to rank 4: at rank 6 its integer echelon forms alone can take 2 s."""
+    diagonal = draw(st.booleans())
+    n = draw(st.integers(1, 6 if diagonal else 4))
+    p = draw(st.sampled_from([2, 3, 5]))
+    # small exponents are the other sites' entries; this one is for large valuations
+    top = int(4200 / math.log10(p))
+    exponents = st.integers(top // 2, top)
+    # units prime to p, so p^k * u has valuation k
+    units = st.sampled_from([1, -1, 7, -11, 13])
+    k = [draw(exponents) for _ in range(n)]
+    phi = [[0] * n for _ in range(n)]
+    for i in range(n):
+        phi[i][i] = p ** k[i] * draw(units)
+        if not diagonal:
+            for j in range(i + 1, n):
+                phi[i][j] = p ** draw(exponents) * draw(units)
+    jumps = sorted(k if diagonal else draw(st.lists(exponents, min_size=n, max_size=n)))
+    flag = [[int(i == j) for j in range(n)] for i in range(n)]
+    return {"field": {"p": p}, "n": n, "phi": phi, "monodromy": [[0] * n for _ in range(n)],
+            "filtration": {"k0": {"flag": flag, "jumps": jumps}}}
+
+
+# beta and consistency are left out: their reports print powers of p past
+# 4,300 digits, which exit 1 with a traceback until the package has a
+# policy for printing integers that long. A dense phi is left out for the
+# same reason: check-admissible prints the coefficients of its irrational
+# factor. No shrinking: each shrink step reruns calls that may take
+# seconds, and a slow call is the failure here.
+@pytest.mark.parametrize("command", ["check-admissible", "wd", "segments", "strata"])
+@settings(fuzz(6), phases=[Phase.generate])
+@given(obj=high_power_modules(), fmt=st.sampled_from(["text", "json"]))
+def test_file_commands_on_high_prime_powers(tmp_path_factory, command, obj, fmt):
+    check_file_command(tmp_path_factory, json.dumps(obj), command, fmt)
 
 
 bad_tokens = st.sampled_from(["x", "", "2.5", "1e1", "-", "-x"])

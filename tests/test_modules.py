@@ -16,7 +16,7 @@ from phinlab.errors import (
     RepeatedEigenvalues,
     SingularFrobenius,
 )
-from phinlab.linalg import Matrix, Subspace, _echelon, kernel_basis, rational_eigenvalues
+from phinlab.linalg import Matrix, Subspace, _echelon, rational_eigenvalues
 from phinlab.modules import (
     FieldDescriptor,
     build_module,
@@ -25,6 +25,7 @@ from phinlab.modules import (
     is_weakly_admissible,
     newton_number,
 )
+from test_linalg import kernel_basis_reference
 from tests_helpers import random_unimodular
 
 F2 = FieldDescriptor(p=2)
@@ -478,7 +479,7 @@ def brute_force_stable_subspaces(d):
     a split multiplicity-free phi these spans are all the stable
     subspaces. Returned in ``Subspace.sort_key`` order.
     """
-    eigvecs = [kernel_basis(minus_scalar(d.phi, value))[0]
+    eigvecs = [kernel_basis_reference(minus_scalar(d.phi, value).rows)[0]
                for value, _ in rational_eigenvalues(d.phi).roots]
     spans = (Subspace(d.n, [v for i, v in enumerate(eigvecs) if mask >> i & 1])
              for mask in range(1 << d.n))
@@ -562,7 +563,7 @@ def fraction_pivots(rows):
 
 
 def fraction_eigen_frame(d):
-    """The eigen-coordinates by the Fraction route: kernel_basis of
+    """The eigen-coordinates by the Fraction route: the reference kernel of
     phi - lambda per eigenvalue, B^-1 by inverse, the products B^-1 N B and
     B^-1 flag, and the N-closed sets by trying every index set.
 
@@ -573,7 +574,7 @@ def fraction_eigen_frame(d):
 
     n = d.n
     values = [value for value, _ in rational_eigenvalues(d.phi).roots]
-    eigvecs = [kernel_basis(minus_scalar(d.phi, value))[0] for value in values]
+    eigvecs = [kernel_basis_reference(minus_scalar(d.phi, value).rows)[0] for value in values]
     basis = Matrix(list(zip(*eigvecs)))
     to_eigen = basis.inverse()
     support = (to_eigen @ d.monodromy @ basis).rows

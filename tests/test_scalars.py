@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,24 @@ def test_padic_val_rejects_composite_p():
         padic_val(4, 6)
 
 
+def test_int_val_counts_every_valuation_for_any_base():
+    from phinlab.scalars import _int_val
+
+    for p in (2, 3, 4, 6, 10):
+        for v in range(70):
+            for unit in (1, -1, 2, 7, -13):
+                if unit % p:
+                    assert _int_val(p ** v * unit, p) == v, (p, v, unit)
+
+
+def test_padic_val_of_a_high_power_takes_no_division_per_unit():
+    # dividing by p once per unit of valuation took 3 s and 1.7 s on these
+    start = time.perf_counter()
+    assert padic_val(3 * 2 ** 100000, 2) == 100000
+    assert padic_val(Fraction(5, 3 ** 60000), 3) == -60000
+    assert time.perf_counter() - start < 1.0
+
+
 @given(
     st.fractions().filter(lambda x: x != 0),
     st.fractions().filter(lambda x: x != 0),
@@ -223,6 +242,15 @@ def test_twisted_scalar_symbolic_at_higher_e():
     with pytest.raises(ValueError):
         t.rational()
     assert TwistedScalar(0, 1, 2, 2).val_f() == math.inf
+
+
+def test_twisted_scalar_is_valued_before_the_fold():
+    # valuing the folded coefficient 3 * 2^100000 took 3 s
+    start = time.perf_counter()
+    t = TwistedScalar(3, 10 ** 5, 2, 1)
+    assert t.is_rational and t.coeff == 3 * 2 ** 10 ** 5 and t.val_f() == 10 ** 5
+    assert TwistedScalar(Fraction(4, 9), -10 ** 5, 3, 1).val_f() == -2 - 10 ** 5
+    assert time.perf_counter() - start < 1.0
 
 
 def test_qext_keeps_a_rational_part_as_given():

@@ -226,6 +226,17 @@ def test_wd_from_segments_realizes_the_data():
     assert set(segments_from_wd(w)) == set(segs)
 
 
+def test_wd_from_segments_matrices_pinned():
+    # each block runs from its chain's top value down, N's ones below the diagonal
+    w = wd_from_segments([(3, 2), (1, 1)], 2)
+    assert w.frobenius == Matrix.diagonal([6, 3, 1])
+    assert w.monodromy == Matrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    w = wd_from_segments([(1, 2), (5, 3)], 3)
+    assert w.frobenius == Matrix.diagonal([3, 1, 45, 15, 5])
+    assert w.monodromy == Matrix([[int((i, j) in {(1, 0), (3, 2), (4, 3)}) for j in range(5)]
+                                  for i in range(5)])
+
+
 def test_round_trip_random_unlinked_distinct_lines():
     rng = random.Random(59)
     for _ in range(30):

@@ -1,0 +1,133 @@
+"""Committed mutation checks: each mutant must be killed by the tests named for it.
+
+A mutant is a file under ``src/phinlab``, an exact snippet of it that
+occurs once, the snippet's replacement, and the ids of the tests expected
+to kill it. The runner copies ``src/``, ``tests/`` and ``pyproject.toml``
+to a temporary directory, checks that the named tests pass there, then for
+each mutant applies it to the copy alone and runs its tests with pytest.
+The mutant is killed when every named test fails, or when the run exceeds
+its time limit; a named test that passes is reported, so a refactor that
+loses a killing test shows here.
+
+    python3 tools/mutants.py            # every mutant
+    python3 tools/mutants.py NAME ...   # the named ones
+
+Exit status: 0 when every mutant is killed, 1 when one survives, 2 when a
+snippet no longer occurs exactly once or a named test fails unmutated.
+Standard library and pytest only.
+"""
+
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# seconds one mutant's test run may take before it counts as killed by a hang
+RUN_LIMIT = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    snippet: str
+    replacement: str
+    tests: tuple
+
+
+MUTANTS = (
+    Mutant("kernel-pivot-sign", "linalg.py",
+           "v[c] = -rows[i][f] * (lead // rows[i][c])",
+           "v[c] = rows[i][f] * (lead // rows[i][c])",
+           ("tests/test_linalg.py::test_integer_kernels_match_fraction_references_on_square_matrices",
+            "tests/test_modules.py::test_integer_eigen_frame_matches_the_fraction_route")),
+    Mutant("check-phi-n-skips-nilpotency", "modules.py",
+           "    jordan_partition(monodromy)\n",
+           "",
+           ("tests/test_modules.py::test_check_phi_n_rejects_non_nilpotent_monodromy",
+            "tests/test_modules.py::test_check_phi_n_names_the_first_error_at_scale_two")),
+    Mutant("twist-window-from-r", "hecke.py",
+           "range(r - 1, n)",
+           "range(r, n)",
+           ("tests/test_hecke.py::test_theta_tilde_twist_window",
+            "tests/test_interpolation.py::test_beta_value_pinned")),
+    Mutant("psi-bottom-first", "weil_deligne.py",
+           "for j in range(s.length - 1, -1, -1):",
+           "for j in range(s.length):",
+           ("tests/test_weil_deligne.py::test_psi_from_segments_pinned",
+            "tests/test_weil_deligne.py::test_wd_from_segments_matrices_pinned")),
+    Mutant("inverse-update-one-minus", "linalg.py",
+           "w * (2 - _eval_mod(dh, y, modulus) * w)",
+           "w * (1 - _eval_mod(dh, y, modulus) * w)",
+           ("tests/test_linalg.py::test_rational_eigenvalues_split_cases",
+            "tests/test_linalg.py::test_rational_eigenvalues_rank_8_with_20_digit_entries")),
+    Mutant("int-val-skips-last-step", "scalars.py",
+           "for k in range(len(powers) - 1, -1, -1):",
+           "for k in range(len(powers) - 1, 0, -1):",
+           ("tests/test_scalars.py::test_padic_val_basics",
+            "tests/test_scalars.py::test_int_val_counts_every_valuation_for_any_base")),
+)
+
+
+def snippet_errors(root=ROOT, mutants=MUTANTS):
+    """One line per mutant whose snippet does not occur exactly once."""
+    errors = []
+    for m in mutants:
+        count = (root / "src" / "phinlab" / m.file).read_text().count(m.snippet)
+        if count != 1:
+            errors.append(f"{m.name}: snippet occurs {count} times in {m.file}")
+    return errors
+
+
+def failing_tests(workdir, tests):
+    """The named tests that fail in workdir, or None when the run hits RUN_LIMIT."""
+    argv = [sys.executable, "-m", "pytest", "-q", "-rf", "--tb=no", "-p", "no:cacheprovider", *tests]
+    try:
+        done = subprocess.run(argv, cwd=workdir, capture_output=True, text=True, timeout=RUN_LIMIT)
+    except subprocess.TimeoutExpired:
+        return None
+    return {line.split()[1] for line in done.stdout.splitlines() if line.startswith("FAILED ")}
+
+
+def main(names):
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    errors = [f"unknown mutant {name}" for name in sorted(unknown)] + snippet_errors(mutants=mutants)
+    if errors:
+        print("\n".join(errors))
+        return 2
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = pathlib.Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", work)
+        broken = failing_tests(work, sorted({t for m in mutants for t in m.tests}))
+        if broken is None or broken:
+            print(f"unmutated, these tests fail or hang: {broken}")
+            return 2
+        survivors = 0
+        for m in mutants:
+            path = work / "src" / "phinlab" / m.file
+            original = path.read_text()
+            path.write_text(original.replace(m.snippet, m.replacement))
+            failed = failing_tests(work, m.tests)
+            path.write_text(original)
+            if failed is None:
+                print(f"killed    {m.name} (time limit)")
+            elif set(m.tests) <= failed:
+                print(f"killed    {m.name}")
+            else:
+                survivors += 1
+                passed = ", ".join(t for t in m.tests if t not in failed)
+                print(f"survived  {m.name}: passed {passed}")
+    print(f"{len(mutants) - survivors} of {len(mutants)} killed in {time.perf_counter() - start:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
