@@ -12,6 +12,7 @@ from .errors import (
     RepeatedEigenvalues,
     SchemaError,
     SingularFrobenius,
+    Undecided,
 )
 from .hecke import (
     HeckeParams,
@@ -72,7 +73,7 @@ __all__ = [
     "BadFlag", "ChainMismatch", "EnumerationCapExceeded", "InputError",
     "NonNilpotentMonodromy", "NotFullyRational", "PhinlabError",
     "RelationViolation", "RepeatedEigenvalues", "SchemaError",
-    "SingularFrobenius",
+    "SingularFrobenius", "Undecided",
     "HeckeParams", "coset_classes", "materialize_representatives",
     "spherical_value", "theta_closed", "theta_enumerated", "theta_tilde",
     "CONVENTIONS", "HodgeTateWeights", "XiWeights", "beta_value",

@@ -3,7 +3,8 @@
 Two broad families matter to callers: InputError means the caller handed us
 something malformed or outside the preconditions (CLI exit 2), while
 ChainMismatch means a well-formed object failed a mathematical decomposition
-(CLI exit 1, with a report attached).
+(CLI exit 1, with a report attached). Undecided, an InputError, marks a
+valid input that no exact route here decides.
 """
 
 __all__ = [
@@ -14,6 +15,7 @@ __all__ = [
     "SingularFrobenius",
     "NonNilpotentMonodromy",
     "BadFlag",
+    "Undecided",
     "RepeatedEigenvalues",
     "NotFullyRational",
     "EnumerationCapExceeded",
@@ -73,15 +75,19 @@ class BadFlag(InputError):
     """Filtration flag basis is singular or its jump data is malformed."""
 
 
-class RepeatedEigenvalues(InputError):
+class Undecided(InputError):
+    """A valid input outside what the exact routes decide."""
+
+
+class RepeatedEigenvalues(Undecided):
     """Frobenius spectrum has a repeated root; enumeration needs certificates."""
 
 
-class NotFullyRational(InputError):
+class NotFullyRational(Undecided):
     """Frobenius spectrum does not split over Q; enumeration needs certificates."""
 
 
-class EnumerationCapExceeded(InputError):
+class EnumerationCapExceeded(Undecided):
     """An exhaustive enumeration was refused because its work units exceed the budget."""
 
 

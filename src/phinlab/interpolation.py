@@ -10,7 +10,7 @@ whether all the beta values are integral, reporting weak admissibility
 alongside.
 """
 
-from .errors import EnumerationCapExceeded, InputError, NotFullyRational, RepeatedEigenvalues
+from .errors import InputError, Undecided
 from .hecke import HeckeParams, _twisted, check_weights, theta_tilde
 from .linalg import exterior_traces
 from .modules import is_weakly_admissible
@@ -106,7 +106,7 @@ def check_integrality(d, xi):
         verdict = is_weakly_admissible(d)
         admissible = verdict.admissible
         warning = None if admissible else "module is not weakly admissible; valuations reported raw"
-    except (RepeatedEigenvalues, NotFullyRational, EnumerationCapExceeded) as err:
+    except Undecided as err:
         admissible = None
         warning = f"admissibility undecided ({err}); valuations reported raw"
     rows = []

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q: matrices, subspaces, spectra.
+"""Exact linear algebra over Q: matrices, subspaces, spectra, Jordan types.
 
 Entries are exact rationals and no floating point appears anywhere, but
 the kernels do not compute with rationals. A ``Matrix`` is held as its
@@ -21,13 +21,15 @@ built only on access: ``Matrix.rows``, ``Matrix.column``,
 import math
 import operator
 
-from .errors import NonNilpotentMonodromy
+from .errors import NonNilpotentMonodromy, NotFullyRational
 from .scalars import Frozen, Rational, ZERO, _rebuild, is_prime
 
 __all__ = [
     "Matrix",
+    "Partition",
     "Subspace",
     "char_poly",
+    "conjugate",
     "det",
     "exterior_traces",
     "EigenSplit",
@@ -332,11 +334,15 @@ class EigenSplit(Frozen):
     def is_split(self):
         return self.residual is None
 
+    def split_roots(self):
+        """``roots``, or NotFullyRational when the spectrum does not split."""
+        if self.residual is not None:
+            raise NotFullyRational("spectrum does not split over Q; "
+                                   f"residual factor has degree {len(self.residual) - 1}")
+        return self.roots
+
     def multiset(self):
-        out = []
-        for value, mult in self.roots:
-            out.extend([value] * mult)
-        return out
+        return [value for value, mult in self.split_roots() for _ in range(mult)]
 
 
 def _divide_linear(poly, a, b):
@@ -474,7 +480,7 @@ def _rational_roots(f):
 def rational_eigenvalues(m):
     """Split the characteristic polynomial into rational roots and a residual.
 
-    Never raises on irrational spectrum; inspect ``is_split`` instead. The
+    Never raises on irrational spectrum; ``EigenSplit.split_roots`` does. The
     work is in Z[x], on the primitive multiple f of d^n * det(x*I - M) for
     the cleared matrix d*M. The candidates come from ``_rational_roots``;
     exact division of f by (b*x - a) confirms each candidate a/b and counts
@@ -514,6 +520,37 @@ def jordan_nilpotent(sizes):
     return Matrix._from_ints(rows, 1)
 
 
+class Partition(Frozen):
+    """Weakly decreasing tuple of positive integers (possibly empty)."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        parts = tuple(int(x) for x in parts)
+        if any(x < 1 for x in parts):
+            raise ValueError(f"parts must be positive: {parts}")
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+            raise ValueError(f"parts must be weakly decreasing: {parts}")
+        Frozen.__init__(self, parts)
+
+    @property
+    def total(self):
+        return sum(self.parts)
+
+    def __len__(self):
+        return len(self.parts)
+
+    def __repr__(self):
+        return f"Partition{self.parts}"
+
+
+def conjugate(p):
+    """Transpose of the Young diagram: row lengths become column lengths."""
+    if not p.parts:
+        return Partition(())
+    return Partition(tuple(sum(1 for x in p.parts if x >= i) for i in range(1, p.parts[0] + 1)))
+
+
 def jordan_partition(n_mat):
     """Jordan block sizes of a nilpotent matrix, largest first.
 
@@ -522,8 +559,6 @@ def jordan_partition(n_mat):
     whose kernel is the whole space, or whose kernel stops growing, which
     means N is not nilpotent.
     """
-    from .partitions import Partition, conjugate
-
     if not n_mat.is_square:
         raise ValueError("jordan_partition needs a square matrix")
     size = n_mat.nrows

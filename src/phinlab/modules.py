@@ -21,12 +21,11 @@ import math
 from .config import check_work_units
 from .errors import (
     BadFlag,
-    EnumerationCapExceeded,
     InputError,
-    NotFullyRational,
     RelationViolation,
     RepeatedEigenvalues,
     SingularFrobenius,
+    Undecided,
 )
 from .linalg import (
     Matrix,
@@ -39,6 +38,7 @@ from .linalg import (
     jordan_partition,
     rational_eigenvalues,
 )
+from .partitions import LabelMap
 from .scalars import Frozen, Rational, format_rational, is_prime, padic_val
 
 __all__ = [
@@ -92,10 +92,6 @@ class FilteredPhiNModule(Frozen):
     """Validated bundle of field data, phi, monodromy, and filtrations."""
 
     __slots__ = ("field", "n", "phi", "monodromy", "filtration")
-
-    def __hash__(self):
-        # the filtration dict is unhashable; equal modules still hash equal
-        return hash((self.field, self.n, self.phi, self.monodromy))
 
     def flag(self, label):
         return self.filtration[label].basis
@@ -185,7 +181,7 @@ def build_module(field, n, phi, monodromy, filtration):
         order = sorted(range(n), key=lambda j: (jumps[j], j))
         basis = Matrix._from_ints([[row[j] for j in order] for row in basis.ints], basis.den)
         flags[label] = Flag(basis, tuple(jumps[j] for j in order))
-    return FilteredPhiNModule(field, n, phi, monodromy, flags)
+    return FilteredPhiNModule(field, n, phi, monodromy, LabelMap(flags))
 
 
 def _restrict_or_reject(d, sub):
@@ -272,19 +268,14 @@ def _eigen_frame(d):
     l + 1 closed subsets. The product of those counts, times n for the work
     per set, goes through the work budget before any set is listed.
     """
-    split = rational_eigenvalues(d.phi)
-    if not split.is_split:
-        coeffs = ", ".join(format_rational(c) for c in split.residual)
-        raise NotFullyRational(
-            f"phi spectrum has an irrational factor with coefficients {coeffs} (constant term first)"
-        )
-    if any(mult > 1 for _, mult in split.roots):
-        roots = ", ".join(f"{format_rational(v)} (multiplicity {mult})" for v, mult in split.roots)
-        raise RepeatedEigenvalues(f"phi spectrum has repeated roots: {roots}")
+    roots = rational_eigenvalues(d.phi).split_roots()
+    if any(mult > 1 for _, mult in roots):
+        listed = ", ".join(f"{format_rational(v)} (multiplicity {mult})" for v, mult in roots)
+        raise RepeatedEigenvalues(f"phi spectrum has repeated roots: {listed}")
     n = d.n
     f, den = d.phi.ints, d.phi.den
     eigvecs = []
-    for value, _ in split.roots:
+    for value, _ in roots:
         a, b = value.numerator * den, value.denominator
         eigvecs.append(_kernel_vectors([[b * x - a if i == j else b * x for j, x in enumerate(row)]
                                         for i, row in enumerate(f)])[0][1])
@@ -309,7 +300,7 @@ def _eigen_frame(d):
     # flag k (from 0) fills columns (k + 2)n to (k + 3)n of the stack
     flags = [([_primitive_row(row[(k + 2) * n:(k + 3) * n])[::-1] for row in stack],
               entry.jumps[::-1]) for k, entry in enumerate(entries)]
-    valuations = [padic_val(value, d.field.p) for value, _ in split.roots]
+    valuations = [padic_val(value, d.field.p) for value, _ in roots]
     # N maps the eigenline of a value v into that of v / p^f, of smaller
     # valuation, so in ascending valuation every index follows its image:
     # adding index i to a closed set s keeps it closed when s holds the image
@@ -379,7 +370,7 @@ def is_weakly_admissible(d, candidates=None):
         mode = "enumerated"
         try:
             frame = _eigen_frame(d)
-        except (RepeatedEigenvalues, NotFullyRational, EnumerationCapExceeded):
+        except Undecided:
             if t_h == t_n:
                 raise
             # unequal totals fail on the full space, whatever the spectrum

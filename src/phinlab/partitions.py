@@ -7,7 +7,9 @@ label, so the single-block partition is the smallest element and
 (1, ..., 1) the largest.
 """
 
-from .linalg import jordan_partition
+from itertools import accumulate, zip_longest
+
+from .linalg import Partition, conjugate, jordan_partition
 from .scalars import Frozen
 
 __all__ = [
@@ -23,37 +25,6 @@ __all__ = [
     "reaches_thresholds",
     "stratum_member",
 ]
-
-
-class Partition(Frozen):
-    """Weakly decreasing tuple of positive integers (possibly empty)."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        parts = tuple(int(x) for x in parts)
-        if any(x < 1 for x in parts):
-            raise ValueError(f"parts must be positive: {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"parts must be weakly decreasing: {parts}")
-        Frozen.__init__(self, parts)
-
-    @property
-    def total(self):
-        return sum(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __repr__(self):
-        return f"Partition{self.parts}"
-
-
-def conjugate(p):
-    """Transpose of the Young diagram: row lengths become column lengths."""
-    if not p.parts:
-        return Partition(())
-    return Partition(tuple(sum(1 for x in p.parts if x >= i) for i in range(1, p.parts[0] + 1)))
 
 
 def partitions_of(n, cap=None):
@@ -76,15 +47,6 @@ def partition_count(n):
     return counts[n]
 
 
-def _partial_sums(parts, length):
-    out = []
-    acc = 0
-    for i in range(length):
-        acc += parts[i] if i < len(parts) else 0
-        out.append(acc)
-    return out
-
-
 def dominates(a, b):
     """Natural dominance: every partial sum of a is >= that of b.
 
@@ -92,14 +54,14 @@ def dominates(a, b):
     """
     if a.total != b.total:
         raise ValueError(f"totals differ: {a.total} vs {b.total}")
-    length = max(len(a), len(b))
-    return all(x >= y for x, y in zip(_partial_sums(a.parts, length), _partial_sums(b.parts, length)))
+    return all(x >= y for x, y in zip_longest(accumulate(a.parts), accumulate(b.parts),
+                                              fillvalue=a.total))
 
 
 class LabelMap(Frozen):
     """Immutable map from embedding labels to values, sorted by label.
 
-    Subclasses define ``_value(label, value)``, which normalises and
+    Subclasses may define ``_value(label, value)``, which normalises and
     validates one value, and may set ``error``, raised for an empty map.
     """
 
@@ -112,6 +74,10 @@ class LabelMap(Frozen):
         if not pairs:
             raise self.error("at least one label is required")
         Frozen.__init__(self, pairs)
+
+    @staticmethod
+    def _value(label, value):
+        return value
 
     @property
     def labels(self):

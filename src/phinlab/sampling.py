@@ -8,7 +8,7 @@ a JSON-ready dict whose serialization is byte-stable.
 
 import random
 
-from .errors import NotFullyRational, RepeatedEigenvalues
+from .errors import Undecided
 from .hecke import HeckeParams, theta_closed, theta_enumerated
 from .interpolation import check_integrality, consistency_check, ht_from_module, xi_from_ht
 from .linalg import Matrix, jordan_nilpotent, jordan_partition
@@ -105,7 +105,7 @@ def random_wa_module(rng, n=None):
         try:
             if is_weakly_admissible(d).admissible:
                 return d
-        except (RepeatedEigenvalues, NotFullyRational):
+        except Undecided:
             continue
     s = random_unimodular(rng, n)
     diag = [Rational(u) * Rational(p) ** jump for u, jump in zip(units, jumps)]

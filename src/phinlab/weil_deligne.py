@@ -12,7 +12,7 @@ expand into the eigenvalue list consumed by the Hecke side.
 from collections import Counter
 from itertools import accumulate
 
-from .errors import ChainMismatch, InputError, NotFullyRational
+from .errors import ChainMismatch, InputError
 from .linalg import Matrix, jordan_partition, rational_eigenvalues
 from .modules import check_phi_n
 from .partitions import PartitionFunction
@@ -200,14 +200,9 @@ def canonical_segments(segments, p):
 
 def segments_from_wd(w):
     """Decompose the spectrum and Jordan shape into canonically sorted segments."""
-    split = rational_eigenvalues(w.frobenius)
-    if not split.is_split:
-        raise NotFullyRational(
-            "Frobenius spectrum does not split over Q; "
-            f"residual factor has degree {len(split.residual) - 1}"
-        )
+    values = rational_eigenvalues(w.frobenius).multiset()
     parts = jordan_partition(w.monodromy).parts
-    segs = match_chains(split.multiset(), parts, w.q, w.p)
+    segs = match_chains(values, parts, w.q, w.p)
     return canonical_segments(segs, w.p)
 
 

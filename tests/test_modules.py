@@ -15,10 +15,12 @@ from phinlab.errors import (
     RelationViolation,
     RepeatedEigenvalues,
     SingularFrobenius,
+    Undecided,
 )
 from phinlab.linalg import Matrix, Subspace, _echelon, rational_eigenvalues
 from phinlab.modules import (
     FieldDescriptor,
+    Flag,
     build_module,
     enumerate_stable_subspaces,
     hodge_number,
@@ -71,6 +73,19 @@ def test_build_module_accepts_steinberg():
     assert d.fil_subspace("k0", 1) == Subspace(2, [(1, 1)])
     assert d.fil_subspace("k0", 0) == Subspace.full(2)
     assert d.fil_subspace("k0", 2) == Subspace.zero(2)
+
+
+def test_a_built_module_refuses_a_new_flag():
+    d, e = steinberg(), steinberg()
+    with pytest.raises(TypeError):
+        d.filtration["k0"] = Flag(Matrix.identity(2), (0, 5))
+    assert d == e and hash(d) == hash(e)
+    assert is_weakly_admissible(d).admissible
+
+
+def test_spectrum_and_budget_errors_are_undecided():
+    for error in (RepeatedEigenvalues, NotFullyRational, EnumerationCapExceeded):
+        assert issubclass(error, Undecided) and issubclass(error, InputError)
 
 
 def test_build_module_sorts_flag_columns_by_jump():

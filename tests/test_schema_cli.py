@@ -296,18 +296,6 @@ def test_cli_strata(tmp_path, capsys):
     assert verdicts[(1, 1)] is False
 
 
-def diagonal_module(n):
-    """Rank n, phi = diag(1, 2, 4, ...), N = 0 and the standard flag."""
-    return {
-        "field": {"p": 2},
-        "n": n,
-        "phi": [[str(2 ** i) if i == j else "0" for j in range(n)] for i in range(n)],
-        "monodromy": [["0"] * n for _ in range(n)],
-        "filtration": {"k0": {"flag": [["1" if i == j else "0" for j in range(n)] for i in range(n)],
-                              "jumps": list(range(n))}},
-    }
-
-
 def test_cli_strata_runs_within_the_work_budget(tmp_path, capsys):
     # p(27) * 27 = 3010 * 27 = 81270 work units, under the budget of 10^5
     path = write_json(tmp_path, diagonal_module(27))
@@ -432,7 +420,7 @@ def test_cli_bad_field_block_is_an_input_error(tmp_path, capsys, field):
 @pytest.mark.parametrize("phi, text, jumps", [
     # jumps with t_H = t_N, so the spectrum error is reached
     ([["1", "0"], ["0", "1"]], "repeated roots: 1 (multiplicity 2)", [-1, 1]),
-    ([["0", "2"], ["1", "0"]], "irrational factor with coefficients -2, 0, 1", [1, 0]),
+    ([["0", "2"], ["1", "0"]], "spectrum does not split over Q; residual factor has degree 2", [1, 0]),
 ])
 def test_cli_spectrum_errors_print_no_backend_reprs(tmp_path, capsys, phi, text, jumps):
     filtration = {"k0": dict(STEINBERG["filtration"]["k0"], jumps=jumps)}
@@ -644,3 +632,27 @@ def test_cli_segments_and_consistency_take_p_from_the_field(tmp_path):
         assert (done.returncode, done.stderr) == (0, ""), command
         assert done.stdout.splitlines()[0] == line
         assert elapsed < 5, (command, elapsed)
+
+
+def test_cli_spectrum_gate_prints_no_residual_coefficient(tmp_path):
+    # the residual x^2 - 8*3^9000*x + 7*3^18000 - 1 has coefficients past
+    # 4,300 digits; a message that printed them raised ValueError
+    big = str(3 ** 9000)
+    seven = str(7 * 3 ** 9000)
+    path = write_json(tmp_path, variant(
+        field={"p": 3}, phi=[[big, "1"], ["1", seven]], monodromy=[["0", "0"], ["0", "0"]],
+        filtration={"k0": {"flag": [["1", "0"], ["0", "1"]], "jumps": [0, 18000]}}))
+    env = child_env()
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "phinlab.cli", "check-admissible", path],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert time.perf_counter() - start < 2
+    # unequal totals decide "not admissible" with the full space, whatever the spectrum
+    assert (done.returncode, done.stderr) == (1, "")
+    assert done.stdout.splitlines() == [
+        "admissible: no", "t_H = 18000", "t_N = 0", "subspaces checked: 1 (enumerated)",
+        "witness: dim 2 subspace with t_H = 18000 > t_N = 0"]
+    done = subprocess.run([sys.executable, "-m", "phinlab.cli", "segments", path],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: spectrum does not split over Q; residual factor has degree 2\n")

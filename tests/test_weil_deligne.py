@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from phinlab.cli import main
 from phinlab.errors import (
     ChainMismatch,
     InputError,
@@ -17,6 +19,7 @@ from phinlab.errors import (
 from phinlab.linalg import Matrix, jordan_nilpotent, rational_eigenvalues
 from phinlab.modules import FieldDescriptor, build_module
 from phinlab.partitions import Partition, PartitionFunction
+from phinlab.schema import matrix_json
 from phinlab.weil_deligne import (
     Segment,
     UnramifiedCharacter,
@@ -192,6 +195,28 @@ def test_is_generic_pinned():
     assert not is_generic([seg(1, 2), seg(4, 2)], 2)
     # different q-lines never link
     assert is_generic([seg(1, 2), seg(3, 2)], 2)
+
+
+def test_is_generic_containment_in_both_orders():
+    # (1, 1) is the bottom of (1, 3): one chain swallows the other, whichever
+    # comes first, so neither order is linked
+    assert is_generic([seg(1, 1), seg(1, 3)], 2)
+    assert is_generic([seg(1, 3), seg(1, 1)], 2)
+    # the same for a chain that holds another at its top
+    assert is_generic([seg(4, 1), seg(1, 3)], 2)
+    assert is_generic([seg(1, 3), seg(4, 1)], 2)
+
+
+def test_segments_cli_on_a_contained_chain(tmp_path, capsys):
+    w = wd_from_segments([(1, 3), (1, 1)], 2)
+    n = w.frobenius.nrows
+    module = {"field": {"p": 2}, "n": n, "phi": matrix_json(w.frobenius),
+              "monodromy": matrix_json(w.monodromy),
+              "filtration": {"k0": {"flag": matrix_json(Matrix.identity(n)), "jumps": [0] * n}}}
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module))
+    assert main(["segments", str(path)]) == 0
+    assert capsys.readouterr().out == "segments: (1, 1), (1, 3)\ngeneric: yes\npsi: (1, 4, 2, 1)\n"
 
 
 def test_find_linked_pair_reports_indices():

@@ -5,9 +5,10 @@ occurs once, the snippet's replacement, and the ids of the tests expected
 to kill it. The runner copies ``src/``, ``tests/`` and ``pyproject.toml``
 to a temporary directory, checks that the named tests pass there, then for
 each mutant applies it to the copy alone and runs its tests with pytest.
-The mutant is killed when every named test fails, or when the run exceeds
-its time limit; a named test that passes is reported, so a refactor that
-loses a killing test shows here.
+The mutant is killed when every named test fails (a parametrized test
+fails when one of its cases does), or when the run exceeds its time limit;
+a named test that passes is reported, so a refactor that loses a killing
+test shows here.
 
     python3 tools/mutants.py            # every mutant
     python3 tools/mutants.py NAME ...   # the named ones
@@ -70,6 +71,19 @@ MUTANTS = (
            "for k in range(len(powers) - 1, 0, -1):",
            ("tests/test_scalars.py::test_padic_val_basics",
             "tests/test_scalars.py::test_int_val_counts_every_valuation_for_any_base")),
+    Mutant("linked-containment", "weil_deligne.py",
+           "    if a2 <= a1 and b1 <= b2:\n        return False\n",
+           "",
+           ("tests/test_weil_deligne.py::test_is_generic_containment_in_both_orders",
+            "tests/test_weil_deligne.py::test_segments_cli_on_a_contained_chain")),
+    Mutant("dominance-fill-zero", "partitions.py",
+           "fillvalue=a.total",
+           "fillvalue=0",
+           ("tests/test_partitions.py::test_dominates_pinned",)),
+    Mutant("cap-not-undecided", "errors.py",
+           "class EnumerationCapExceeded(Undecided):",
+           "class EnumerationCapExceeded(InputError):",
+           ("tests/test_modules.py::test_a_totals_mismatch_is_decided_before_the_spectrum",)),
 )
 
 
@@ -90,7 +104,9 @@ def failing_tests(workdir, tests):
         done = subprocess.run(argv, cwd=workdir, capture_output=True, text=True, timeout=RUN_LIMIT)
     except subprocess.TimeoutExpired:
         return None
-    return {line.split()[1] for line in done.stdout.splitlines() if line.startswith("FAILED ")}
+    # a parametrized test fails when one of its cases does
+    return {line.split()[1].split("[")[0] for line in done.stdout.splitlines()
+            if line.startswith("FAILED ")}
 
 
 def main(names):
