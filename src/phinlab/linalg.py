@@ -9,8 +9,11 @@ gcd is paid per arithmetic step. A product is built from its integer rows
 over the product of the two denominators; ``det`` is Bareiss
 fraction-free elimination; ``char_poly`` is Newton's identities on the
 power sums tr(A^k) with exact integer division; ``rational_eigenvalues``
-confirms and deflates its roots in Z[x]; row reduction is Gauss-Jordan on
-integer rows. A ``Subspace`` is held as its reduced echelon basis with
+lifts its roots from a small prime, forms the squarefree part of the
+polynomial only when no small prime shows every root simple, and confirms
+and deflates them in Z[x]; the eigenvectors of a split multiplicity-free
+spectrum all come from one Krylov sequence; row reduction is Gauss-Jordan
+on integer rows. A ``Subspace`` is held as its reduced echelon basis with
 each row scaled to a primitive integer row with a positive pivot, which
 is unique, so equality and hashing are structural; intersection,
 membership, stability and restriction run on those rows. Rationals are
@@ -18,6 +21,7 @@ built only on access: ``Matrix.rows``, ``Matrix.column``,
 ``Subspace.basis`` and the values the functions return.
 """
 
+import itertools
 import math
 import operator
 
@@ -330,10 +334,6 @@ class EigenSplit(Frozen):
 
     __slots__ = ("roots", "residual")
 
-    @property
-    def is_split(self):
-        return self.residual is None
-
     def split_roots(self):
         """``roots``, or NotFullyRational when the spectrum does not split."""
         if self.residual is not None:
@@ -414,21 +414,28 @@ def _eval_mod(poly, x, modulus):
     return acc
 
 
-def _simple_roots_mod_prime(h, dh):
+def _simple_roots_mod_prime(h, dh, bound=None):
     """The least prime ell not dividing lead(h) at which every root of h mod ell
-    is simple, with those roots.
+    is simple, with those roots; with a bound, only the primes below it are
+    tried, and None comes back when none of them qualifies.
 
-    Every prime dividing neither lead(h) nor the discriminant of the
-    squarefree h qualifies, so the search ends.
+    Every prime dividing neither lead(h) nor the discriminant of a
+    squarefree h qualifies, so the search ends only when it is called
+    without a bound, on a squarefree h.
     """
-    ell = 1
-    while True:
-        ell += 1
+    for ell in itertools.count(2) if bound is None else range(2, bound):
         if not is_prime(ell) or h[-1] % ell == 0:
             continue
-        roots = [x for x in range(ell) if _eval_mod(h, x, ell) == 0]
-        if all(_eval_mod(dh, x, ell) for x in roots):
+        hm, dm = [c % ell for c in h], [c % ell for c in dh]
+        roots = []
+        for x in range(ell):
+            if _eval_mod(hm, x, ell) == 0:
+                if _eval_mod(dm, x, ell) == 0:
+                    break
+                roots.append(x)
+        else:
             return ell, roots
+    return None
 
 
 def _reconstruct(u, modulus, num_bound):
@@ -445,19 +452,31 @@ def _reconstruct(u, modulus, num_bound):
     return r1, t1
 
 
+# the primes tried on f itself before its squarefree part is formed
+_SIMPLE_ROOT_BOUND = 128
+
+
 def _rational_roots(f):
     """Candidates that include every rational root of a primitive integer
     polynomial with nonzero constant term; the caller confirms each.
 
-    p-adic expansion (Loos 1983): the simple roots of the squarefree part h
-    mod a small prime ell are lifted to ell-adic precision beyond
-    2*|h(0)|*lead(h), and each is reconstructed as a fraction whose
-    numerator divides h(0) and whose denominator divides lead(h). The cost
-    is polynomial in the degree and in the bit size of the coefficients.
+    p-adic expansion (Loos 1983): the simple roots of h mod a small prime
+    ell are lifted to ell-adic precision beyond 2*|h(0)|*lead(h), and each
+    is reconstructed as a fraction whose numerator divides h(0) and whose
+    denominator divides lead(h). A repeated rational root stays repeated
+    modulo every prime not dividing lead(f), so when some prime below
+    ``_SIMPLE_ROOT_BOUND`` has only simple roots of f, every rational root
+    of f is simple and h is f itself; otherwise h is the squarefree part
+    f / gcd(f, f'). The cost is polynomial in the degree and in the bit
+    size of the coefficients.
     """
-    h = _exact_quotient(f, _poly_gcd(f, _derivative(f)))
-    dh = _derivative(h)
-    ell, roots = _simple_roots_mod_prime(h, dh)
+    h, dh = f, _derivative(f)
+    found = _simple_roots_mod_prime(h, dh, _SIMPLE_ROOT_BOUND)
+    if found is None:
+        h = _exact_quotient(f, _poly_gcd(f, dh))
+        dh = _derivative(h)
+        found = _simple_roots_mod_prime(h, dh)
+    ell, roots = found
     modulus = ell
     # each root x with w = 1/h'(x), so that no step inverts modulo the lifted modulus
     lifted = [(x, pow(_eval_mod(dh, x, ell), -1, ell)) for x in roots]
@@ -503,6 +522,44 @@ def rational_eigenvalues(m):
                 roots[cand] = roots.get(cand, 0) + 1
     residual = None if len(f) == 1 else tuple(Rational(x, f[-1]) for x in f)
     return EigenSplit(tuple(sorted(roots.items())), residual)
+
+
+def _eigenvectors(a, roots):
+    """The eigenvector of the square integer matrix a for each (num, den) in
+    roots, the pairwise distinct eigenvalues num/den of its whole spectrum.
+
+    Each comes out as ``_kernel_vectors`` gives the kernel of den*a - num*I:
+    primitive, with its last nonzero entry (the free column of that
+    kernel) positive. With P(t) = prod (den_j t - num_j), P(a) = 0, so for
+    Q_i = P / (den_i t - num_i) the vector Q_i(a) x is killed by
+    den_i a - num_i: it lies on the i-th eigenline, and is zero only when x
+    has no component there. One Krylov sequence x, a x, ..., a^(n-1) x
+    serves every root, n - 1 products with a and n^2 dot products. x is
+    (1, s, s^2, ...) from s = 3; the roots whose vector comes out zero are
+    retried with s + 1. The component of x on a line is a nonzero
+    polynomial in s of degree below n, so fewer than n values of s miss
+    any one line.
+    """
+    n = len(a)
+    poly = [1]
+    for num, den in roots:
+        poly = [den * x - num * y for x, y in zip([0] + poly, poly + [0])]
+    quotients = [_divide_linear(poly, num, den) for num, den in roots]
+    out = [None] * len(roots)
+    todo, s = list(range(len(roots))), 3
+    while todo:
+        krylov = [[s ** k for k in range(n)]]
+        for _ in range(n - 1):
+            krylov.append([sum(map(operator.mul, row, krylov[-1])) for row in a])
+        columns = list(zip(*krylov))
+        for i in todo:
+            v = [sum(map(operator.mul, quotients[i], col)) for col in columns]
+            if any(v):
+                g = math.gcd(*v)
+                last = next(x for x in reversed(v) if x)
+                out[i] = [x // (g if last > 0 else -g) for x in v]
+        todo, s = [i for i in todo if out[i] is None], s + 1
+    return out
 
 
 def jordan_nilpotent(sizes):

@@ -31,8 +31,8 @@ from .linalg import (
     Matrix,
     Subspace,
     _echelon,
+    _eigenvectors,
     _int_matmul,
-    _kernel_vectors,
     _primitive_row,
     det,
     jordan_partition,
@@ -92,9 +92,6 @@ class FilteredPhiNModule(Frozen):
     """Validated bundle of field data, phi, monodromy, and filtrations."""
 
     __slots__ = ("field", "n", "phi", "monodromy", "filtration")
-
-    def flag(self, label):
-        return self.filtration[label].basis
 
     def jumps(self, label):
         return self.filtration[label].jumps
@@ -258,7 +255,8 @@ def _eigen_frame(d):
     integer bitmask (bit i is eigvecs[i]). The spans of the closed sets are
     exactly the phi- and N-stable subspaces.
 
-    With phi = F/d, the eigenvector of a/b spans the kernel of b*F - a*d*I.
+    With phi = F/d, the eigenvector of a/b spans the kernel of b*F - a*d*I;
+    ``_eigenvectors`` finds all of them from one Krylov sequence of F.
     One echelon form of (B | N*B | flag_1 | ...) is (D | D*B^-1*N*B | ...)
     for a diagonal D, which gives N's support in eigen-coordinates and each
     flag's rows up to a scale per row; neither depends on that scale.
@@ -273,12 +271,9 @@ def _eigen_frame(d):
         listed = ", ".join(f"{format_rational(v)} (multiplicity {mult})" for v, mult in roots)
         raise RepeatedEigenvalues(f"phi spectrum has repeated roots: {listed}")
     n = d.n
-    f, den = d.phi.ints, d.phi.den
-    eigvecs = []
-    for value, _ in roots:
-        a, b = value.numerator * den, value.denominator
-        eigvecs.append(_kernel_vectors([[b * x - a if i == j else b * x for j, x in enumerate(row)]
-                                        for i, row in enumerate(f)])[0][1])
+    den = d.phi.den
+    eigvecs = _eigenvectors(d.phi.ints, [(value.numerator * den, value.denominator)
+                                         for value, _ in roots])
     basis = [list(row) for row in zip(*eigvecs)]
     moved = _int_matmul(d.monodromy.ints, basis)
     entries = [d.filtration[label] for label in d.field.embeddings]

@@ -213,7 +213,6 @@ def test_exterior_trace_matches_minor_sums_random():
 
 def test_rational_eigenvalues_split_cases():
     split = rational_eigenvalues(Matrix.diagonal([1, 2, 2]))
-    assert split.is_split
     assert split.roots == ((1, 1), (2, 2))
     assert split.residual is None
 
@@ -228,7 +227,7 @@ def test_rational_eigenvalues_irrational_residual():
     # companion of x^2 - 2 has no rational roots
     m = Matrix([[0, 2], [1, 0]])
     split = rational_eigenvalues(m)
-    assert not split.is_split
+    assert split.residual is not None
     assert split.roots == ()
     assert list(split.residual) == [-2, 0, 1]
 
@@ -372,7 +371,7 @@ def test_rational_eigenvalues_rank_8_with_20_digit_entries():
     values.append(Fraction(values[0], 3))
     values[5] = values[2]
     split = rational_eigenvalues(Matrix.diagonal(values))
-    assert split.is_split
+    assert split.residual is None
     expected = sorted({v: values.count(v) for v in values}.items())
     assert [(as_fraction(v), m) for v, m in split.roots] == expected
 
@@ -851,3 +850,105 @@ def test_rational_eigenvalues_match_the_fraction_deflation_loop():
             seen.add("irrational residual")
     assert seen == {"zero root", "non-integral root", "integral root", "repeated root",
                     "non-integral polynomial", "irrational residual"}
+
+
+# ---------------------------------------------------------------------------
+# eigenvectors from one Krylov sequence, and the squarefree part on demand
+
+from phinlab import linalg  # noqa: E402
+from phinlab.linalg import _eigenvectors, _kernel_vectors  # noqa: E402
+
+
+def eigenvectors_both_ways(m):
+    """(``_eigenvectors``, one ``_kernel_vectors`` elimination per eigenvalue)
+    for a matrix m = F / d with a split multiplicity-free spectrum: the
+    eigenvalue a/b of F is value * d, and its line is the kernel of b*F - a*I."""
+    pairs = [(value.numerator * m.den, value.denominator)
+             for value, _ in rational_eigenvalues(m).split_roots()]
+    kernels = []
+    for a, b in pairs:
+        [(_, v)] = _kernel_vectors([[b * x - a if i == j else b * x for j, x in enumerate(row)]
+                                    for i, row in enumerate(m.ints)])
+        kernels.append(v)
+    return _eigenvectors(m.ints, pairs), kernels
+
+
+def test_eigenvectors_match_the_kernel_vectors():
+    rng = random.Random(73)
+    seen = set()
+    for n in range(1, 9):
+        for kind in ("diagonal", "triangular", "conjugated"):
+            for _ in range(6):
+                values = []
+                while len(values) < n:
+                    value = Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.choice((1, 1, 2, 3, 7)))
+                    if value not in values:
+                        values.append(value)
+                if kind == "diagonal":
+                    m = Matrix.diagonal(values)
+                elif kind == "triangular":
+                    m = Matrix([[values[i] if i == j else rng.randint(-5, 5) if j > i else 0
+                                 for j in range(n)] for i in range(n)])
+                else:
+                    s = random_unimodular(rng, n)
+                    m = s @ Matrix.diagonal(values) @ s.inverse()
+                got, want = eigenvectors_both_ways(m)
+                assert got == want
+                seen.update({kind, ("rank", n)})
+                seen.update("negative" if v < 0 else "fractional" if v.denominator > 1 else "positive"
+                            for v in values)
+    assert {("rank", n) for n in range(1, 9)} <= seen
+    assert {"diagonal", "triangular", "conjugated", "negative", "fractional", "positive"} <= seen
+
+
+def test_eigenvectors_retry_a_line_the_first_start_misses():
+    w = Matrix([[3, -1, 0], [0, 1, 1], [1, 0, 2]])
+    m = w.inverse() @ Matrix.diagonal([2, 5, 7]) @ w
+    # the start x = (1, 3, 9) has coordinates w x on the eigenbasis, and
+    # (3, -1, 0) . (1, 3, 9) = 0: x has no component on the eigenline of 2
+    assert (w @ Matrix([[1], [3], [9]])).column(0)[0] == 0
+    got, want = eigenvectors_both_ways(m)
+    assert got == want
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """A list that gets one entry per ``linalg._poly_gcd`` call."""
+    calls = []
+    original = linalg._poly_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(linalg, "_poly_gcd", counted)
+    return calls
+
+
+def test_rational_eigenvalues_try_f_itself_before_its_squarefree_part(gcd_calls):
+    split = rational_eigenvalues(Matrix.diagonal([1, 2, -3, Fraction(1, 2)]))
+    assert split.roots == ((-3, 1), (Fraction(1, 2), 1), (1, 1), (2, 1))
+    assert gcd_calls == []
+    # squarefree, but 1 and 1 + M meet modulo every prime below the bound
+    big = math.prod(q for q in range(2, linalg._SIMPLE_ROOT_BOUND)
+                    if all(q % r for r in range(2, math.isqrt(q) + 1)))
+    split = rational_eigenvalues(Matrix.diagonal([1, 1 + big, 5]))
+    assert split.roots == ((1, 1), (5, 1), (1 + big, 1)) and split.residual is None
+    assert len(gcd_calls) == 1
+
+
+def test_rational_eigenvalues_of_repeated_roots(gcd_calls):
+    third = Fraction(-1, 3)
+    split = rational_eigenvalues(Matrix.diagonal([2, third, 6, 2, third, third]))
+    assert split.roots == ((third, 3), (2, 2), (6, 1)) and split.residual is None
+    # (x - 1)^2 (x^2 - 2)^2: a repeated root beside a repeated irrational factor
+    block = [[0, 2], [1, 0]]
+    rows = [[0] * 6 for _ in range(6)]
+    rows[0][0] = rows[1][1] = 1
+    for k in (2, 4):
+        for i in range(2):
+            rows[k + i][k:k + 2] = block[i]
+    split = rational_eigenvalues(Matrix(rows))
+    assert split.roots == ((1, 2),)
+    assert list(split.residual) == [4, 0, -4, 0, 1]
+    assert len(gcd_calls) == 2

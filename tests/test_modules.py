@@ -335,7 +335,7 @@ def test_admissibility_invariant_under_base_change():
             si = s.inverse()
             moved = build_module(
                 d.field, d.n, s @ d.phi @ si, s @ d.monodromy @ si,
-                {label: (s @ d.flag(label), list(d.jumps(label))) for label in d.field.embeddings},
+                {label: (s @ d.filtration[label].basis, list(d.jumps(label))) for label in d.field.embeddings},
             )
             assert is_weakly_admissible(moved).admissible == base
 

@@ -1,8 +1,9 @@
 """Operation counts of the module report kernels, pinned.
 
-Each test counts the integer matrix products (``linalg._int_matmul``) one
-call makes. A count does not depend on the machine or its load, so these
-guard the cost of the report path where a timing could not.
+Each test counts the integer matrix products (``linalg._int_matmul``) or
+the integer echelon forms (``linalg._echelon``) one call makes. A count
+does not depend on the machine or its load, so these guard the cost of
+the report path where a timing could not.
 """
 
 import sys
@@ -12,25 +13,30 @@ import pytest
 import phinlab
 from phinlab import linalg
 from phinlab.linalg import Matrix, char_poly, jordan_nilpotent, jordan_partition
-from phinlab.modules import FieldDescriptor, build_module
+from phinlab.modules import FieldDescriptor, _eigen_frame, build_module
+
+
+def count_calls(monkeypatch, name, entry):
+    """A list that gets entry(*args) per call of ``linalg.<name>``, through
+    linalg or any phinlab module that imported the name."""
+    calls = []
+    original = getattr(linalg, name)
+
+    def counted(*args):
+        calls.append(entry(*args))
+        return original(*args)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "phinlab" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    assert getattr(phinlab.modules, name) is counted
+    return calls
 
 
 @pytest.fixture
 def matmul_calls(monkeypatch):
-    """A list that gets one entry per ``_int_matmul`` call, through linalg
-    or any phinlab module that imported the name."""
-    calls = []
-    original = linalg._int_matmul
-
-    def counted(a, b):
-        calls.append((len(a), len(b[0])))
-        return original(a, b)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "phinlab" and getattr(module, "_int_matmul", None) is original:
-            monkeypatch.setattr(module, "_int_matmul", counted)
-    assert phinlab.modules._int_matmul is counted
-    return calls
+    """One (rows, columns) entry per ``_int_matmul`` product."""
+    return count_calls(monkeypatch, "_int_matmul", lambda a, b: (len(a), len(b[0])))
 
 
 def rank_eight(monodromy):
@@ -58,3 +64,12 @@ def test_char_poly_forms_powers_up_to_half_the_rank(matmul_calls):
 def test_jordan_partition_of_zero_forms_no_power(matmul_calls):
     assert jordan_partition(Matrix.zeros(6, 6)).parts == (1,) * 6
     assert matmul_calls == []
+
+
+def test_eigen_frame_forms_one_echelon_form(monkeypatch):
+    # the eigenvectors come from one Krylov sequence, with no kernel
+    # elimination per eigenvalue; the one echelon form is the stack's
+    d = rank_eight(jordan_nilpotent([3, 2, 2, 1]))
+    calls = count_calls(monkeypatch, "_echelon", len)
+    _eigen_frame(d)
+    assert calls == [8]

@@ -45,7 +45,16 @@ MUTANTS = (
            "v[c] = -rows[i][f] * (lead // rows[i][c])",
            "v[c] = rows[i][f] * (lead // rows[i][c])",
            ("tests/test_linalg.py::test_integer_kernels_match_fraction_references_on_square_matrices",
-            "tests/test_modules.py::test_integer_eigen_frame_matches_the_fraction_route")),
+            "tests/test_linalg.py::test_eigenvectors_match_the_kernel_vectors")),
+    Mutant("krylov-power-reversed", "linalg.py",
+           "sum(map(operator.mul, quotients[i], col))",
+           "sum(map(operator.mul, quotients[i][::-1], col))",
+           ("tests/test_modules.py::test_integer_eigen_frame_matches_the_fraction_route",
+            "tests/test_linalg.py::test_eigenvectors_match_the_kernel_vectors")),
+    Mutant("no-squarefree-fallback", "linalg.py",
+           "h = _exact_quotient(f, _poly_gcd(f, dh))",
+           "h = f",
+           ("tests/test_linalg.py::test_rational_eigenvalues_of_repeated_roots",)),
     Mutant("check-phi-n-skips-nilpotency", "modules.py",
            "    jordan_partition(monodromy)\n",
            "",
