@@ -10,7 +10,6 @@ precondition failure).
 
 import argparse
 import functools
-import json
 import sys
 
 from .config import check_work_units
@@ -21,6 +20,7 @@ from .linalg import jordan_partition
 from .modules import is_weakly_admissible
 from .partitions import (
     PartitionFunction,
+    part_thresholds,
     partition_count,
     partitions_of,
     reaches_thresholds,
@@ -32,6 +32,7 @@ from .schema import (
     admissibility_json,
     character_json,
     consistency_json,
+    dumps,
     integrality_json,
     load_json,
     parse_module,
@@ -180,7 +181,8 @@ def _cmd_strata(args):
     point_thresholds = strata_thresholds(point, d.n)
     strata = []
     for probe in partitions_of(d.n):
-        thresholds = strata_thresholds(PartitionFunction({label: probe for label in labels}), d.n)
+        # the probe at every label
+        thresholds = part_thresholds(probe.parts, d.n, len(labels))
         strata.append({
             "partition": list(probe.parts),
             "thresholds": list(thresholds),
@@ -254,7 +256,7 @@ def build_parser():
 
 def _emit(report, lines, fmt, stream):
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True), file=stream)
+        print(dumps(report), file=stream)
     else:
         for line in lines:
             print(line, file=stream)

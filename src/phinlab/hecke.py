@@ -159,13 +159,14 @@ def theta_tilde(psi, h, xi, field):
 
     xi maps each embedding label to n integer weights; t sums the weights
     at positions j >= r (1-indexed) across all labels. The uniformizer
-    power folds into the coefficient exactly when field.e == 1.
+    power folds into the coefficient exactly when field.e == 1. The factor
+    q^{r(r-1)/2} cancels the one theta_closed divides by, so the
+    coefficient is e_r(psi) itself.
     """
     if h.q != field.q:
         raise InputError(f"params have q={h.q} but the field's residue cardinality is {field.q}")
     check_weights(xi, field.embeddings, h.n)
-    coeff = Rational(h.q) ** (h.r * (h.r - 1) // 2) * theta_closed(psi, h)
-    return _twisted(coeff, xi, h.r, h.n, field)
+    return _twisted(elementary_symmetric(_as_character(psi, h.n), h.r), xi, h.r, h.n, field)
 
 
 def _twisted(value, xi, r, n, field):

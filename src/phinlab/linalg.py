@@ -8,10 +8,14 @@ that form, run on Python integers, and divide back once on exit, so no
 gcd is paid per arithmetic step. A product is built from its integer rows
 over the product of the two denominators; ``det`` is Bareiss
 fraction-free elimination; ``char_poly`` is Newton's identities on the
-power sums tr(A^k) with exact integer division; ``rational_eigenvalues``
-lifts its roots from a small prime, forms the squarefree part of the
-polynomial only when no small prime shows every root simple, and confirms
-and deflates them in Z[x]; the eigenvectors of a split multiplicity-free
+power sums tr(A^k) with exact integer division, formed at most once per
+``Matrix`` object and kept in a private slot of that object, so
+``rational_eigenvalues`` and ``exterior_traces`` on one matrix share it
+(the cache is neither keyed by value nor outlives its matrix);
+``rational_eigenvalues`` lifts its roots from a small prime, forms the
+squarefree part of the polynomial only when no small prime shows every
+root simple, and confirms and deflates them in Z[x] as reduced integer
+pairs; the eigenvectors of a split multiplicity-free
 spectrum all come from one Krylov sequence; row reduction is Gauss-Jordan
 on integer rows. A ``Subspace`` is held as its reduced echelon basis with
 each row scaled to a primitive integer row with a positive pivot, which
@@ -53,10 +57,13 @@ class Matrix(Frozen):
     ``ints`` and ``den`` hold it: integer rows over the least common
     denominator of the entries, computed once at construction. That form
     is unique, so equality and hashing stay structural, and the kernels
-    read it. ``rows``, the entries as rationals, is built on access.
+    read it. ``rows``, the entries as rationals, is built on access. The
+    private slot ``_char_poly`` holds the integer characteristic
+    polynomial once ``char_poly``, ``exterior_traces`` or
+    ``rational_eigenvalues`` has formed it.
     """
 
-    __slots__ = ("ints", "den")
+    __slots__ = ("ints", "den", "_char_poly")
 
     def __init__(self, rows):
         scaled = [_int_row(row) for row in rows]
@@ -281,8 +288,18 @@ def matrix_power(m, k):
 
 
 def _int_char_poly(m):
-    """[c_0, ..., c_n] with c_k the coefficient of x^(n-k) in det(x*I - A)
-    for the cleared matrix A = d*M, and d.
+    """(c, d) for the cleared matrix A = d*M, c as ``_newton_char_poly``
+    forms it, once per matrix: the pair is kept in the private slot of m."""
+    poly = getattr(m, "_char_poly", None)
+    if poly is None:
+        poly = _newton_char_poly(m), m.den
+        object.__setattr__(m, "_char_poly", poly)
+    return poly
+
+
+def _newton_char_poly(m):
+    """(c_0, ..., c_n) with c_k the coefficient of x^(n-k) in det(x*I - A)
+    for the cleared matrix A = d*M.
 
     Newton's identities on the power sums p_k = tr(A^k): k c_k =
     -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1), and c_k is an integer, so
@@ -307,7 +324,7 @@ def _int_char_poly(m):
     out = [1]
     for k in range(1, n + 1):
         out.append(-sum(out[k - i] * sums[i] for i in range(1, k + 1)) // k)
-    return out, m.den
+    return tuple(out)
 
 
 def char_poly(m):
@@ -458,7 +475,8 @@ _SIMPLE_ROOT_BOUND = 128
 
 def _rational_roots(f):
     """Candidates that include every rational root of a primitive integer
-    polynomial with nonzero constant term; the caller confirms each.
+    polynomial with nonzero constant term, as reduced pairs (a, b) with
+    b > 0 for a/b, pairwise distinct; the caller confirms each.
 
     p-adic expansion (Loos 1983): the simple roots of h mod a small prime
     ell are lifted to ell-adic precision beyond 2*|h(0)|*lead(h), and each
@@ -492,7 +510,8 @@ def _rational_roots(f):
     for x, _ in lifted:
         num, den = _reconstruct(x, modulus, abs(h[0]))
         if num and h[0] % num == 0 and h[-1] % den == 0:
-            out.append(Rational(num) / den)
+            g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+            out.append((num // g, den // g))
     return out
 
 
@@ -504,24 +523,29 @@ def rational_eigenvalues(m):
     the cleared matrix d*M. The candidates come from ``_rational_roots``;
     exact division of f by (b*x - a) confirms each candidate a/b and counts
     its multiplicity (by Gauss's lemma the quotient stays primitive and
-    integral). The residual is what is left of f, made monic.
+    integral); a multiplicity does not depend on the order the candidates
+    are divided out in, and each confirmed root becomes a rational once.
+    The residual is what is left of f, made monic.
     """
     c, d = _int_char_poly(m)
     n = len(c) - 1
     f = _primitive([c[n - i] * d ** i for i in range(n + 1)])
-    roots = {}
+    roots = []
     zero_mult = next(i for i, x in enumerate(f) if x)
     if zero_mult:
-        roots[ZERO] = zero_mult
+        roots.append((ZERO, zero_mult))
         f = f[zero_mult:]
     if len(f) > 1:
-        for cand in sorted(_rational_roots(f)):
-            a, b = cand.numerator, cand.denominator
+        for a, b in _rational_roots(f):
+            mult = 0
             while len(f) > 1 and (quotient := _divide_linear(f, a, b)) is not None:
                 f = quotient
-                roots[cand] = roots.get(cand, 0) + 1
+                mult += 1
+            if mult:
+                roots.append((Rational(a, b), mult))
     residual = None if len(f) == 1 else tuple(Rational(x, f[-1]) for x in f)
-    return EigenSplit(tuple(sorted(roots.items())), residual)
+    # the values are distinct, so the sort never compares multiplicities
+    return EigenSplit(tuple(sorted(roots)), residual)
 
 
 def _eigenvectors(a, roots):
@@ -589,6 +613,12 @@ class Partition(Frozen):
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be weakly decreasing: {parts}")
         Frozen.__init__(self, parts)
+
+    @classmethod
+    def _from_parts(cls, parts):
+        """The partition of a tuple of positive ints, weakly decreasing,
+        taken as it is."""
+        return _rebuild(cls, (parts,))
 
     @property
     def total(self):

@@ -22,6 +22,7 @@ __all__ = [
     "dominates",
     "paper_leq",
     "strata_thresholds",
+    "part_thresholds",
     "reaches_thresholds",
     "stratum_member",
 ]
@@ -29,13 +30,19 @@ __all__ = [
 
 def partitions_of(n, cap=None):
     """All partitions of n, parts bounded by cap, lexicographically largest first."""
+    for parts in _part_tuples(n, n if cap is None else cap):
+        yield Partition._from_parts(parts)
+
+
+def _part_tuples(n, cap):
+    """The parts of each partition of n into parts at most cap, as tuples,
+    in the order of ``partitions_of``."""
     if n == 0:
-        yield Partition(())
+        yield ()
         return
-    cap = n if cap is None else min(cap, n)
-    for first in range(cap, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield Partition((first,) + rest.parts)
+    for first in range(min(cap, n), 0, -1):
+        for rest in _part_tuples(n - first, first):
+            yield (first,) + rest
 
 
 def partition_count(n):
@@ -126,10 +133,18 @@ def strata_thresholds(p, n):
     for label, part in p.items():
         if part.total != n:
             raise ValueError(f"partition at {label!r} has total {part.total}, expected {n}")
-    return tuple(
-        sum(min(i, x) for _, part in p.items() for x in part.parts)
-        for i in range(1, n + 1)
-    )
+    return part_thresholds([x for _, part in p.items() for x in part.parts], n)
+
+
+def part_thresholds(parts, n, copies=1):
+    """The thresholds m_1, ..., m_n of ``copies`` copies of the parts, at
+    labels of their own: m_i sums min(i, x) over them, so m_i - m_(i-1)
+    is copies times the number of parts x >= i."""
+    thresholds, total = [], 0
+    for i in range(1, n + 1):
+        total += copies * sum(x >= i for x in parts)
+        thresholds.append(total)
+    return tuple(thresholds)
 
 
 def reaches_thresholds(point, thresholds):

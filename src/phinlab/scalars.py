@@ -33,29 +33,34 @@ ONE = Rational(1)
 class Frozen:
     """Base of every immutable value type in the package.
 
-    The fields are the ``__slots__`` declared along the MRO, in order. The
-    positional ``__init__`` stores one value per field; a subclass that
-    validates or normalises its values defines its own ``__init__`` and
-    passes them to ``Frozen.__init__(self, ...)``, a direct call because
-    ``super()`` would add to every construction. Instances of the same
-    class compare and hash field by field, and print as
-    ``Name(field=value, ...)``.
+    The fields are the ``__slots__`` declared along the MRO, in order,
+    except those whose name starts with ``_``: such a slot is a private
+    cache that a subclass fills lazily, and it takes no part in equality,
+    hashing, printing or pickling. The positional ``__init__`` stores one
+    value per field, through the slot descriptors collected once per
+    class; a subclass that validates or normalises its values defines its
+    own ``__init__`` and passes them to ``Frozen.__init__(self, ...)``, a
+    direct call because ``super()`` would add to every construction.
+    Instances of the same class compare and hash field by field, and print
+    as ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
     _fields = ()
+    _stores = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(name for klass in reversed(cls.__mro__)
-                            for name in klass.__dict__.get("__slots__", ()))
+                            for name in klass.__dict__.get("__slots__", ()) if name[0] != "_")
+        cls._stores = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def __init__(self, *values):
-        fields = self._fields
-        if len(values) != len(fields):
-            raise TypeError(f"{type(self).__name__} takes {len(fields)} values, got {len(values)}")
-        for name, value in zip(fields, values):
-            object.__setattr__(self, name, value)
+        stores = self._stores
+        if len(values) != len(stores):
+            raise TypeError(f"{type(self).__name__} takes {len(stores)} values, got {len(values)}")
+        for store, value in zip(stores, values):
+            store(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -220,10 +225,6 @@ class QExtScalar(Frozen):
                 a += b * root
                 b = ZERO
         Frozen.__init__(self, a, b, q)
-
-    @classmethod
-    def from_rational(cls, value, q):
-        return cls(value, ZERO, q)
 
     @classmethod
     def q_half_power(cls, q, k):

@@ -8,11 +8,13 @@ rows over their least common denominator.
 
 Output side: every report dict produced here contains only strings, ints,
 bools, lists and dicts, with all rationals rendered as strings, so
-json.dumps with sorted keys is byte-stable across runs.
+json.dumps with sorted keys is byte-stable across runs. ``dumps`` writes
+them as ``json.dumps(report, indent=2, sort_keys=True)`` does.
 """
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 from .errors import SchemaError
 from .linalg import Matrix
@@ -20,6 +22,7 @@ from .modules import FieldDescriptor, build_module
 from .scalars import format_rational, rational_literal
 
 __all__ = [
+    "dumps",
     "load_json",
     "parse_module",
     "matrix_json",
@@ -147,6 +150,60 @@ def parse_module(obj):
 
 # ---------------------------------------------------------------------------
 # report serialization
+
+
+def dumps(value):
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    the values reports are made of: dicts with string keys, lists, tuples,
+    strings, ints, bools and None; anything else raises TypeError.
+
+    With ``indent`` set, the standard library encodes through its
+    pure-Python generators; this is the same walk, appending to one list.
+    """
+    out = []
+    _write(value, out, "\n")
+    return "".join(out)
+
+
+def _write(value, out, newline):
+    """Append the JSON text of value to out, its lines led by newline."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[")
+        for item in value:
+            out.append(inner)
+            _write(item, out, inner)
+            out.append(",")
+        out[-1] = newline + "]"
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        for key in sorted(value):
+            out.append(inner)
+            # raises TypeError for a key that is not a string
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write(value[key], out, inner)
+            out.append(",")
+        out[-1] = newline + "}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def matrix_json(m):

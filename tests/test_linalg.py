@@ -818,7 +818,7 @@ def rational_eigenvalues_fraction_loop(m):
         scale = math.lcm(*(c.denominator for c in coeffs))
         ints = [int(c * scale) for c in coeffs]
         ints = [x // math.gcd(*ints) for x in ints]
-        for cand in sorted(as_fraction(c) for c in _rational_roots(ints)):
+        for cand in sorted(Fraction(a, b) for a, b in _rational_roots(ints)):
             while len(coeffs) > 1 and poly_value(coeffs, cand) == 0:
                 coeffs = deflate_oracle(coeffs, cand)
                 roots[cand] = roots.get(cand, 0) + 1

@@ -1,18 +1,28 @@
 """Operation counts of the module report kernels, pinned.
 
-Each test counts the integer matrix products (``linalg._int_matmul``) or
-the integer echelon forms (``linalg._echelon``) one call makes. A count
-does not depend on the machine or its load, so these guard the cost of
-the report path where a timing could not.
+Each test counts the integer matrix products (``linalg._int_matmul``),
+the integer echelon forms (``linalg._echelon``) or the characteristic
+polynomials (``linalg._newton_char_poly``) one call makes. A count does
+not depend on the machine or its load, so these guard the cost of the
+report path where a timing could not.
 """
 
+import json
 import sys
 
 import pytest
 
 import phinlab
 from phinlab import linalg
-from phinlab.linalg import Matrix, char_poly, jordan_nilpotent, jordan_partition
+from phinlab.cli import main
+from phinlab.linalg import (
+    Matrix,
+    char_poly,
+    exterior_traces,
+    jordan_nilpotent,
+    jordan_partition,
+    rational_eigenvalues,
+)
 from phinlab.modules import FieldDescriptor, _eigen_frame, build_module
 
 
@@ -73,3 +83,50 @@ def test_eigen_frame_forms_one_echelon_form(monkeypatch):
     calls = count_calls(monkeypatch, "_echelon", len)
     _eigen_frame(d)
     assert calls == [8]
+
+
+@pytest.fixture
+def poly_calls(monkeypatch):
+    """One entry per characteristic polynomial formed."""
+    calls = []
+    original = linalg._newton_char_poly
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(linalg, "_newton_char_poly", counted)
+    return calls
+
+
+# a generic module: the eigenvalues 1, 6, 20, 56 lie on four distinct
+# 2-lines, so consistency compares every r, and beta decides admissibility
+# (their valuations 0, 1, 2, 3 add up to the jumps) before its traces
+GENERIC = {
+    "field": {"p": 2}, "n": 4,
+    "phi": [["1", "1", "0", "0"], ["0", "6", "0", "0"], ["0", "0", "20", "1/2"], ["0", "0", "0", "56"]],
+    "monodromy": [[0] * 4 for _ in range(4)],
+    "filtration": {"k0": {"flag": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                          "jumps": [0, 1, 2, 3]}},
+}
+
+
+@pytest.mark.parametrize("command", ["beta", "consistency"])
+def test_a_report_call_forms_one_characteristic_polynomial(command, poly_calls, tmp_path, capsys):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(GENERIC))
+    assert main([command, str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    # the spectrum and the exterior traces both come from the one polynomial
+    assert len(report["rows"]) == 4
+    assert len(poly_calls) == 1
+
+
+def test_equal_but_distinct_matrices_each_form_their_own_polynomial(poly_calls):
+    rows = [[(3 * i + 5 * j) % 7 - 3 for j in range(5)] for i in range(5)]
+    a, b = Matrix(rows), Matrix(rows)
+    assert a == b and a is not b
+    rational_eigenvalues(a)
+    exterior_traces(a)
+    assert char_poly(a) == char_poly(b)
+    assert poly_calls == [a, b] and poly_calls[1] is b

@@ -11,6 +11,7 @@ from phinlab.partitions import (
     conjugate,
     dominates,
     paper_leq,
+    part_thresholds,
     partition_count,
     strata_thresholds,
     stratum_member,
@@ -129,6 +130,14 @@ def test_strata_thresholds_pinned():
     assert strata_thresholds(two_labels, 2) == (3, 4)
     with pytest.raises(ValueError):
         strata_thresholds(PartitionFunction({"k0": (2, 1)}), 4)
+
+
+@pytest.mark.parametrize("labels", [1, 2, 3])
+def test_part_thresholds_are_the_partition_at_every_label(labels):
+    for n in range(1, 7):
+        for parts in partitions_of(n):
+            pf = PartitionFunction({f"k{i}": parts for i in range(labels)})
+            assert part_thresholds(parts, n, labels) == strata_thresholds(pf, n)
 
 
 def test_stratum_member_pinned():

@@ -9,7 +9,7 @@ import pytest
 
 from phinlab.hecke import CosetClass, HeckeParams
 from phinlab.interpolation import HodgeTateWeights, XiWeights
-from phinlab.linalg import EigenSplit, Matrix, Subspace, jordan_nilpotent
+from phinlab.linalg import EigenSplit, Matrix, Subspace, char_poly, jordan_nilpotent
 from phinlab.modules import (
     AdmissibilityReport,
     FieldDescriptor,
@@ -94,6 +94,21 @@ def test_value_type_survives_copy_and_pickle(name):
         with pytest.raises(AttributeError):
             setattr(twin, field, None)
         assert getattr(twin, field) == getattr(value, field)
+
+
+def test_a_filled_private_slot_is_no_field():
+    # char_poly keeps the polynomial in Matrix's private slot, which takes
+    # no part in equality, hashing, printing, copying or pickling
+    value = Matrix([[1, 2], [3, 4]])
+    char_poly(value)
+    assert value._char_poly is not None
+    assert Matrix._fields == ("ints", "den")
+    fresh = Matrix([[1, 2], [3, 4]])
+    assert value == fresh and hash(value) == hash(fresh) and repr(value) == repr(fresh)
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value and getattr(twin, "_char_poly", None) is None
+    with pytest.raises(AttributeError):
+        value._char_poly = None
 
 
 def test_witness_unpacks_into_its_fields():

@@ -28,8 +28,9 @@ from typing import NamedTuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# seconds one mutant's test run may take before it counts as killed by a hang
-RUN_LIMIT = 300
+# seconds one test run may take before it counts as killed by a hang; the
+# unmutated run of every named test takes a few seconds
+RUN_LIMIT = 30
 
 
 class Mutant(NamedTuple):
@@ -51,6 +52,9 @@ MUTANTS = (
            "sum(map(operator.mul, quotients[i][::-1], col))",
            ("tests/test_modules.py::test_integer_eigen_frame_matches_the_fraction_route",
             "tests/test_linalg.py::test_eigenvectors_match_the_kernel_vectors")),
+    # the search for a prime with only simple roots never ends on a
+    # polynomial with a repeated root, so this mutant is killed by the
+    # time limit
     Mutant("no-squarefree-fallback", "linalg.py",
            "h = _exact_quotient(f, _poly_gcd(f, dh))",
            "h = f",
@@ -93,6 +97,28 @@ MUTANTS = (
            "class EnumerationCapExceeded(Undecided):",
            "class EnumerationCapExceeded(InputError):",
            ("tests/test_modules.py::test_a_totals_mismatch_is_decided_before_the_spectrum",)),
+    Mutant("literal-takes-zero-denominator", "scalars.py",
+           "(slash and not (_is_digits(den) and int(den)))",
+           "(slash and not _is_digits(den))",
+           ("tests/test_scalars.py::test_parse_rational_rejects_junk",
+            "tests/test_schema_cli.py::test_parse_module_field_paths")),
+    Mutant("writer-keeps-key-order", "schema.py",
+           "for key in sorted(value):",
+           "for key in value:",
+           ("tests/test_schema_text.py::test_dumps_matches_the_standard_library",
+            "tests/test_schema_cli.py::test_cli_prints_an_infinite_valuation_as_inf")),
+    # correct values from a cache keyed by value, shared by equal matrices
+    Mutant("char-poly-shared-by-value", "linalg.py",
+           '    poly = getattr(m, "_char_poly", None)\n'
+           "    if poly is None:\n"
+           "        poly = _newton_char_poly(m), m.den\n"
+           '        object.__setattr__(m, "_char_poly", poly)\n',
+           "    shared = _int_char_poly.__dict__\n"
+           "    poly = shared.get((m.ints, m.den))\n"
+           "    if poly is None:\n"
+           "        poly = shared[m.ints, m.den] = _newton_char_poly(m), m.den\n",
+           ("tests/test_operation_counts.py::"
+            "test_equal_but_distinct_matrices_each_form_their_own_polynomial",)),
 )
 
 
