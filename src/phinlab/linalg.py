@@ -21,8 +21,8 @@ on integer rows. A ``Subspace`` is held as its reduced echelon basis with
 each row scaled to a primitive integer row with a positive pivot, which
 is unique, so equality and hashing are structural; intersection,
 membership, stability and restriction run on those rows. Rationals are
-built only on access: ``Matrix.rows``, ``Matrix.column``,
-``Subspace.basis`` and the values the functions return.
+built only on access: ``Matrix.rows``, ``Subspace.basis`` and the values
+the functions return.
 """
 
 import itertools
@@ -43,9 +43,7 @@ __all__ = [
     "EigenSplit",
     "jordan_nilpotent",
     "jordan_partition",
-    "kernel_basis",
     "kernel_dim",
-    "matrix_power",
     "rank",
     "rational_eigenvalues",
 ]
@@ -119,9 +117,6 @@ class Matrix(Frozen):
     @property
     def is_zero(self):
         return not any(map(any, self.ints))
-
-    def column(self, j):
-        return _over([row[j] for row in self.ints], self.den)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
@@ -206,13 +201,9 @@ def _echelon(rows):
     return pivots
 
 
-def _pivot_rows(rows, pivots):
-    """Rows of an integer echelon form divided by their pivots, as rationals."""
-    return [_over(row, row[c]) for row, c in zip(rows, pivots)]
-
-
 def _over_pivots(rows, pivots, start=0):
-    """The same rows as integer rows over one positive denominator: (A, d)."""
+    """Rows of an integer echelon form divided by their pivots, as integer
+    rows (from column start on) over one positive denominator: (A, d)."""
     d = math.lcm(*(row[c] for row, c in zip(rows, pivots)))
     return [[x * (d // row[c]) for x in row[start:]] for row, c in zip(rows, pivots)], d
 
@@ -224,28 +215,6 @@ def rank(m):
 def kernel_dim(m):
     """Dimension of the null space (columns minus rank)."""
     return m.ncols - rank(m)
-
-
-def _kernel_vectors(rows):
-    """(f, v) for each free column f of integer rows, which ``_echelon``
-    reduces in place: v is the primitive integer kernel vector that is
-    positive at f and zero at the other free columns."""
-    ncols = len(rows[0])
-    pivots = _echelon(rows)
-    lead = math.lcm(*(rows[i][c] for i, c in enumerate(pivots)))
-    out = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        v = [0] * ncols
-        v[f] = lead
-        for i, c in enumerate(pivots):
-            v[c] = -rows[i][f] * (lead // rows[i][c])
-        out.append((f, _primitive_row(v)))
-    return out
-
-
-def kernel_basis(m):
-    """Canonical basis of the null space: per free column, the kernel vector that is 1 there."""
-    return tuple(_over(v, v[f]) for f, v in _kernel_vectors(list(m.ints)))
 
 
 def det(m):
@@ -270,21 +239,6 @@ def det(m):
             a[i] = [0] * (k + 1) + [(p * ri[j] - f * rk[j]) // prev for j in range(k + 1, n)]
         prev = p
     return Rational(sign * a[n - 1][n - 1], d ** n)
-
-
-def matrix_power(m, k):
-    if not m.is_square:
-        raise ValueError("power of a non-square matrix")
-    if k < 0:
-        return matrix_power(m.inverse(), -k)
-    out = Matrix.identity(m.nrows)
-    base = m
-    while k:
-        if k & 1:
-            out = out @ base
-        base = base @ base if k > 1 else base
-        k >>= 1
-    return out
 
 
 def _int_char_poly(m):
@@ -552,17 +506,16 @@ def _eigenvectors(a, roots):
     """The eigenvector of the square integer matrix a for each (num, den) in
     roots, the pairwise distinct eigenvalues num/den of its whole spectrum.
 
-    Each comes out as ``_kernel_vectors`` gives the kernel of den*a - num*I:
-    primitive, with its last nonzero entry (the free column of that
-    kernel) positive. With P(t) = prod (den_j t - num_j), P(a) = 0, so for
-    Q_i = P / (den_i t - num_i) the vector Q_i(a) x is killed by
-    den_i a - num_i: it lies on the i-th eigenline, and is zero only when x
-    has no component there. One Krylov sequence x, a x, ..., a^(n-1) x
-    serves every root, n - 1 products with a and n^2 dot products. x is
-    (1, s, s^2, ...) from s = 3; the roots whose vector comes out zero are
-    retried with s + 1. The component of x on a line is a nonzero
-    polynomial in s of degree below n, so fewer than n values of s miss
-    any one line.
+    Each comes out primitive, with its last nonzero entry (the free column
+    of the kernel of den*a - num*I) positive. With P(t) = prod (den_j t -
+    num_j), P(a) = 0, so for Q_i = P / (den_i t - num_i) the vector
+    Q_i(a) x is killed by den_i a - num_i: it lies on the i-th eigenline,
+    and is zero only when x has no component there. One Krylov sequence
+    x, a x, ..., a^(n-1) x serves every root, n - 1 products with a and
+    n^2 dot products. x is (1, s, s^2, ...) from s = 3; the roots whose
+    vector comes out zero are retried with s + 1. The component of x on a
+    line is a nonzero polynomial in s of degree below n, so fewer than n
+    values of s miss any one line.
     """
     n = len(a)
     poly = [1]
@@ -696,7 +649,8 @@ class Subspace(Frozen):
     @property
     def basis(self):
         """The reduced echelon basis as rationals, built on each access."""
-        return tuple(_pivot_rows(self.ints, self.pivots))
+        rows, d = _over_pivots(self.ints, self.pivots)
+        return tuple(_over(row, d) for row in rows)
 
     @property
     def dim(self):
@@ -718,14 +672,6 @@ class Subspace(Frozen):
                 p, a = row[c] // g, a // g
                 v = [p * x - a * y for x, y in zip(v, row)]
         return not any(v)
-
-    def contains_vector(self, vector):
-        return self._holds(_int_row(vector)[0])
-
-    def contains(self, other):
-        if other.ambient != self.ambient:
-            raise ValueError("ambient dimension mismatch")
-        return all(map(self._holds, other.ints))
 
     def intersect(self, other):
         if other.ambient != self.ambient:

@@ -27,7 +27,6 @@ from phinlab.linalg import (
     jordan_nilpotent,
     jordan_partition,
     kernel_dim,
-    matrix_power,
 )
 from phinlab.modules import FieldDescriptor, build_module, is_weakly_admissible
 from phinlab.partitions import (
@@ -47,7 +46,7 @@ from phinlab.sampling import (
     random_wa_module,
 )
 from phinlab.scalars import Rational, padic_val
-from tests_helpers import child_env, random_unimodular
+from tests_helpers import child_env, matrix_power, random_unimodular
 
 
 @lru_cache(maxsize=None)

@@ -28,7 +28,7 @@ from phinlab.modules import (
     newton_number,
 )
 from test_linalg import kernel_basis_reference
-from tests_helpers import random_unimodular
+from tests_helpers import matrix_power, random_unimodular
 
 F2 = FieldDescriptor(p=2)
 
@@ -659,7 +659,7 @@ def test_a_totals_mismatch_is_decided_before_the_spectrum(p, phi, jumps, error):
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_check_phi_n_accepts_one_jordan_block_of_index_n(n):
-    from phinlab.linalg import jordan_nilpotent, matrix_power
+    from phinlab.linalg import jordan_nilpotent
     from phinlab.modules import check_phi_n
 
     monodromy = jordan_nilpotent([n])
@@ -750,7 +750,7 @@ def check_phi_n_reference(phi, monodromy, scale):
     """The order of checks the shortcuts in check_phi_n must keep: phi's
     determinant, then N^n = 0 by repeated products, then the relation
     entry by entry, all over the rationals."""
-    from phinlab.linalg import det, matrix_power
+    from phinlab.linalg import det
 
     n = phi.nrows
     if det(phi) == 0:

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from phinlab.linalg import Matrix, jordan_nilpotent, kernel_dim, matrix_power
+from phinlab.linalg import Matrix, jordan_nilpotent, kernel_dim
 from phinlab.partitions import (
     Partition,
     PartitionFunction,
@@ -17,6 +17,7 @@ from phinlab.partitions import (
     stratum_member,
 )
 from phinlab.partitions import partitions_of as enumerate_partitions
+from tests_helpers import matrix_power
 
 
 def partitions_of(n, cap=None):

@@ -196,12 +196,14 @@ def test_intersect_and_containment_match_the_fraction_reference():
         want = ra.intersect(rb)
         assert_same(cap, want)
         assert sb.intersect(sa) == cap
-        assert sa.contains(sb) == ra.contains(rb) and sb.contains(sa) == rb.contains(ra)
-        assert sa.contains(cap) and sb.contains(cap)
+        # one subspace contains another exactly when it meets it in all of it
+        assert (cap == sb) == ra.contains(rb) and (cap == sa) == rb.contains(ra)
+        assert sa.intersect(cap) == cap and sb.intersect(cap) == cap
         probes = [combination(rng, list(ra.basis), n)] if ra.basis else []
         probes += vectors(rng, n, 2) + [[0] * n]
         for v in probes:
-            assert sa.contains_vector(v) == ra.contains_vector(v)
+            line = Subspace(n, [v])
+            assert (sa.intersect(line) == line) == ra.contains_vector(v)
         seen.add((kind, min(sa.dim, sb.dim), cap.dim == 0))
     assert {("line-line", 1, True), ("line-line", 1, False),
             ("line-hyperplane", 1, True), ("line-hyperplane", 1, False),
@@ -215,7 +217,7 @@ def stabilised(rng, n, k):
         pass
     u = Matrix([[entry(rng) if j >= i else 0 for j in range(n)] for i in range(n)])
     m = s @ u @ s.inverse()
-    return m, [list(s.column(j)) for j in range(k)]
+    return m, [[row[j] for row in s.rows] for j in range(k)]
 
 
 def _invertible(m):

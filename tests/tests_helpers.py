@@ -24,3 +24,11 @@ def random_unimodular(rng, n, spread=2):
     rng.shuffle(perm)
     pm = [[Fraction(1) if perm[i] == j else Fraction(0) for j in range(n)] for i in range(n)]
     return Matrix(lo) @ Matrix(up) @ Matrix(pm)
+
+
+def matrix_power(m, k):
+    """m^k for a square Matrix m and an integer k >= 0."""
+    out = Matrix.identity(m.nrows)
+    for _ in range(k):
+        out = out @ m
+    return out
