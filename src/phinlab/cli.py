@@ -55,7 +55,7 @@ def _load_module(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise InputError(f"cannot read {path}: {err}")
     return parse_module(load_json(text))
 

@@ -3,15 +3,18 @@
 Entries are exact rationals and no floating point appears anywhere, but
 the kernels do not compute with rationals. A ``Matrix`` is held as its
 cleared form, integer rows over the least common denominator, computed
-once when it is built; products, ``det``, ``char_poly`` and ``rank`` read
-that form, run on Python integers, and divide back once on exit, so no
-gcd is paid per arithmetic step. A product is built from its integer rows
-over the product of the two denominators; ``det`` is Bareiss
-fraction-free elimination; ``char_poly`` is Newton's identities on the
-power sums tr(A^k) with exact integer division, formed at most once per
-``Matrix`` object and kept in a private slot of that object, so
-``rational_eigenvalues`` and ``exterior_traces`` on one matrix share it
-(the cache is neither keyed by value nor outlives its matrix);
+once when it is built (with no gcd when the denominator is 1); products,
+``det``, ``char_poly`` and ``rank`` read that form, run on Python
+integers, and divide back once on exit, so no gcd is paid per arithmetic
+step. A product is built from its integer rows over the product of the
+two denominators; ``det`` is Bareiss fraction-free elimination, run at
+most once per ``Matrix`` object and kept in its private slot ``_det``, so
+the Newton number reads the determinant the Frobenius check formed;
+``char_poly`` is Newton's identities on the power sums tr(A^k) with exact
+integer division, formed at most once per ``Matrix`` object and kept in
+the private slot ``_char_poly``, so ``rational_eigenvalues`` and
+``exterior_traces`` on one matrix share it (neither cache is keyed by
+value nor outlives its matrix);
 ``rational_eigenvalues`` lifts its roots from a small prime, forms the
 squarefree part of the polynomial only when no small prime shows every
 root simple, and confirms and deflates them in Z[x] as reduced integer
@@ -19,8 +22,9 @@ pairs; the eigenvectors of a split multiplicity-free
 spectrum all come from one Krylov sequence; row reduction is Gauss-Jordan
 on integer rows. A ``Subspace`` is held as its reduced echelon basis with
 each row scaled to a primitive integer row with a positive pivot, which
-is unique, so equality and hashing are structural; intersection,
-membership, stability and restriction run on those rows. Rationals are
+is unique, so equality and hashing are structural; it is built straight
+from integer rows where the caller has them; intersection, membership,
+stability and restriction run on those rows. Rationals are
 built only on access: ``Matrix.rows``, ``Subspace.basis`` and the values
 the functions return.
 """
@@ -58,10 +62,11 @@ class Matrix(Frozen):
     read it. ``rows``, the entries as rationals, is built on access. The
     private slot ``_char_poly`` holds the integer characteristic
     polynomial once ``char_poly``, ``exterior_traces`` or
-    ``rational_eigenvalues`` has formed it.
+    ``rational_eigenvalues`` has formed it, and ``_det`` the determinant
+    once ``det`` has.
     """
 
-    __slots__ = ("ints", "den", "_char_poly")
+    __slots__ = ("ints", "den", "_char_poly", "_det")
 
     def __init__(self, rows):
         scaled = [_int_row(row) for row in rows]
@@ -75,13 +80,15 @@ class Matrix(Frozen):
     @classmethod
     def _from_ints(cls, ints, den):
         """The matrix ints / den, for nonempty integer rows of one width and
-        a positive integer den; the pair is reduced by its gcd."""
-        ints = [tuple(row) for row in ints]
-        g = math.gcd(den, *(x for row in ints for x in row))
-        if g > 1:
-            ints = [tuple(x // g for x in row) for row in ints]
-            den //= g
-        return _rebuild(cls, (tuple(ints), den))
+        a positive integer den; the pair is reduced by its gcd, which is 1
+        when den is."""
+        ints = tuple(map(tuple, ints))
+        if den > 1:
+            g = math.gcd(den, *itertools.chain.from_iterable(ints))
+            if g > 1:
+                ints = tuple(tuple(x // g for x in row) for row in ints)
+                den //= g
+        return _rebuild(cls, (ints, den))
 
     @classmethod
     def identity(cls, n):
@@ -218,6 +225,17 @@ def kernel_dim(m):
 
 
 def det(m):
+    """The determinant, formed once per matrix: it is kept in the private
+    slot of m."""
+    value = getattr(m, "_det", None)
+    if value is None:
+        value = _bareiss(m)
+        object.__setattr__(m, "_det", value)
+    return value
+
+
+def _bareiss(m):
+    """The determinant by Bareiss elimination on the cleared matrix d*M."""
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
     a, d = list(m.ints), m.den
@@ -617,6 +635,13 @@ def jordan_partition(n_mat):
         power = _int_matmul(power, n_mat.ints)
 
 
+def _canonical_rows(rows):
+    """(ints, pivots) of ``Subspace`` for the span of integer rows."""
+    rows = [_primitive_row(r) for r in rows]
+    pivots = _echelon(rows)
+    return tuple(map(tuple, rows[:len(pivots)])), tuple(pivots)
+
+
 class Subspace(Frozen):
     """A linear subspace of Q^n, held by its canonical basis on integers.
 
@@ -634,9 +659,12 @@ class Subspace(Frozen):
         rows = [_int_row(v)[0] for v in vectors]
         if any(len(r) != ambient for r in rows):
             raise ValueError("vector length mismatch")
-        rows = [_primitive_row(r) for r in rows]
-        pivots = _echelon(rows)
-        Frozen.__init__(self, ambient, tuple(map(tuple, rows[:len(pivots)])), tuple(pivots))
+        Frozen.__init__(self, ambient, *_canonical_rows(rows))
+
+    @classmethod
+    def _from_int_rows(cls, ambient, rows):
+        """The span of integer rows of length ambient."""
+        return _rebuild(cls, (ambient, *_canonical_rows(rows)))
 
     @classmethod
     def zero(cls, ambient):

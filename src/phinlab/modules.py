@@ -39,7 +39,7 @@ from .linalg import (
     rational_eigenvalues,
 )
 from .partitions import LabelMap
-from .scalars import Frozen, Rational, format_rational, is_prime, padic_val
+from .scalars import Frozen, Rational, _rebuild, format_rational, is_prime, padic_val
 
 __all__ = [
     "FieldDescriptor",
@@ -100,8 +100,8 @@ class FilteredPhiNModule(Frozen):
         """Span of flag columns whose jump is at least i."""
         entry = self.filtration[label]
         # the integer columns of the cleared flag span the same space
-        return Subspace(self.n, [[row[j] for row in entry.basis.ints]
-                                 for j, jump in enumerate(entry.jumps) if jump >= i])
+        return Subspace._from_int_rows(self.n, [[row[j] for row in entry.basis.ints]
+                                                for j, jump in enumerate(entry.jumps) if jump >= i])
 
     def __repr__(self):
         return f"FilteredPhiNModule(n={self.n}, p={self.field.p})"
@@ -176,8 +176,9 @@ def build_module(field, n, phi, monodromy, filtration):
         if det(basis) == 0:
             raise BadFlag(f"flag[{label}] basis is singular")
         order = sorted(range(n), key=lambda j: (jumps[j], j))
-        basis = Matrix._from_ints([[row[j] for j in order] for row in basis.ints], basis.den)
-        flags[label] = Flag(basis, tuple(jumps[j] for j in order))
+        # permuted columns keep the pair (ints, den) in lowest terms
+        ints = tuple(tuple([row[j] for j in order]) for row in basis.ints)
+        flags[label] = Flag(_rebuild(Matrix, (ints, basis.den)), tuple(jumps[j] for j in order))
     return FilteredPhiNModule(field, n, phi, monodromy, LabelMap(flags))
 
 
@@ -322,7 +323,7 @@ def enumerate_stable_subspaces(d, dim=None, *, frame=None):
     """
     _, eigvecs, _, closed = frame or _eigen_frame(d)
     masks = closed if dim is None else [m for m in closed if m.bit_count() == dim]
-    out = [Subspace(d.n, [eigvecs[i] for i in _members(mask)]) for mask in masks]
+    out = [Subspace._from_int_rows(d.n, [eigvecs[i] for i in _members(mask)]) for mask in masks]
     # the order of Subspace.sort_key, compared on integers: every basis row
     # r / p (r a stored row, p its pivot) scaled by one common multiple of
     # all the pivots; bases of one dimension have equal shapes, so their
@@ -412,7 +413,11 @@ def _smallest_violating_size(d, t_h, valuations, eigvecs, flags, closed):
     echelon form of the rows outside S that rank is #{pivots < m_i}. So
     the jumps W_S meets are those of the non-pivot columns, and t_H(W_S)
     is the total of the jumps less the jumps of the pivot columns.
+    t_N(W_S) = e * v / (degree_factor * f) for the valuation sum v, so the
+    two compare on integers.
     """
+    field = d.field
+    scale = field.degree_factor * field.f
     for mask in sorted(closed, key=int.bit_count):
         size = mask.bit_count()
         if size in (0, d.n):
@@ -421,8 +426,7 @@ def _smallest_violating_size(d, t_h, valuations, eigvecs, flags, closed):
         # _echelon rebinds the slots of the list it gets, never a row itself
         sub_h = t_h - sum(jumps[c] for rows, jumps in flags
                           for c in _echelon([rows[r] for r in outside]))
-        sub_n = _scaled_newton(d.field, sum(valuations[i] for i in _members(mask)))
-        if not sub_h <= sub_n:
+        if sub_h * scale > field.e * sum(valuations[i] for i in _members(mask)):
             return size
     return None
 

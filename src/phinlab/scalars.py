@@ -8,6 +8,7 @@ that is the package's one float, and reports print it as "inf".
 """
 
 import math
+import re
 from fractions import Fraction
 
 __all__ = [
@@ -17,6 +18,7 @@ __all__ = [
     "is_prime",
     "parse_rational",
     "rational_literal",
+    "rational_literals",
     "format_rational",
     "padic_val",
     "QExtScalar",
@@ -130,8 +132,12 @@ def is_prime(n):
     return True
 
 
-def _is_digits(s):
-    return s.isascii() and s.isdigit()
+# The grammar of a rational literal: whitespace (whatever str.isspace takes),
+# an optional "-", ASCII digits, and an optional "/" with a nonzero ASCII-digit
+# denominator, then whitespace. _LITERALS matches one literal, or several
+# separated by "," or ";", which no literal holds.
+_GRAMMAR = r"\s*-?[0-9]+(?:/0*[1-9][0-9]*)?\s*"
+_LITERALS = re.compile(rf"{_GRAMMAR}(?:[,;]{_GRAMMAR})*")
 
 
 def rational_literal(text):
@@ -141,12 +147,38 @@ def rational_literal(text):
     an optional '/' with a nonzero ASCII-digit denominator, surrounded by
     whitespace at most. Anything else raises ``not a rational literal``.
     """
-    s = text.strip()
-    negative = s[:1] == "-"
-    num, slash, den = (s[1:] if negative else s).partition("/")
-    if not _is_digits(num) or (slash and not (_is_digits(den) and int(den))):
+    if "," in text or ";" in text or _LITERALS.fullmatch(text) is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    return (-int(num) if negative else int(num)), (int(den) if slash else 1)
+    num, _, den = text.strip().partition("/")
+    # the denominator first: when both parts are past the digit limit of
+    # int(), the error counts the denominator's digits
+    den = int(den) if den else 1
+    return int(num), den
+
+
+def rational_literals(text):
+    """(ints, den): the literals of text, separated by "," or ";", as
+    integers over their least common denominator, not reduced.
+
+    One match checks the whole text, and builtin string calls cut it into
+    integers. ValueError comes for a text that is not such a list, or for
+    a literal past the digit limit of int(), and names no literal: a
+    caller that needs the one at fault reads them one at a time with
+    ``rational_literal``.
+    """
+    if _LITERALS.fullmatch(text) is None:
+        raise ValueError(f"not a list of rational literals: {text!r}")
+    # whitespace only pads a literal, so all of it goes: str.split takes
+    # what \s does, and int() would not strip U+001C..U+001F
+    entries = "".join(text.split()).replace(";", ",").split(",")
+    if "/" not in text:
+        return list(map(int, entries)), 1
+    # a literal holds at most one "/", so with "/1" on the others the
+    # parts alternate numerator and denominator
+    parts = list(map(int, "/".join([e if "/" in e else e + "/1" for e in entries]).split("/")))
+    nums, dens = parts[::2], parts[1::2]
+    den = math.lcm(*dens)
+    return [a * (den // b) for a, b in zip(nums, dens)], den
 
 
 def parse_rational(text):

@@ -2,9 +2,13 @@
 
 Input side: parse_module turns the one shared JSON shape into a validated
 module, naming the offending field path on any violation. Numbers arrive
-as rational strings or ints; floats are rejected outright. Each entry is
-read once into an integer pair, and a matrix is built from its integer
-rows over their least common denominator.
+as rational strings or ints; floats are rejected outright. A matrix whose
+entries are all strings is read whole: its rows are joined into one text,
+which ``scalars.rational_literals`` checks with one match of the literal
+grammar and cuts into integers over their least common denominator. Any
+other matrix, and any fault, is read entry by entry, which names the
+first row or entry at fault; the two reads agree on every value and
+every error.
 
 Output side: every report dict produced here contains only strings, ints,
 bools, lists and dicts, with all rationals rendered as strings, so
@@ -19,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from .errors import SchemaError
 from .linalg import Matrix
 from .modules import FieldDescriptor, build_module
-from .scalars import format_rational, rational_literal
+from .scalars import format_rational, rational_literal, rational_literals
 
 __all__ = [
     "dumps",
@@ -46,6 +50,9 @@ def load_json(text):
         raise SchemaError("", f"malformed JSON at line {err.lineno} column {err.colno}: {err.msg}")
     except ValueError as err:
         raise SchemaError("", str(err))
+    except RecursionError:
+        # the decoder recurses once per level of arrays and objects
+        raise SchemaError("<root>", "JSON nested too deeply to read") from None
 
 
 def _key(path, name):
@@ -79,7 +86,30 @@ def _literal(value, row_path, j):
     raise SchemaError(_key(row_path, j), f"expected a rational, got {type(value).__name__}")
 
 
-def _as_matrix(value, n, path):
+def _read_text(value, n):
+    """(rows, den) of n lists of n literal strings, read as one text; None
+    for any other value, or for a literal that is bad or past the digit
+    limit of int(), which ``_read_entries`` then reads or rejects."""
+    if type(value) is not list or len(value) != n or not all(
+            type(row) is list and len(row) == n for row in value):
+        return None
+    try:
+        text = ";".join([",".join(row) for row in value])
+    except TypeError:
+        return None
+    # no literal holds "," or ";", so an entry that does changes a count
+    if text.count(",") != n * (n - 1) or text.count(";") != n - 1:
+        return None
+    try:
+        ints, den = rational_literals(text)
+    except ValueError:
+        return None
+    return [ints[i:i + n] for i in range(0, n * n, n)], den
+
+
+def _read_entries(value, n, path):
+    """(rows, den) of the matrix at path, one entry at a time: the error
+    path, which names the first row or entry at fault."""
     if not isinstance(value, list) or len(value) != n:
         raise SchemaError(path, f"expected a list of {n} rows")
     rows = []
@@ -89,7 +119,13 @@ def _as_matrix(value, n, path):
             raise SchemaError(row_path, f"expected a list of {n} entries")
         rows.append([_literal(x, row_path, j) for j, x in enumerate(row)])
     den = math.lcm(*(b for row in rows for _, b in row))
-    return Matrix._from_ints([[a * (den // b) for a, b in row] for row in rows], den)
+    return [[a * (den // b) for a, b in row] for row in rows], den
+
+
+def _as_matrix(value, n, path):
+    """The n x n matrix at path: rows of literal strings are read as one
+    text, anything else (ints among the entries, or a fault) entry by entry."""
+    return Matrix._from_ints(*(_read_text(value, n) or _read_entries(value, n, path)))
 
 
 def _reject_unknown(obj, allowed, path):

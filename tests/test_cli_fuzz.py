@@ -3,7 +3,8 @@
 A module file is a small valid module (n <= 4) with at most one fault put
 at a chosen site: a wrong type, a float, a bool or a bad literal, a
 missing or unknown key, a ragged, empty or missing row, a bad ``field``
-value; or its JSON text is cut short or is not an object. Every site is
+value; or its JSON text is cut short, is not an object, holds a byte that
+is not UTF-8 or is nested 5,000 levels deep. Every site is
 its own test case, so each one runs whatever the example distribution.
 Four integer sites also get a 5,000-digit literal, past Python's limit for
 converting a decimal string to an int, and the commands whose reports
@@ -144,8 +145,9 @@ def put_fault(obj, path, value):
 
 
 def check_file_command(tmp_path_factory, text, command, fmt):
+    """Run command on a module file holding text (a str, or bytes as they are)."""
     module_path = tmp_path_factory.getbasetemp() / "fuzz_module.json"
-    module_path.write_text(text)
+    module_path.write_bytes(text if isinstance(text, bytes) else text.encode())
     argv = [command, str(module_path), "--format", fmt]
     check_outcome(argv, *run(argv))
 
@@ -156,7 +158,8 @@ def test_file_commands_on_well_formed_modules(tmp_path_factory, obj, command, fm
     check_file_command(tmp_path_factory, json.dumps(obj), command, fmt)
 
 
-@pytest.mark.parametrize("site", [*SITES, "truncated text", "not an object"])
+@pytest.mark.parametrize("site", [*SITES, "truncated text", "not an object", "not UTF-8",
+                                  "nested too deep"])
 @fuzz(10)
 @given(data=st.data(), command=st.sampled_from(FILE_COMMANDS), fmt=st.sampled_from(["text", "json"]))
 def test_file_commands_on_faulty_modules(tmp_path_factory, site, data, command, fmt):
@@ -169,6 +172,12 @@ def test_file_commands_on_faulty_modules(tmp_path_factory, site, data, command, 
         text = text[:data.draw(st.integers(0, len(text) - 1))]
     elif site == "not an object":
         text = json.dumps(obj["phi"])
+    elif site == "not UTF-8":
+        # 0xff starts no UTF-8 sequence, wherever it stands
+        at = data.draw(st.integers(0, len(text)))
+        text = text[:at].encode() + b"\xff" + text[at:].encode()
+    elif site == "nested too deep":
+        text = "[" * 5000 + text + "]" * 5000
     check_file_command(tmp_path_factory, text, command, fmt)
 
 

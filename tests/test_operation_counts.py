@@ -1,14 +1,16 @@
 """Operation counts of the module report kernels, pinned.
 
 Each test counts the integer matrix products (``linalg._int_matmul``),
-the integer echelon forms (``linalg._echelon``) or the characteristic
-polynomials (``linalg._newton_char_poly``) one call makes. A count does
-not depend on the machine or its load, so these guard the cost of the
-report path where a timing could not.
+the integer echelon forms (``linalg._echelon``), the characteristic
+polynomials (``linalg._newton_char_poly``) or the determinants
+(``linalg._bareiss``) one call makes. A count does not depend on the
+machine or its load, so these guard the cost of the report path where a
+timing could not.
 """
 
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +20,7 @@ from phinlab.cli import main
 from phinlab.linalg import (
     Matrix,
     char_poly,
+    det,
     exterior_traces,
     jordan_nilpotent,
     jordan_partition,
@@ -130,3 +133,36 @@ def test_equal_but_distinct_matrices_each_form_their_own_polynomial(poly_calls):
     exterior_traces(a)
     assert char_poly(a) == char_poly(b)
     assert poly_calls == [a, b] and poly_calls[1] is b
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """One entry per determinant formed: the matrix of each Bareiss run."""
+    calls = []
+    original = linalg._bareiss
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(linalg, "_bareiss", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["check-admissible", "beta"])
+def test_a_report_call_forms_the_determinant_of_phi_once(command, bareiss_calls, tmp_path, capsys):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(GENERIC))
+    assert main([command, str(path), "--format", "json"]) == 0
+    capsys.readouterr()
+    phi = Matrix([[Fraction(x) for x in row] for row in GENERIC["phi"]])
+    # check_phi_n forms it, and newton_number reads it from the slot of phi
+    assert [m for m in bareiss_calls if m == phi] == [phi]
+
+
+def test_equal_but_distinct_matrices_each_form_their_own_determinant(bareiss_calls):
+    rows = [[(3 * i + 5 * j) % 7 - 3 for j in range(5)] for i in range(5)]
+    a, b = Matrix(rows), Matrix(rows)
+    assert a == b and a is not b
+    assert det(a) == det(a) == det(b)
+    assert bareiss_calls == [a, b] and bareiss_calls[1] is b

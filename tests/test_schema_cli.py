@@ -345,6 +345,25 @@ def test_cli_input_errors(tmp_path, capsys):
     assert "phi" in err
 
 
+@pytest.mark.parametrize("data, message", [
+    (b'{"n": 1, "x": "\xff\xfe"}',
+     "cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 15: invalid start byte"),
+    (b"[" * 5000 + b"]" * 5000, "<root>: JSON nested too deeply to read"),
+    # a byte-order mark decodes, and the JSON decoder refuses it
+    (b'\xef\xbb\xbf{"n": 1}', "malformed JSON at line 1 column 1: "
+                              "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+], ids=["not utf-8", "nested 5,000 deep", "byte-order mark"])
+def test_cli_unreadable_text_is_an_input_error(tmp_path, capsys, data, message):
+    path = tmp_path / "module.json"
+    path.write_bytes(data)
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, ["check-admissible", str(path), "--format", fmt])
+        assert (code, out) == (2, "")
+        text = message.format(path=path)
+        assert err == (f"error: {text}\n" if fmt == "text"
+                       else json.dumps({"error": text}, indent=2, sort_keys=True) + "\n")
+
+
 def diagonal_module(n, monodromy=None):
     """phi = diag(1, 2, ..., 2^(n-1)) with jumps 0..n-1 on the standard flag,
     admissible for N = 0 and for N the chain e_(n-1) -> ... -> e_0."""

@@ -97,10 +97,17 @@ MUTANTS = (
            "class EnumerationCapExceeded(InputError):",
            ("tests/test_modules.py::test_a_totals_mismatch_is_decided_before_the_spectrum",)),
     Mutant("literal-takes-zero-denominator", "scalars.py",
-           "(slash and not (_is_digits(den) and int(den)))",
-           "(slash and not _is_digits(den))",
+           "0*[1-9][0-9]*",
+           "[0-9]+",
            ("tests/test_scalars.py::test_parse_rational_rejects_junk",
             "tests/test_schema_cli.py::test_parse_module_field_paths")),
+    # an entry holding a separator shifts every later entry of the text read
+    Mutant("matrix-reader-no-separator-count", "schema.py",
+           '    if text.count(",") != n * (n - 1) or text.count(";") != n - 1:\n'
+           "        return None\n",
+           "",
+           ("tests/test_schema_text.py::test_the_matrix_reader_agrees_with_rational_literal",
+            "tests/test_schema_text.py::test_the_matrix_reader_agrees_with_the_entry_reference")),
     Mutant("writer-keeps-key-order", "schema.py",
            "for key in sorted(value):",
            "for key in value:",
@@ -118,6 +125,17 @@ MUTANTS = (
            "        poly = shared[m.ints, m.den] = _newton_char_poly(m), m.den\n",
            ("tests/test_operation_counts.py::"
             "test_equal_but_distinct_matrices_each_form_their_own_polynomial",)),
+    Mutant("det-shared-by-value", "linalg.py",
+           '    value = getattr(m, "_det", None)\n'
+           "    if value is None:\n"
+           "        value = _bareiss(m)\n"
+           '        object.__setattr__(m, "_det", value)\n',
+           "    shared = det.__dict__\n"
+           "    value = shared.get((m.ints, m.den))\n"
+           "    if value is None:\n"
+           "        value = shared[m.ints, m.den] = _bareiss(m)\n",
+           ("tests/test_operation_counts.py::"
+            "test_equal_but_distinct_matrices_each_form_their_own_determinant",)),
 )
 
 
