@@ -25,8 +25,6 @@ from .hecke import (
 )
 from .interpolation import (
     CONVENTIONS,
-    HodgeTateWeights,
-    XiWeights,
     beta_value,
     check_integrality,
     consistency_check,
@@ -76,8 +74,8 @@ __all__ = [
     "SingularFrobenius", "Undecided",
     "HeckeParams", "coset_classes", "materialize_representatives",
     "spherical_value", "theta_closed", "theta_enumerated", "theta_tilde",
-    "CONVENTIONS", "HodgeTateWeights", "XiWeights", "beta_value",
-    "check_integrality", "consistency_check", "ht_from_module", "xi_from_ht",
+    "CONVENTIONS", "beta_value", "check_integrality", "consistency_check",
+    "ht_from_module", "xi_from_ht",
     "Matrix", "jordan_partition", "rational_eigenvalues",
     "FieldDescriptor", "FilteredPhiNModule", "build_module",
     "enumerate_stable_subspaces", "hodge_number", "is_weakly_admissible",

@@ -15,7 +15,7 @@ import sys
 from .config import check_work_units
 from .errors import ChainMismatch, InputError
 from .hecke import HeckeParams, theta_closed, theta_enumerated
-from .interpolation import check_integrality, consistency_check, ht_from_module, xi_from_ht
+from .interpolation import check_integrality, consistency_check
 from .linalg import jordan_partition
 from .modules import is_weakly_admissible
 from .partitions import (
@@ -125,7 +125,7 @@ def _cmd_hecke(args):
         "n": h.n,
         "q": h.q,
         "r": h.r,
-        "psi": [format_rational(v) for v in psi],
+        "psi": character_json(psi),
         "closed": format_rational(closed),
         "enumerated": format_rational(enumerated),
         "equal": equal,
@@ -140,9 +140,7 @@ def _cmd_hecke(args):
 
 def _cmd_beta(args):
     d = _load_module(args.input)
-    xi = xi_from_ht(ht_from_module(d))
-    report = integrality_json(check_integrality(d, xi))
-    report["xi"] = {label: list(xi[label]) for label in xi}
+    report = integrality_json(check_integrality(d))
     lines = [f"xi: {report['xi']}"]
     for row in report["rows"]:
         lines.append(
@@ -157,8 +155,7 @@ def _cmd_beta(args):
 
 def _cmd_consistency(args):
     d = _load_module(args.input)
-    xi = xi_from_ht(ht_from_module(d))
-    report = consistency_json(consistency_check(d, xi))
+    report = consistency_json(consistency_check(d))
     lines = [f"status: {report['status']}"]
     if report["status"] == "not_generic":
         i, j = report["linked_pair"]

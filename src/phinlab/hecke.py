@@ -75,17 +75,6 @@ def _index_set(S, h):
     return S
 
 
-def check_weights(xi, embeddings, n):
-    """Raise InputError unless xi gives n weights to each embedding and to no other label."""
-    if set(xi) != set(embeddings):
-        raise InputError(
-            f"weight labels {sorted(xi)} do not match embeddings {sorted(embeddings)}"
-        )
-    for label in xi:
-        if len(xi[label]) != n:
-            raise InputError(f"xi[{label}] needs {n} entries, got {len(xi[label])}")
-
-
 def _split(values):
     """Numerators a_i and positive denominators b_i of ints or rationals."""
     return [v.numerator for v in values], [v.denominator for v in values]
@@ -165,7 +154,13 @@ def theta_tilde(psi, h, xi, field):
     """
     if h.q != field.q:
         raise InputError(f"params have q={h.q} but the field's residue cardinality is {field.q}")
-    check_weights(xi, field.embeddings, h.n)
+    if set(xi) != set(field.embeddings):
+        raise InputError(
+            f"weight labels {sorted(xi)} do not match embeddings {sorted(field.embeddings)}"
+        )
+    for label in xi:
+        if len(xi[label]) != h.n:
+            raise InputError(f"xi[{label}] needs {h.n} entries, got {len(xi[label])}")
     return _twisted(elementary_symmetric(_as_character(psi, h.n), h.r), xi, h.r, h.n, field)
 
 

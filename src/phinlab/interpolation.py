@@ -1,17 +1,18 @@
 """Pointwise bridge from Frobenius data to Hecke eigenvalues.
 
-The weight table xi is derived from regular Hodge-Tate weights by
-xi_j = -i_j + (j-1) per embedding. beta_value twists the exterior-power
-trace of Frobenius by a uniformizer power built from the late weights
-(positions j >= r); the consistency check recomputes the same number
-through segments, the unramified character, and the rescaled double-coset
-operator, and demands exact equality for every r. check_integrality asks
-whether all the beta values are integral, reporting weak admissibility
-alongside.
+Every function here reads the weight table xi off the module itself: the
+Hodge-Tate weights are the filtration jumps, which must be strictly
+increasing, and xi_j = -i_j + (j-1) per embedding, as CONVENTIONS states.
+beta_value twists the exterior-power trace of Frobenius by a uniformizer
+power built from the late weights (positions j >= r); the consistency
+check recomputes the same number through segments, the unramified
+character, and the rescaled double-coset operator, and demands exact
+equality for every r. check_integrality asks whether all the beta values
+are integral, reporting xi and weak admissibility alongside.
 """
 
 from .errors import InputError, Undecided
-from .hecke import HeckeParams, _twisted, check_weights, theta_tilde
+from .hecke import HeckeParams, _twisted, theta_tilde
 from .linalg import exterior_traces
 from .modules import is_weakly_admissible
 from .partitions import LabelMap
@@ -23,8 +24,6 @@ from .weil_deligne import (
 )
 
 __all__ = [
-    "HodgeTateWeights",
-    "XiWeights",
     "xi_from_ht",
     "ht_from_module",
     "beta_value",
@@ -45,63 +44,48 @@ CONVENTIONS = {
 }
 
 
-class XiWeights(LabelMap):
-    """Integer twist weights per embedding; no shape constraint beyond length."""
-
-    __slots__ = ()
-    error = InputError
-
-    @staticmethod
-    def _value(label, weights):
-        return tuple(int(x) for x in weights)
-
-
-class HodgeTateWeights(LabelMap):
-    """Strictly increasing integer weights per embedding (regular weight)."""
-
-    __slots__ = ()
-    error = InputError
-
-    @staticmethod
-    def _value(label, weights):
-        w = XiWeights._value(label, weights)
-        if any(w[i] >= w[i + 1] for i in range(len(w) - 1)):
-            raise InputError(f"weights for {label} must be strictly increasing, got {w}")
-        return w
-
-
 def xi_from_ht(weights):
-    return XiWeights(
+    """xi_j = -i_j + (j - 1) per label, from any map of labels to ascending weights."""
+    return LabelMap(
         {label: tuple(-w[j] + j for j in range(len(w))) for label, w in weights.items()}
     )
 
 
 def ht_from_module(d):
-    """Read the weights off the filtration jumps (already sorted ascending)."""
-    return HodgeTateWeights({label: d.jumps(label) for label in d.field.embeddings})
+    """Read the weights off the filtration jumps (already sorted ascending),
+    which must be strictly increasing: the weight is regular."""
+    # int() since build_module takes bools for integer jumps
+    weights = LabelMap({label: tuple(map(int, d.jumps(label))) for label in d.field.embeddings})
+    for label, w in weights.items():
+        if any(w[i] >= w[i + 1] for i in range(len(w) - 1)):
+            raise InputError(f"weights for {label} must be strictly increasing, got {w}")
+    return weights
 
 
-def beta_value(d, r, xi):
-    """Twisted trace of the r-th exterior power of Frobenius.
+def _betas(d):
+    """xi read off d, and beta_1 .. beta_n: each pi^{-t} * Tr(wedge^r phi)
+    with t the sum of xi over positions j >= r across all embeddings,
+    carried as a TwistedScalar so e > 1 still has an exact valuation."""
+    xi = xi_from_ht(ht_from_module(d))
+    traces = exterior_traces(d.phi)
+    return xi, [_twisted(traces[r], xi, r, d.n, d.field) for r in range(1, d.n + 1)]
 
-    Value is pi^{-t} * Tr(wedge^r phi) with t the sum of xi over positions
-    j >= r across all embeddings; carried as a TwistedScalar so e > 1
-    still has an exact valuation.
-    """
+
+def beta_value(d, r):
+    """Twisted trace of the r-th exterior power of Frobenius, at d's own xi."""
     if not (1 <= r <= d.n):
         raise InputError(f"r must satisfy 1 <= r <= {d.n}, got {r}")
-    check_weights(xi, d.field.embeddings, d.n)
-    return _twisted(exterior_traces(d.phi)[r], xi, r, d.n, d.field)
+    return _betas(d)[1][r - 1]
 
 
-def check_integrality(d, xi):
-    """Valuations of every beta value, with weak admissibility alongside.
+def check_integrality(d):
+    """Valuations of every beta value, with xi and weak admissibility alongside.
 
     Non-admissible input is a warning, not an error: the raw valuations
     are still worth seeing, and deliberately broken modules are how the
     check shows it has power.
     """
-    check_weights(xi, d.field.embeddings, d.n)
+    xi, betas = _betas(d)
     try:
         verdict = is_weakly_admissible(d)
         admissible = verdict.admissible
@@ -109,26 +93,20 @@ def check_integrality(d, xi):
     except Undecided as err:
         admissible = None
         warning = f"admissibility undecided ({err}); valuations reported raw"
-    rows = []
-    all_ok = True
-    traces = exterior_traces(d.phi)
-    for r in range(1, d.n + 1):
-        value = _twisted(traces[r], xi, r, d.n, d.field)
-        v = value.val_f()
-        ok = v >= 0
-        rows.append({"r": r, "value": value, "valuation": v, "integral": ok})
-        all_ok = all_ok and ok
-    return {"admissible": admissible, "warning": warning, "rows": rows, "passed": all_ok}
+    rows = [{"r": r, "value": value, "valuation": value.val, "integral": value.val >= 0}
+            for r, value in enumerate(betas, 1)]
+    return {"xi": xi, "admissible": admissible, "warning": warning, "rows": rows,
+            "passed": all(row["integral"] for row in rows)}
 
 
-def consistency_check(d, xi):
+def consistency_check(d):
     """Hecke side against Galois side, exactly, for every r.
 
     Stops with status "not_generic" when two segments are linked; any
     failure of exact equality (which would falsify the interpolation)
     comes back as status "fail" with the offending rows visible.
     """
-    check_weights(xi, d.field.embeddings, d.n)
+    xi, betas = _betas(d)
     w = wd_from_module(d)
     segs = segments_from_wd(w)
     pair = find_linked_pair(segs, w.q)
@@ -145,14 +123,12 @@ def consistency_check(d, xi):
     psi = psi_from_segments(segs, w.q)
     report["psi"] = psi
     all_equal = True
-    traces = exterior_traces(d.phi)
-    for r in range(1, d.n + 1):
+    for r, right in enumerate(betas, 1):
         left = theta_tilde(psi, HeckeParams(d.n, w.q, r), xi, d.field)
-        right = _twisted(traces[r], xi, r, d.n, d.field)
         equal = left == right
         all_equal = all_equal and equal
         report["rows"].append(
-            {"r": r, "hecke": left, "galois": right, "equal": equal, "valuation": right.val_f()}
+            {"r": r, "hecke": left, "galois": right, "equal": equal, "valuation": right.val}
         )
     report["status"] = "pass" if all_equal else "fail"
     return report

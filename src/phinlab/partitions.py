@@ -66,20 +66,20 @@ def dominates(a, b):
 
 
 class LabelMap(Frozen):
-    """Immutable map from embedding labels to values, sorted by label.
+    """Immutable map from embedding labels to values, sorted by label: the
+    one such map type, holding filtrations, Hodge-Tate weights and xi.
 
     Subclasses may define ``_value(label, value)``, which normalises and
-    validates one value, and may set ``error``, raised for an empty map.
+    validates one value. An empty map raises ValueError.
     """
 
     __slots__ = ("pairs",)
-    error = ValueError
 
     def __init__(self, mapping):
         named = sorted(((str(k), v) for k, v in mapping.items()), key=lambda kv: kv[0])
         pairs = tuple((label, self._value(label, value)) for label, value in named)
         if not pairs:
-            raise self.error("at least one label is required")
+            raise ValueError("at least one label is required")
         Frozen.__init__(self, pairs)
 
     @staticmethod

@@ -10,7 +10,7 @@ import random
 
 from .errors import Undecided
 from .hecke import HeckeParams, theta_closed, theta_enumerated
-from .interpolation import check_integrality, consistency_check, ht_from_module, xi_from_ht
+from .interpolation import check_integrality, consistency_check
 from .linalg import Matrix, jordan_nilpotent, jordan_partition
 from .modules import FieldDescriptor, build_module, is_weakly_admissible
 from .partitions import Partition, PartitionFunction, paper_leq, stratum_member
@@ -190,16 +190,14 @@ def sweep(seed):
 
     for i in range(8):
         d = random_wa_module(rng)
-        report = check_integrality(d, xi_from_ht(ht_from_module(d)))
+        report = check_integrality(d)
         cases.append(_case(
             f"integrality-{i:03d}", "beta_integral_on_admissible", report["passed"],
             {"n": d.n, "p": d.field.p,
              "valuations": [str(row["valuation"]) for row in report["rows"]]},
         ))
 
-    neg = check_integrality(
-        non_admissible_witness(), xi_from_ht(ht_from_module(non_admissible_witness()))
-    )
+    neg = check_integrality(non_admissible_witness())
     cases.append(_case(
         "integrality-neg-000", "non_admissible_shows_negative", not neg["passed"],
         {"valuations": [str(row["valuation"]) for row in neg["rows"]]},
@@ -207,7 +205,7 @@ def sweep(seed):
 
     for i in range(8):
         d = random_generic_module(rng)
-        report = consistency_check(d, xi_from_ht(ht_from_module(d)))
+        report = consistency_check(d)
         cases.append(_case(
             f"consistency-{i:03d}", "hecke_equals_galois", report["status"] == "pass",
             {"n": d.n, "q": report["q"], "status": report["status"]},
@@ -217,7 +215,7 @@ def sweep(seed):
         FieldDescriptor(p=2), 2, Matrix.diagonal([1, 2]), Matrix.zeros(2, 2),
         {"k0": (Matrix.identity(2), [0, 1])},
     )
-    rep = consistency_check(linked, xi_from_ht(ht_from_module(linked)))
+    rep = consistency_check(linked)
     cases.append(_case(
         "consistency-neg-000", "linked_segments_not_generic",
         rep["status"] == "not_generic", {"status": rep["status"]},

@@ -360,9 +360,6 @@ class TwistedScalar(Frozen):
             raise ValueError("value carries an unevaluated uniformizer power")
         return self.coeff
 
-    def val_f(self):
-        return self.val
-
     def __eq__(self, other):
         if not isinstance(other, TwistedScalar):
             if self.pi_exp == 0:

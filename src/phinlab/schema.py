@@ -292,6 +292,7 @@ def admissibility_json(report):
 
 def integrality_json(report):
     return {
+        "xi": {label: list(xi) for label, xi in report["xi"].items()},
         "admissible": report["admissible"],
         "warning": report["warning"],
         "passed": report["passed"],
@@ -330,13 +331,11 @@ def consistency_json(report):
     return out
 
 
-def wd_json(w, partition=None):
-    out = {
+def wd_json(w, partition):
+    return {
         "q": w.q,
         "n": w.n,
         "frobenius": matrix_json(w.frobenius),
         "monodromy": matrix_json(w.monodromy),
+        "partition": partition_function_json(partition),
     }
-    if partition is not None:
-        out["partition"] = partition_function_json(partition)
-    return out

@@ -16,12 +16,7 @@ import time
 from functools import lru_cache
 
 from phinlab.hecke import HeckeParams, coset_classes, theta_closed, theta_enumerated
-from phinlab.interpolation import (
-    check_integrality,
-    consistency_check,
-    ht_from_module,
-    xi_from_ht,
-)
+from phinlab.interpolation import check_integrality, consistency_check
 from phinlab.linalg import (
     Matrix,
     jordan_nilpotent,
@@ -165,13 +160,13 @@ def test_criterion_6_beta_integrality_on_weakly_admissible_modules():
     count = 0
     for i in range(102):
         d = random_wa_module(rng, n=1 + i % 3)
-        report = check_integrality(d, xi_from_ht(ht_from_module(d)))
+        report = check_integrality(d)
         assert report["admissible"] is True
         assert report["passed"] is True
         assert all(row["integral"] for row in report["rows"])
         count += 1
     bad = non_admissible_witness()
-    bad_report = check_integrality(bad, xi_from_ht(ht_from_module(bad)))
+    bad_report = check_integrality(bad)
     assert bad_report["admissible"] is False
     assert any(row["valuation"] < 0 for row in bad_report["rows"])
     print(f"criterion 6 PASS: {count} admissible modules integral, witness negative")
@@ -184,7 +179,7 @@ def test_criterion_7_interpolation_consistency():
             Matrix.diagonal([1, p]), Matrix([[0, 1], [0, 0]]),
             {"k0": (Matrix([[1, 1], [1, -1]]), [0, 1])},
         )
-        report = consistency_check(anchor, xi_from_ht(ht_from_module(anchor)))
+        report = consistency_check(anchor)
         assert report["status"] == "pass"
         assert len(report["rows"]) == 2
         assert all(row["equal"] for row in report["rows"])
@@ -193,7 +188,7 @@ def test_criterion_7_interpolation_consistency():
     generic = 0
     for _ in range(55):
         d = random_generic_module(rng)
-        report = consistency_check(d, xi_from_ht(ht_from_module(d)))
+        report = consistency_check(d)
         assert report["status"] == "pass"
         assert all(row["equal"] for row in report["rows"])
         generic += 1
@@ -204,7 +199,7 @@ def test_criterion_7_interpolation_consistency():
             Matrix.diagonal([1, p]), Matrix.zeros(2, 2),
             {"k0": (Matrix.identity(2), [0, 1])},
         )
-        report = consistency_check(linked, xi_from_ht(ht_from_module(linked)))
+        report = consistency_check(linked)
         assert report["status"] == "not_generic"
         assert report["rows"] == []
     print(f"criterion 7 PASS: anchor + {generic} generic modules, linked stay silent")

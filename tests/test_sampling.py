@@ -1,7 +1,7 @@
 import json
 import random
 
-from phinlab.interpolation import consistency_check, ht_from_module, xi_from_ht
+from phinlab.interpolation import consistency_check
 from phinlab.modules import is_weakly_admissible
 from phinlab.linalg import jordan_partition
 from phinlab.sampling import (
@@ -40,8 +40,7 @@ def test_random_generic_module_passes_consistency():
     rng = random.Random(19)
     for _ in range(5):
         d = random_generic_module(rng)
-        xi = xi_from_ht(ht_from_module(d))
-        report = consistency_check(d, xi)
+        report = consistency_check(d)
         assert report["status"] == "pass"
 
 

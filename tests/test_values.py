@@ -8,7 +8,6 @@ import sys
 import pytest
 
 from phinlab.hecke import CosetClass, HeckeParams
-from phinlab.interpolation import HodgeTateWeights, XiWeights
 from phinlab.linalg import EigenSplit, Matrix, Subspace, char_poly, jordan_nilpotent
 from phinlab.modules import (
     AdmissibilityReport,
@@ -17,7 +16,7 @@ from phinlab.modules import (
     Witness,
     build_module,
 )
-from phinlab.partitions import Partition, PartitionFunction
+from phinlab.partitions import LabelMap, Partition, PartitionFunction
 from phinlab.scalars import Frozen, QExtScalar, Rational, TwistedScalar
 from phinlab.weil_deligne import Segment, UnramifiedCharacter, WeilDeligneRep
 from tests_helpers import child_env
@@ -43,11 +42,9 @@ CASES = {
     "QExtScalar": (lambda: QExtScalar(1, 2, 3), "a", "QExtScalar(1 + 2*sqrt(3))"),
     "TwistedScalar": (lambda: TwistedScalar(3, 1, 2, 2), "coeff", "TwistedScalar(3 * pi^1)"),
     "Partition": (lambda: Partition((2, 1)), "parts", "Partition(2, 1)"),
+    "LabelMap": (lambda: LabelMap({"k0": (0, -1)}), "pairs", "LabelMap({'k0': (0, -1)})"),
     "PartitionFunction": (lambda: PartitionFunction({"k0": (2, 1)}), "pairs",
                           "PartitionFunction({'k0': Partition(2, 1)})"),
-    "XiWeights": (lambda: XiWeights({"k0": (0, -1)}), "pairs", "XiWeights({'k0': (0, -1)})"),
-    "HodgeTateWeights": (lambda: HodgeTateWeights({"k0": (0, 1)}), "pairs",
-                         "HodgeTateWeights({'k0': (0, 1)})"),
     "FieldDescriptor": (lambda: FieldDescriptor(p=2, e=2), "p",
                         "FieldDescriptor(p=2, f0=1, e=2, f=1, embeddings=('k0',), degree_factor=1)"),
     "Flag": (lambda: Flag(Matrix.identity(2), (0, 1)), "jumps",

@@ -68,6 +68,17 @@ MUTANTS = (
            "range(r, n)",
            ("tests/test_hecke.py::test_theta_tilde_twist_window",
             "tests/test_interpolation.py::test_beta_value_pinned")),
+    Mutant("ht-allows-equal-weights", "interpolation.py",
+           "w[i] >= w[i + 1]",
+           "w[i] > w[i + 1]",
+           ("tests/test_interpolation.py::test_ht_weights_validation",
+            "tests/test_interpolation.py::test_ht_from_module_reads_jumps")),
+    Mutant("xi-offset-shifted", "interpolation.py",
+           "-w[j] + j",
+           "-w[j] + j + 1",
+           ("tests/test_interpolation.py::test_xi_from_ht_pinned",
+            "tests/test_interpolation.py::test_beta_value_pinned",
+            "tests/test_interpolation.py::test_beta_top_r_is_twisted_determinant")),
     Mutant("psi-bottom-first", "weil_deligne.py",
            "for j in range(s.length - 1, -1, -1):",
            "for j in range(s.length):",
