@@ -2,10 +2,12 @@
 
 One JSON module file feeds check-admissible, wd, segments, beta,
 consistency and strata; hecke takes inline flags; sweep takes a seed.
-Exit codes separate verdicts from plumbing: 0 = success/pass, 1 = a
-mathematical check failed (inadmissible, inconsistent, not generic,
-chain mismatch), 2 = bad input (malformed JSON, schema violation,
-precondition failure).
+``_FILE_COMMANDS`` names each file subcommand with its help text and its
+handler, and builds their subparsers; ``main`` loads the module once and
+hands the parsed module to that handler. Exit codes separate verdicts
+from plumbing: 0 = success/pass, 1 = a mathematical check failed
+(inadmissible, inconsistent, not generic, chain mismatch), 2 = bad input
+(malformed JSON, schema violation, precondition failure).
 """
 
 import argparse
@@ -16,10 +18,8 @@ from .config import check_work_units
 from .errors import ChainMismatch, InputError
 from .hecke import HeckeParams, theta_closed, theta_enumerated
 from .interpolation import check_integrality, consistency_check
-from .linalg import jordan_partition
 from .modules import is_weakly_admissible
 from .partitions import (
-    PartitionFunction,
     part_thresholds,
     partition_count,
     partitions_of,
@@ -60,8 +60,7 @@ def _load_module(path):
     return parse_module(load_json(text))
 
 
-def _cmd_check_admissible(args):
-    d = _load_module(args.input)
+def _cmd_check_admissible(d):
     rep = is_weakly_admissible(d)
     report = admissibility_json(rep)
     lines = [
@@ -80,10 +79,9 @@ def _cmd_check_admissible(args):
     return (0 if rep.admissible else 1), report, lines
 
 
-def _cmd_wd(args):
-    d = _load_module(args.input)
+def _cmd_wd(d):
     w = wd_from_module(d)
-    part = monodromy_partition(w)
+    part = monodromy_partition(d)
     report = wd_json(w, part)
     lines = [
         f"n = {w.n}, q = {w.q}",
@@ -92,8 +90,7 @@ def _cmd_wd(args):
     return 0, report, lines
 
 
-def _cmd_segments(args):
-    d = _load_module(args.input)
+def _cmd_segments(d):
     w = wd_from_module(d)
     segs = segments_from_wd(w)
     generic = is_generic(segs, w.q)
@@ -138,8 +135,7 @@ def _cmd_hecke(args):
     return (0 if equal else 1), report, lines
 
 
-def _cmd_beta(args):
-    d = _load_module(args.input)
+def _cmd_beta(d):
     report = integrality_json(check_integrality(d))
     lines = [f"xi: {report['xi']}"]
     for row in report["rows"]:
@@ -153,8 +149,7 @@ def _cmd_beta(args):
     return 0, report, lines
 
 
-def _cmd_consistency(args):
-    d = _load_module(args.input)
+def _cmd_consistency(d):
     report = consistency_json(consistency_check(d))
     lines = [f"status: {report['status']}"]
     if report["status"] == "not_generic":
@@ -168,18 +163,15 @@ def _cmd_consistency(args):
     return (0 if report["status"] == "pass" else 1), report, lines
 
 
-def _cmd_strata(args):
-    d = _load_module(args.input)
+def _cmd_strata(d):
     # one probe per partition of n, each a threshold vector of length n
     check_work_units(partition_count(d.n) * d.n, "strata thresholds")
-    part = jordan_partition(d.monodromy)
-    labels = d.field.embeddings
-    point = PartitionFunction({label: part for label in labels})
+    point = monodromy_partition(d)
     point_thresholds = strata_thresholds(point, d.n)
     strata = []
     for probe in partitions_of(d.n):
         # the probe at every label
-        thresholds = part_thresholds(probe.parts, d.n, len(labels))
+        thresholds = part_thresholds(probe.parts, d.n, len(point.pairs))
         strata.append({
             "partition": list(probe.parts),
             "thresholds": list(thresholds),
@@ -206,49 +198,16 @@ def _cmd_sweep(args):
     return (0 if report["passed"] else 1), report, lines
 
 
-_HANDLERS = {
-    "check-admissible": _cmd_check_admissible,
-    "wd": _cmd_wd,
-    "segments": _cmd_segments,
-    "hecke": _cmd_hecke,
-    "beta": _cmd_beta,
-    "consistency": _cmd_consistency,
-    "strata": _cmd_strata,
-    "sweep": _cmd_sweep,
+# the file subcommands in --help order: name -> (help text, handler of the parsed module)
+_FILE_COMMANDS = {
+    "check-admissible": ("decide weak admissibility", _cmd_check_admissible),
+    "wd": ("extract Frobenius/monodromy data and its partition", _cmd_wd),
+    "segments": ("decompose into segments and test genericity", _cmd_segments),
+    "beta": ("beta values, valuations and integrality", _cmd_beta),
+    "consistency": ("compare the Hecke and Galois sides per r", _cmd_consistency),
+    "strata": ("closed-stratum membership for the monodromy", _cmd_strata),
 }
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="phinlab",
-        description="exact computations on filtered phi-N modules and their Hecke side",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_file_command(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", help="path to a module JSON file")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        return p
-
-    add_file_command("check-admissible", "decide weak admissibility")
-    add_file_command("wd", "extract Frobenius/monodromy data and its partition")
-    add_file_command("segments", "decompose into segments and test genericity")
-    add_file_command("beta", "beta values, valuations and integrality")
-    add_file_command("consistency", "compare the Hecke and Galois sides per r")
-    add_file_command("strata", "closed-stratum membership for the monodromy")
-
-    hecke = sub.add_parser("hecke", help="double-coset eigenvalue two ways")
-    hecke.add_argument("--n", type=int, required=True)
-    hecke.add_argument("--r", type=int, required=True)
-    hecke.add_argument("--q", type=int, required=True)
-    hecke.add_argument("--psi", required=True, help="comma-separated rational values")
-    hecke.add_argument("--format", choices=("text", "json"), default="text")
-
-    sw = sub.add_parser("sweep", help="seeded batch of randomized checks")
-    sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument("--format", choices=("text", "json"), default="text")
-    return parser
+_FLAG_COMMANDS = {"hecke": _cmd_hecke, "sweep": _cmd_sweep}
 
 
 def _emit(report, lines, fmt, stream):
@@ -278,13 +237,36 @@ def _attach_psi_values(argv):
 @functools.cache
 def _parser():
     # built on the first call to main; parse_args keeps no state between calls
-    return build_parser()
+    parser = argparse.ArgumentParser(
+        prog="phinlab",
+        description="exact computations on filtered phi-N modules and their Hecke side",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _) in _FILE_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("input", help="path to a module JSON file")
+
+    hecke = sub.add_parser("hecke", help="double-coset eigenvalue two ways")
+    hecke.add_argument("--n", type=int, required=True)
+    hecke.add_argument("--r", type=int, required=True)
+    hecke.add_argument("--q", type=int, required=True)
+    hecke.add_argument("--psi", required=True, help="comma-separated rational values")
+
+    sw = sub.add_parser("sweep", help="seeded batch of randomized checks")
+    sw.add_argument("--seed", type=int, default=0)
+    # every subcommand takes --format as its last option
+    for command in sub.choices.values():
+        command.add_argument("--format", choices=("text", "json"), default="text")
+    return parser
 
 
 def main(argv=None):
     args = _parser().parse_args(_attach_psi_values(sys.argv[1:] if argv is None else argv))
     try:
-        code, report, lines = _HANDLERS[args.command](args)
+        if args.command in _FILE_COMMANDS:
+            code, report, lines = _FILE_COMMANDS[args.command][1](_load_module(args.input))
+        else:
+            code, report, lines = _FLAG_COMMANDS[args.command](args)
     except ChainMismatch as err:
         _emit({"error": str(err), "report": err.report}, [f"error: {err}"], args.format, sys.stdout)
         return 1

@@ -54,8 +54,7 @@ def xi_from_ht(weights):
 def ht_from_module(d):
     """Read the weights off the filtration jumps (already sorted ascending),
     which must be strictly increasing: the weight is regular."""
-    # int() since build_module takes bools for integer jumps
-    weights = LabelMap({label: tuple(map(int, d.jumps(label))) for label in d.field.embeddings})
+    weights = LabelMap({label: d.jumps(label) for label in d.field.embeddings})
     for label, w in weights.items():
         if any(w[i] >= w[i + 1] for i in range(len(w) - 1)):
             raise InputError(f"weights for {label} must be strictly increasing, got {w}")

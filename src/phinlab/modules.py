@@ -171,7 +171,7 @@ def build_module(field, n, phi, monodromy, filtration):
         basis, jumps = filtration[label]
         basis = _as_matrix(basis, n, f"flag[{label}]")
         jumps = list(jumps)
-        if len(jumps) != n or not all(isinstance(j, int) for j in jumps):
+        if len(jumps) != n or not all(type(j) is int for j in jumps):
             raise BadFlag(f"flag[{label}] needs {n} integer jumps, got {jumps}")
         if det(basis) == 0:
             raise BadFlag(f"flag[{label}] basis is singular")

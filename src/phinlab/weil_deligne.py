@@ -6,7 +6,9 @@ commutation rule pushes each Frobenius eigenvalue down its q-line, so when
 the spectrum is rational the Jordan shape of N groups the eigenvalues into
 geometric chains chi, chi*q, ..., chi*q^(k-1). Each chain is recorded as a
 Segment(chi, k); segments feed the genericity test (no linked pair) and
-expand into the eigenvalue list consumed by the Hecke side.
+expand into the eigenvalue list consumed by the Hecke side. Embedding
+labels belong to the filtered module, not to its representation:
+``monodromy_partition(d)`` copies N's Jordan type to each label of d.
 """
 
 from collections import Counter
@@ -58,10 +60,10 @@ def prime_power_base(q):
 class WeilDeligneRep(Frozen):
     """Invertible Frobenius with a nilpotent operator obeying N*Fr = q*Fr*N."""
 
-    __slots__ = ("frobenius", "monodromy", "q", "p", "f0", "embeddings")
+    __slots__ = ("frobenius", "monodromy", "q", "p")
 
-    def __init__(self, frobenius, monodromy, q, embeddings=("k0",)):
-        p, f0 = prime_power_base(q)
+    def __init__(self, frobenius, monodromy, q):
+        p, _ = prime_power_base(q)
         fr = frobenius if isinstance(frobenius, Matrix) else Matrix(frobenius)
         nil = monodromy if isinstance(monodromy, Matrix) else Matrix(monodromy)
         if not (fr.is_square and nil.is_square and fr.nrows == nil.nrows):
@@ -70,10 +72,7 @@ class WeilDeligneRep(Frozen):
                 f"and {nil.nrows}x{nil.ncols}"
             )
         check_phi_n(fr, nil, q)
-        embeddings = tuple(embeddings)
-        if not embeddings or len(set(embeddings)) != len(embeddings):
-            raise InputError(f"embedding labels must be distinct and nonempty: {embeddings}")
-        Frozen.__init__(self, fr, nil, q, p, f0, embeddings)
+        Frozen.__init__(self, fr, nil, q, p)
 
     @property
     def n(self):
@@ -89,18 +88,19 @@ def wd_from_module(d):
     The module's commutation scale is p**f while this side checks against
     q = p**f0, so a module with f != f0 and nonzero N is rejected on entry.
     When f = f0, ``build_module`` has already checked phi and N at q, and
-    the field gives p and f0, so the representation is built as it is.
+    the field gives p, so the representation is built as it is.
     """
     field = d.field
     if field.f != field.f0:
         check_phi_n(d.phi, d.monodromy, field.q)
-    return _rebuild(WeilDeligneRep, (d.phi, d.monodromy, field.q, field.p, field.f0, field.embeddings))
+    return _rebuild(WeilDeligneRep, (d.phi, d.monodromy, field.q, field.p))
 
 
-def monodromy_partition(w):
-    """Jordan shape of N, one copy per embedding label."""
-    part = jordan_partition(w.monodromy)
-    return PartitionFunction({label: part for label in w.embeddings})
+def monodromy_partition(d):
+    """The partition function of the module d: N's Jordan type at each of
+    its embedding labels, the point whose closed strata ``strata`` reports."""
+    part = jordan_partition(d.monodromy)
+    return PartitionFunction({label: part for label in d.field.embeddings})
 
 
 class Segment(Frozen):
@@ -259,7 +259,7 @@ def psi_from_segments(segments, q):
     return UnramifiedCharacter(tuple(out))
 
 
-def wd_from_segments(segments, q, embeddings=("k0",)):
+def wd_from_segments(segments, q):
     """Direct sum of one chain block per segment, for building examples: the
     diagonal of ``psi_from_segments``, and N with ones below it within each block."""
     segs = [s if isinstance(s, Segment) else Segment(*s) for s in segments]
@@ -267,4 +267,4 @@ def wd_from_segments(segments, q, embeddings=("k0",)):
     n = len(diagonal)
     starts = set(accumulate(s.length for s in segs))
     nil = [[int(j == i - 1 and i not in starts) for j in range(n)] for i in range(n)]
-    return WeilDeligneRep(Matrix.diagonal(diagonal), Matrix(nil), q, embeddings=embeddings)
+    return WeilDeligneRep(Matrix.diagonal(diagonal), Matrix(nil), q)

@@ -279,6 +279,13 @@ def test_theta_tilde_checks_the_weights(xi, text):
     assert str(exc.value) == text
 
 
+def test_theta_tilde_checks_q_against_the_field():
+    with pytest.raises(InputError) as exc:
+        theta_tilde(UnramifiedCharacter((2, 1)), HeckeParams(2, 3, 1), {"k0": (0, 1)},
+                    FieldDescriptor(p=2))
+    assert str(exc.value) == "params have q=3 but the field's residue cardinality is 2"
+
+
 def test_spherical_value_checks_its_index_set_under_python_o():
     code = (
         "from phinlab.errors import InputError\n"

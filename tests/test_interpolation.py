@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from phinlab.errors import InputError, RelationViolation, NotFullyRational
+from phinlab.errors import BadFlag, InputError, RelationViolation, NotFullyRational
 from phinlab.interpolation import (
     beta_value,
     check_integrality,
@@ -37,10 +37,10 @@ def test_ht_weights_validation():
     with pytest.raises(InputError) as exc:
         ht_from_module(crystalline([1, 2], [0, 0]))
     assert str(exc.value) == "weights for k0 must be strictly increasing, got (0, 0)"
-    # bools pass as integer jumps, and are read as ints
-    with pytest.raises(InputError) as exc:
-        ht_from_module(crystalline([1, 2], [True, True]))
-    assert str(exc.value) == "weights for k0 must be strictly increasing, got (1, 1)"
+    # bools are no integer jumps: build_module refuses them, as the schema does
+    with pytest.raises(BadFlag) as exc:
+        crystalline([1, 2], [True, True])
+    assert str(exc.value) == "flag[k0] needs 2 integer jumps, got [True, True]"
     # the module sorts its jumps, so descending ones are read ascending
     assert ht_from_module(crystalline([1, 2], [2, 1]))["k0"] == (1, 2)
     with pytest.raises(InputError):

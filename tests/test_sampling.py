@@ -1,6 +1,8 @@
 import json
 import random
 
+import phinlab.sampling as sampling
+from phinlab.errors import Undecided
 from phinlab.interpolation import consistency_check
 from phinlab.modules import is_weakly_admissible
 from phinlab.linalg import jordan_partition
@@ -22,6 +24,20 @@ def test_random_wa_module_is_admissible():
         jumps = d.jumps("k0")
         assert jumps[0] >= 0
         assert all(a < b for a, b in zip(jumps, jumps[1:]))
+
+
+def test_random_wa_module_falls_back_to_the_split_ordinary_shape(monkeypatch):
+    calls = []
+
+    def undecided(d):
+        calls.append(d)
+        raise Undecided("no verdict")
+
+    monkeypatch.setattr(sampling, "is_weakly_admissible", undecided)
+    d = random_wa_module(random.Random(11), 3)
+    # every sampled flag was undecided, so the fallback built d
+    assert len(calls) == 200
+    assert is_weakly_admissible(d).admissible is True
 
 
 def test_random_nilpotent_realizes_partition():

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from phinlab.cli import main
-from phinlab.errors import SchemaError
+from phinlab.errors import ChainMismatch, SchemaError
 from phinlab.interpolation import CONVENTIONS
 from phinlab.modules import FieldDescriptor
 from phinlab.scalars import TwistedScalar
@@ -294,6 +294,50 @@ def test_cli_strata(tmp_path, capsys):
     # the point's own stratum and everything below it contain it
     assert verdicts[(2,)] is True
     assert verdicts[(1, 1)] is False
+
+
+def test_cli_wd_and_strata_copy_the_partition_to_every_label(tmp_path, capsys):
+    # two labels given out of order; each stratum's thresholds count both
+    two = variant(field={"p": 2, "embeddings": ["b", "a"]})
+    two["filtration"]["a"] = {"flag": [["1", "0"], ["0", "1"]], "jumps": [0, 1]}
+    two["filtration"]["b"] = two["filtration"].pop("k0")
+    path = write_json(tmp_path, two)
+    code, out, err = run_cli(capsys, ["wd", path, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "frobenius": [["1", "0"], ["0", "2"]],
+        "monodromy": [["0", "1"], ["0", "0"]],
+        "n": 2,
+        "partition": {"a": [2], "b": [2]},
+        "q": 2,
+    }
+    code, out, err = run_cli(capsys, ["strata", path, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "partition": {"a": [2], "b": [2]},
+        "strata": [
+            {"member": True, "partition": [2], "thresholds": [2, 4]},
+            {"member": False, "partition": [1, 1], "thresholds": [4, 4]},
+        ],
+    }
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_reports_a_chain_mismatch_on_stdout(tmp_path, capsys, monkeypatch, fmt):
+    from phinlab import cli
+
+    report = {"eigenvalues": ["1", "2"], "partition": [2], "q": 2}
+
+    def mismatch(w):
+        raise ChainMismatch("no chains", report=report)
+
+    monkeypatch.setattr(cli, "segments_from_wd", mismatch)
+    code, out, err = run_cli(capsys, ["segments", write_json(tmp_path, STEINBERG), "--format", fmt])
+    assert (code, err) == (1, "")
+    if fmt == "json":
+        assert json.loads(out) == {"error": "no chains", "report": report}
+    else:
+        assert out == "error: no chains\n"
 
 
 def test_cli_strata_runs_within_the_work_budget(tmp_path, capsys):

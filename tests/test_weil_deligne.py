@@ -16,7 +16,7 @@ from phinlab.errors import (
     RelationViolation,
     SingularFrobenius,
 )
-from phinlab.linalg import Matrix, jordan_nilpotent, rational_eigenvalues
+from phinlab.linalg import Matrix, jordan_nilpotent, jordan_partition, rational_eigenvalues
 from phinlab.modules import FieldDescriptor, build_module
 from phinlab.partitions import Partition, PartitionFunction
 from phinlab.schema import matrix_json
@@ -75,7 +75,8 @@ def test_wd_from_module_transports_matrices():
     assert w.frobenius == d.phi
     assert w.monodromy == d.monodromy
     assert w.q == 2
-    assert w.embeddings == ("k0",)
+    # the labels stay on the module
+    assert WeilDeligneRep._fields == ("frobenius", "monodromy", "q", "p")
 
 
 def test_wd_from_rank_one():
@@ -86,19 +87,24 @@ def test_wd_from_rank_one():
     assert w.q == 3
 
 
+def diagonal_module(diag, monodromy, p, labels=("k0",)):
+    n = len(diag)
+    return build_module(FieldDescriptor(p=p, embeddings=labels), n, Matrix.diagonal(diag), monodromy,
+                        {label: (Matrix.identity(n), list(range(n))) for label in labels})
+
+
 def test_monodromy_partition_pinned():
-    w = WeilDeligneRep(Matrix.diagonal([1, 2, 3]), Matrix.zeros(3, 3), 5)
-    assert monodromy_partition(w) == PartitionFunction({"k0": (1, 1, 1)})
-    w3 = WeilDeligneRep(Matrix.diagonal([1, 2, 4]), jordan_nilpotent([3]), 2)
-    assert monodromy_partition(w3)["k0"] == Partition((3,))
-    w21 = WeilDeligneRep(Matrix.diagonal([1, 2, 7]), jordan_nilpotent([2, 1]), 2)
-    assert monodromy_partition(w21)["k0"] == Partition((2, 1))
+    d = diagonal_module([1, 2, 3], Matrix.zeros(3, 3), 5)
+    assert monodromy_partition(d) == PartitionFunction({"k0": (1, 1, 1)})
+    d3 = diagonal_module([1, 2, 4], jordan_nilpotent([3]), 2)
+    assert monodromy_partition(d3)["k0"] == Partition((3,))
+    d21 = diagonal_module([1, 2, 7], jordan_nilpotent([2, 1]), 2)
+    assert monodromy_partition(d21)["k0"] == Partition((2, 1))
 
 
 def test_monodromy_partition_multiple_labels():
-    w = WeilDeligneRep(Matrix.diagonal([1, 2]), jordan_nilpotent([2]), 2,
-                       embeddings=("a", "b"))
-    pf = monodromy_partition(w)
+    d = diagonal_module([1, 2], jordan_nilpotent([2]), 2, labels=("b", "a"))
+    pf = monodromy_partition(d)
     assert pf.labels == ("a", "b")
     assert pf["a"] == pf["b"] == Partition((2,))
 
@@ -247,7 +253,7 @@ def test_wd_from_segments_realizes_the_data():
     w = wd_from_segments(segs, 2)
     assert w.q == 2
     assert sorted(x for x, _ in rational_eigenvalues(w.frobenius).roots) == [1, 3, 6]
-    assert monodromy_partition(w)["k0"] == Partition((2, 1))
+    assert jordan_partition(w.monodromy) == Partition((2, 1))
     assert set(segments_from_wd(w)) == set(segs)
 
 
@@ -284,7 +290,7 @@ def test_round_trip_random_unlinked_distinct_lines():
             assert set(got) == set(segs)
         # partition of lengths, sorted decreasingly
         lengths = tuple(sorted((x.length for x in segs), reverse=True))
-        assert monodromy_partition(w)["k0"] == Partition(lengths)
+        assert jordan_partition(w.monodromy) == Partition(lengths)
 
 
 def test_crystalline_segments_all_length_one():
@@ -346,18 +352,18 @@ def test_wd_from_module_checks_phi_n_again_only_when_f_differs_from_f0(monkeypat
     monkeypatch.setattr(wd, "check_phi_n", lambda *args: calls.append(args))
     w = wd_from_module(d)
     assert calls == []
-    assert w == checked and (w.p, w.f0, w.embeddings) == (3, 1, ("k0",))
+    assert w == checked and (w.p, w.q) == (3, 3)
     field = FieldDescriptor(p=2, f=2, f0=1)
     crystalline = build_module(field, 2, [[1, 0], [0, 4]], [[0, 0], [0, 0]],
                                {"k0": (Matrix.identity(2), [0, 1])})
     w = wd_from_module(crystalline)
     assert calls == [(crystalline.phi, crystalline.monodromy, 2)]
-    assert (w.q, w.p, w.f0) == (2, 2, 1)
+    assert (w.q, w.p) == (2, 2)
 
 
 def test_wd_from_module_takes_p_from_the_field():
     d = build_module(FieldDescriptor(p=MERSENNE_61), 1, [[1]], [[0]],
                      {"k0": (Matrix.identity(1), [0])})
     w = wd_from_module(d)
-    assert (w.q, w.p, w.f0) == (MERSENNE_61, MERSENNE_61, 1)
+    assert (w.q, w.p) == (MERSENNE_61, MERSENNE_61)
     assert segments_from_wd(w) == (seg(1, 1),)
