@@ -171,7 +171,7 @@ def _cmd_strata(d):
     strata = []
     for probe in partitions_of(d.n):
         # the probe at every label
-        thresholds = part_thresholds(probe.parts, d.n, len(point.pairs))
+        thresholds = part_thresholds(probe.parts, d.n, len(point.labels))
         strata.append({
             "partition": list(probe.parts),
             "thresholds": list(thresholds),

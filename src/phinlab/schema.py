@@ -2,13 +2,13 @@
 
 Input side: parse_module turns the one shared JSON shape into a validated
 module, naming the offending field path on any violation. Numbers arrive
-as rational strings or ints; floats are rejected outright. A matrix is
-read whole: the ``str`` of its entries, rows joined into one text, which
-``scalars.rational_literals`` checks with one match of the literal grammar
-and cuts into integers over their least common denominator. A bool,
-float, None, list or dict entry, or any other fault, sends it to the
-entry-by-entry read, which names the first row or entry at fault; the
-two reads agree on every JSON value and every error.
+as rational strings or ints; floats are rejected outright. A matrix whose
+entries are all strings is read whole: its rows are joined into one text,
+which ``scalars.rational_literals`` checks with one match of the literal
+grammar and cuts into integers over their least common denominator. Any
+other matrix, and any fault, is read entry by entry, which names the
+first row or entry at fault; the two reads agree on every value and
+every error.
 
 Output side: every report dict produced here contains only strings, ints,
 bools, lists and dicts, with all rationals rendered as strings, so
@@ -87,15 +87,15 @@ def _literal(value, row_path, j):
 
 
 def _read_text(value, n):
-    """(rows, den) of n lists of n entries, read as one text of their str;
-    None for any other value, or for an entry that is no literal or is past
-    the digit limit of str() or int(): ``_read_entries`` reads or rejects it."""
+    """(rows, den) of n lists of n literal strings, read as one text; None
+    for any other value, or for a literal that is bad or past the digit
+    limit of int(), which ``_read_entries`` then reads or rejects."""
     if type(value) is not list or len(value) != n or not all(
             type(row) is list and len(row) == n for row in value):
         return None
     try:
-        text = ";".join([",".join(map(str, row)) for row in value])
-    except ValueError:
+        text = ";".join([",".join(row) for row in value])
+    except TypeError:
         return None
     # no literal holds "," or ";", so an entry that does changes a count
     if text.count(",") != n * (n - 1) or text.count(";") != n - 1:
@@ -123,8 +123,8 @@ def _read_entries(value, n, path):
 
 
 def _as_matrix(value, n, path):
-    """The n x n matrix at path: rows of literal strings and ints are read
-    as one text, anything else (or a fault) entry by entry."""
+    """The n x n matrix at path: rows of literal strings are read as one
+    text, anything else (ints among the entries, or a fault) entry by entry."""
     return Matrix._from_ints(*(_read_text(value, n) or _read_entries(value, n, path)))
 
 
