@@ -21,7 +21,7 @@ from itertools import combinations, product
 from .config import check_work_units
 from .errors import InputError
 from .linalg import Matrix
-from .scalars import ONE, ZERO, Frozen, Rational, TwistedScalar, is_prime
+from .scalars import ONE, ZERO, Frozen, Rational, TwistedScalar, is_int, is_prime
 from .weil_deligne import UnramifiedCharacter
 
 __all__ = [
@@ -41,11 +41,11 @@ class HeckeParams(Frozen):
     __slots__ = ("n", "q", "r")
 
     def __init__(self, n, q, r):
-        if not (isinstance(n, int) and n >= 1):
+        if not (is_int(n) and n >= 1):
             raise InputError(f"n must be a positive integer, got {n!r}")
-        if not (isinstance(q, int) and q >= 2):
+        if not (is_int(q) and q >= 2):
             raise InputError(f"q must be an integer >= 2, got {q!r}")
-        if not (isinstance(r, int) and 1 <= r <= n):
+        if not (is_int(r) and 1 <= r <= n):
             raise InputError(f"r must satisfy 1 <= r <= n={n}, got {r!r}")
         Frozen.__init__(self, n, q, r)
 

@@ -34,7 +34,7 @@ import math
 import operator
 
 from .errors import NonNilpotentMonodromy, NotFullyRational
-from .scalars import Frozen, Rational, ZERO, _rebuild, is_prime
+from .scalars import Frozen, Rational, ZERO, _rebuild, as_rational, is_int, is_prime
 
 __all__ = [
     "Matrix",
@@ -154,8 +154,8 @@ def _over(row, d):
 
 def _int_row(row):
     """(a, d): integers a and the least d > 0 with row = a / d, for entries
-    that are ints or rationals; anything else is read through ``Rational``."""
-    row = [x if type(x) is int or type(x) is Rational else Rational(x) for x in row]
+    that ``as_rational`` reads."""
+    row = list(map(as_rational, row))
     d = math.lcm(*(x.denominator for x in row))
     return [x.numerator * (d // x.denominator) for x in row], d
 
@@ -559,9 +559,9 @@ def _eigenvectors(a, roots):
 
 def jordan_nilpotent(sizes):
     """Canonical nilpotent with the given Jordan block sizes (ones above the diagonal)."""
-    sizes = [int(k) for k in sizes]
-    if not sizes or any(k < 1 for k in sizes):
-        raise ValueError("block sizes must be positive")
+    sizes = list(sizes)
+    if not sizes or not all(is_int(k) and k >= 1 for k in sizes):
+        raise ValueError(f"block sizes must be positive integers, got {sizes}")
     n = sum(sizes)
     rows = [[0] * n for _ in range(n)]
     offset = 0
@@ -578,9 +578,9 @@ class Partition(Frozen):
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        parts = tuple(int(x) for x in parts)
-        if any(x < 1 for x in parts):
-            raise ValueError(f"parts must be positive: {parts}")
+        parts = tuple(parts)
+        if not all(is_int(x) and x >= 1 for x in parts):
+            raise ValueError(f"parts must be positive integers: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be weakly decreasing: {parts}")
         Frozen.__init__(self, parts)
@@ -655,7 +655,8 @@ class Subspace(Frozen):
     __slots__ = ("ambient", "ints", "pivots")
 
     def __init__(self, ambient, vectors):
-        ambient = int(ambient)
+        if not is_int(ambient):
+            raise TypeError(f"ambient dimension must be an int, got {ambient!r}")
         rows = [_int_row(v)[0] for v in vectors]
         if any(len(r) != ambient for r in rows):
             raise ValueError("vector length mismatch")

@@ -39,7 +39,7 @@ from .linalg import (
     rational_eigenvalues,
 )
 from .partitions import LabelMap
-from .scalars import Frozen, Rational, _rebuild, format_rational, is_prime, padic_val
+from .scalars import Frozen, Rational, _rebuild, format_rational, is_int, is_prime, padic_val
 
 __all__ = [
     "FieldDescriptor",
@@ -70,7 +70,7 @@ class FieldDescriptor(Frozen):
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         for name, value in (("f0", f0), ("e", e), ("f", f), ("degree_factor", degree_factor)):
-            if not isinstance(value, int) or value < 1:
+            if not is_int(value) or value < 1:
                 raise ValueError(f"{name} must be a positive integer")
         emb = tuple(str(x) for x in embeddings)
         if not emb or len(set(emb)) != len(emb):
@@ -79,6 +79,7 @@ class FieldDescriptor(Frozen):
 
     @property
     def q(self):
+        check_work_units(self.f0 * self.p.bit_length(), "residue field size p^f0")
         return self.p ** self.f0
 
 
@@ -114,39 +115,34 @@ def _as_matrix(value, n, what):
     return m
 
 
-def check_phi_n(phi, monodromy, scale):
-    """Reject a singular phi, a non-nilpotent N, or N*phi != scale*phi*N.
+def check_phi_n(phi, monodromy, p, k):
+    """Reject a singular phi, a non-nilpotent N, or N*phi != p^k*phi*N, k >= 1.
 
     Both checks run on the cleared integer matrices A = a*N and F = b*phi:
-    with scale = s/t the relation holds when t*(A F) = s*(F A), and
-    ``jordan_partition`` decides whether N is nilpotent. For an invertible
-    phi and |scale| != 1 the relation implies nilpotency: N is similar to
-    scale*N, so its eigenvalues are closed under multiplication by scale
-    and can only be 0. So N = 0 needs neither check, and the nilpotency
-    test runs only when |scale| = 1 or the relation fails; in the second
-    case it decides whether the error is the nilpotency or the first
-    failing entry.
+    the relation holds when A F = p^k (F A). For an invertible phi the
+    relation implies nilpotency: N is similar to p^k*N, so its eigenvalues
+    are closed under multiplication by p^k and can only be 0. So N = 0
+    needs neither check, and p^k is formed only past it, through the work
+    budget by its bit count; the nilpotency test runs only when the
+    relation fails, and decides whether the error is the nilpotency or the
+    first failing entry.
     """
     n = phi.nrows
     if det(phi) == 0:
         raise SingularFrobenius("phi is singular")
     if monodromy.is_zero:
         return
-    a, da = monodromy.ints, monodromy.den
-    f, df = phi.ints, phi.den
-    scale = Rational(scale)
-    s, t = scale.numerator, scale.denominator
-    lhs = _int_matmul(a, f)
-    rhs = _int_matmul(f, a)
-    bad = next(((i, j) for i in range(n) for j in range(n)
-                if t * lhs[i][j] != s * rhs[i][j]), None)
-    if bad is None and abs(s) != t:
-        return
-    jordan_partition(monodromy)
-    if bad is not None:
-        i, j = bad
-        raise RelationViolation(bad, Rational(lhs[i][j], da * df),
-                                scale * Rational(rhs[i][j], da * df), scale)
+    check_work_units(k * p.bit_length(), "commutation scale p^k")
+    scale = p ** k
+    lhs = _int_matmul(monodromy.ints, phi.ints)
+    rhs = _int_matmul(phi.ints, monodromy.ints)
+    for i in range(n):
+        for j in range(n):
+            if lhs[i][j] != scale * rhs[i][j]:
+                jordan_partition(monodromy)
+                den = monodromy.den * phi.den
+                raise RelationViolation((i, j), Rational(lhs[i][j], den),
+                                        scale * Rational(rhs[i][j], den), scale)
 
 
 def build_module(field, n, phi, monodromy, filtration):
@@ -156,12 +152,11 @@ def build_module(field, n, phi, monodromy, filtration):
     columns are stably sorted by ascending jump, keeping each generator
     attached to its jump.
     """
-    n = int(n)
-    if n < 1:
-        raise InputError("rank must be at least 1")
+    if not is_int(n) or n < 1:
+        raise InputError(f"rank must be a positive integer, got {n!r}")
     phi = _as_matrix(phi, n, "phi")
     monodromy = _as_matrix(monodromy, n, "monodromy")
-    check_phi_n(phi, monodromy, field.p ** field.f)
+    check_phi_n(phi, monodromy, field.p, field.f)
     if set(filtration) != set(field.embeddings):
         raise BadFlag(
             f"filtration labels {sorted(filtration)} do not match embeddings {sorted(field.embeddings)}"
@@ -171,7 +166,7 @@ def build_module(field, n, phi, monodromy, filtration):
         basis, jumps = filtration[label]
         basis = _as_matrix(basis, n, f"flag[{label}]")
         jumps = list(jumps)
-        if len(jumps) != n or not all(type(j) is int for j in jumps):
+        if len(jumps) != n or not all(map(is_int, jumps)):
             raise BadFlag(f"flag[{label}] needs {n} integer jumps, got {jumps}")
         if det(basis) == 0:
             raise BadFlag(f"flag[{label}] basis is singular")

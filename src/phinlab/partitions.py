@@ -10,7 +10,7 @@ label, so the single-block partition is the smallest element and
 from itertools import accumulate, zip_longest
 
 from .linalg import Partition, conjugate, jordan_partition
-from .scalars import Frozen
+from .scalars import Frozen, is_int
 
 __all__ = [
     "Partition",
@@ -129,10 +129,9 @@ def strata_thresholds(p, n):
     m_i sums min(i, part) over all parts of all labels; a point lies in the
     stratum when its summed kernel dimensions reach every threshold.
     """
-    n = int(n)
     for label, part in p.items():
-        if part.total != n:
-            raise ValueError(f"partition at {label!r} has total {part.total}, expected {n}")
+        if not is_int(n) or part.total != n:
+            raise ValueError(f"partition at {label!r} has total {part.total}, expected {n!r}")
     return part_thresholds([x for _, part in p.items() for x in part.parts], n)
 
 

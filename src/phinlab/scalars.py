@@ -1,6 +1,8 @@
 """Exact scalar arithmetic: rationals, p-adic valuations, and Q(sqrt(q)).
 
 Every rational is a ``fractions.Fraction``; ``Rational`` names that type.
+A caller's number passes the one number rule, ``is_int`` or ``as_rational``:
+no bool is an int, and no float is a number.
 A p-adic valuation is a plain int, or ``math.inf`` for the valuation of 0;
 that is the package's one float, and reports print it as "inf".
 
@@ -15,6 +17,8 @@ __all__ = [
     "BACKEND",
     "Rational",
     "Frozen",
+    "is_int",
+    "as_rational",
     "is_prime",
     "parse_rational",
     "rational_literal",
@@ -98,13 +102,30 @@ def _rebuild(cls, values):
     return obj
 
 
+def is_int(value):
+    """Whether value is an int and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def as_rational(value):
+    """An int or a Fraction as it is, a str read by ``rational_literal``'s
+    grammar; TypeError for anything else, a float or a bool among them."""
+    if is_int(value) or isinstance(value, Rational):
+        return value
+    if isinstance(value, str):
+        return parse_rational(value)
+    raise TypeError(f"expected an int, a Fraction or a rational string, got {value!r}")
+
+
 _PSI_12 = 318665857834031151167461
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin on the bases 2..37, exact below
+    """Deterministic Miller-Rabin on the bases 2..37 for an int n, exact below
     318665857834031151167461, the least strong pseudoprime to all twelve
     (Sorenson and Webster 2015); ValueError, before any power, from there on."""
+    if not is_int(n):
+        raise TypeError(f"primality is decided for ints only, got {n!r}")
     if n < 2:
         return False
     if n >= _PSI_12:
@@ -222,7 +243,7 @@ def padic_val(x, p):
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    q = Rational(x)
+    q = as_rational(x)
     if q == 0:
         return math.inf
     return _int_val(abs(q.numerator), p) - _int_val(q.denominator, p)
@@ -336,20 +357,21 @@ class TwistedScalar(Frozen):
     In the unramified case (e = 1) the uniformizer is p itself, so the
     power folds into the coefficient and ``rational()`` is available. For
     e > 1 the pair stays symbolic and only the valuation is meaningful:
-    val_F(coeff * pi^k) = e * val_p(coeff) + k.
+    val_F(coeff * pi^k) = e * val_p(coeff) + k. It equals no plain rational.
     """
 
     __slots__ = ("coeff", "pi_exp", "p", "e", "val")
 
     def __init__(self, coeff, pi_exp, p, e):
-        coeff = Rational(coeff)
-        pi_exp = int(pi_exp)
+        coeff = Rational(as_rational(coeff))
+        if not (is_int(pi_exp) and is_int(e)):
+            raise TypeError(f"pi_exp and e must be ints, got {pi_exp!r} and {e!r}")
         # valued before the fold, whose factor p^pi_exp it would only divide out again
         val = padic_val(coeff, p) * e + pi_exp
         if e == 1 and pi_exp:
             coeff = coeff * Rational(p) ** pi_exp
             pi_exp = 0
-        Frozen.__init__(self, coeff, pi_exp, int(p), int(e), val)
+        Frozen.__init__(self, coeff, pi_exp, p, e, val)
 
     @property
     def is_rational(self):
@@ -359,21 +381,6 @@ class TwistedScalar(Frozen):
         if self.pi_exp:
             raise ValueError("value carries an unevaluated uniformizer power")
         return self.coeff
-
-    def __eq__(self, other):
-        if not isinstance(other, TwistedScalar):
-            if self.pi_exp == 0:
-                return self.coeff == other
-            return NotImplemented
-        return (
-            self.coeff == other.coeff
-            and self.pi_exp == other.pi_exp
-            and self.p == other.p
-            and self.e == other.e
-        )
-
-    def __hash__(self):
-        return hash((self.coeff, self.pi_exp, self.p, self.e))
 
     def __repr__(self):
         if self.pi_exp == 0:

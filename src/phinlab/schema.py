@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from .errors import SchemaError
 from .linalg import Matrix
 from .modules import FieldDescriptor, build_module
-from .scalars import format_rational, rational_literal, rational_literals
+from .scalars import format_rational, is_int, rational_literal, rational_literals
 
 __all__ = [
     "dumps",
@@ -66,7 +66,7 @@ def _need(obj, name, path):
 
 
 def _as_int(value, path):
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_int(value):
         raise SchemaError(path, f"expected an integer, got {value!r}")
     return value
 
@@ -78,11 +78,11 @@ def _literal(value, row_path, j):
             return rational_literal(value)
         except ValueError as err:
             raise SchemaError(_key(row_path, j), str(err))
-    if isinstance(value, bool) or isinstance(value, float):
+    if is_int(value):
+        return value, 1
+    if isinstance(value, (bool, float)):
         raise SchemaError(_key(row_path, j),
                           f"numbers must be ints or rational strings, got {value!r}")
-    if isinstance(value, int):
-        return value, 1
     raise SchemaError(_key(row_path, j), f"expected a rational, got {type(value).__name__}")
 
 

@@ -18,7 +18,7 @@ from .errors import ChainMismatch, InputError
 from .linalg import Matrix, jordan_partition, rational_eigenvalues
 from .modules import check_phi_n
 from .partitions import PartitionFunction
-from .scalars import Frozen, Rational, _int_val, _rebuild, is_prime, padic_val
+from .scalars import Frozen, Rational, _int_val, _rebuild, as_rational, is_int, is_prime, padic_val
 
 __all__ = [
     "Segment",
@@ -44,7 +44,7 @@ def prime_power_base(q):
     Newton's method from above. The first exact root has the largest f0,
     so q is a prime power exactly when that p is prime.
     """
-    if not isinstance(q, int) or q < 2:
+    if not is_int(q) or q < 2:
         raise InputError(f"residue cardinality must be an integer >= 2, got {q!r}")
     for f0 in range(q.bit_length() - 1, 0, -1):
         p = 1 << -(-q.bit_length() // f0)
@@ -63,7 +63,7 @@ class WeilDeligneRep(Frozen):
     __slots__ = ("frobenius", "monodromy", "q", "p")
 
     def __init__(self, frobenius, monodromy, q):
-        p, _ = prime_power_base(q)
+        p, f0 = prime_power_base(q)
         fr = frobenius if isinstance(frobenius, Matrix) else Matrix(frobenius)
         nil = monodromy if isinstance(monodromy, Matrix) else Matrix(monodromy)
         if not (fr.is_square and nil.is_square and fr.nrows == nil.nrows):
@@ -71,7 +71,7 @@ class WeilDeligneRep(Frozen):
                 f"need matching square matrices, got {fr.nrows}x{fr.ncols} "
                 f"and {nil.nrows}x{nil.ncols}"
             )
-        check_phi_n(fr, nil, q)
+        check_phi_n(fr, nil, p, f0)
         Frozen.__init__(self, fr, nil, q, p)
 
     @property
@@ -92,7 +92,7 @@ def wd_from_module(d):
     """
     field = d.field
     if field.f != field.f0:
-        check_phi_n(d.phi, d.monodromy, field.q)
+        check_phi_n(d.phi, d.monodromy, field.p, field.f0)
     return _rebuild(WeilDeligneRep, (d.phi, d.monodromy, field.q, field.p))
 
 
@@ -109,10 +109,10 @@ class Segment(Frozen):
     __slots__ = ("chi", "length")
 
     def __init__(self, chi, length):
-        chi = Rational(chi)
+        chi = Rational(as_rational(chi))
         if chi == 0:
             raise ValueError("segment base value must be nonzero")
-        if not isinstance(length, int) or length < 1:
+        if not is_int(length) or length < 1:
             raise ValueError(f"segment length must be a positive integer, got {length!r}")
         Frozen.__init__(self, chi, length)
 
@@ -123,7 +123,7 @@ class UnramifiedCharacter(Frozen):
     __slots__ = ("values",)
 
     def __init__(self, values):
-        vals = tuple(Rational(v) for v in values)
+        vals = tuple(Rational(as_rational(v)) for v in values)
         if any(v == 0 for v in vals):
             raise ValueError("character values must be nonzero")
         Frozen.__init__(self, vals)
@@ -148,12 +148,13 @@ def match_chains(values, parts, q, p):
     same way: [(1, 2), (q^2, 1)]. Raises ChainMismatch with a small report
     when no grouping exists.
     """
-    values = [Rational(v) for v in values]
-    parts = sorted((int(k) for k in parts), reverse=True)
+    values = [Rational(as_rational(v)) for v in values]
+    parts = sorted(parts, reverse=True)
+    if not (is_int(q) and all(map(is_int, parts))):
+        raise TypeError(f"q and the chain lengths must be ints, got {q!r} and {parts!r}")
     if sum(parts) != len(values):
         raise InputError(f"chain lengths {parts} must add up to the {len(values)} eigenvalues")
     counts = Counter(values)
-    qr = Rational(q)
 
     def assign(i):
         if i == len(parts):
@@ -164,7 +165,7 @@ def match_chains(values, parts, q, p):
             key=lambda v: (padic_val(v, p), v),
         )
         for base in bases:
-            links = [base * qr**j for j in range(k)]
+            links = [base * q**j for j in range(k)]
             if any(counts[v] == 0 for v in links):
                 continue
             for v in links:
@@ -251,11 +252,10 @@ def is_generic(segments, q):
 
 def psi_from_segments(segments, q):
     """Expand each segment into its chain, top value first, in the given order."""
-    qr = Rational(q)
     out = []
     for s in segments:
         for j in range(s.length - 1, -1, -1):
-            out.append(s.chi * qr**j)
+            out.append(s.chi * q**j)
     return UnramifiedCharacter(tuple(out))
 
 

@@ -8,7 +8,9 @@ is not UTF-8 or is nested 5,000 levels deep. Every site is
 its own test case, so each one runs whatever the example distribution.
 Four integer sites also get a 5,000-digit literal, past Python's limit for
 converting a decimal string to an int, and the commands whose reports
-print no powers of p meet phi entries p^k * u with k up to about 14,000.
+print no powers of p meet phi entries p^k * u with k up to about 14,000,
+and modules with a Frobenius power f = 10^8 or a residue size 3^(10^7)
+get a verdict or stop at the work budget.
 ``hecke`` argvs mix valid and bad
 values, zero and negative psi entries among them. The runs are
 derandomized with bounded example counts, so the suite sees the same
@@ -236,6 +238,42 @@ def high_power_modules(draw):
 @given(obj=high_power_modules(), fmt=st.sampled_from(["text", "json"]))
 def test_file_commands_on_high_prime_powers(tmp_path_factory, command, obj, fmt):
     check_file_command(tmp_path_factory, json.dumps(obj), command, fmt)
+
+
+def frobenius_power_module(f0, f, n):
+    """p = 3 with the Frobenius power f and residue size 3^f0: rank 1 with
+    N = 0, or rank 2 with N e_1 = e_0, which needs the scale 3^f."""
+    module = {"field": {"p": 3, "f0": f0, "f": f}, "n": n, "phi": [["3"]], "monodromy": [["0"]],
+              "filtration": {"k0": {"flag": [["1"]], "jumps": [0]}}}
+    if n == 2:
+        module.update(phi=[["1", "0"], ["0", "3"]], monodromy=[["0", "1"], ["0", "0"]],
+                      filtration={"k0": {"flag": [["1", "0"], ["0", "1"]], "jumps": [0, 1]}})
+    return module
+
+
+# module -> the commands that stop at the work budget; the others give a
+# verdict. A module with N = 0 never forms 3^f, and only wd, segments and
+# consistency form the residue size 3^f0.
+FROBENIUS_POWERS = {
+    "f=10^8, N=0": (frobenius_power_module(1, 10 ** 8, 1), ()),
+    "f=10^8, N!=0": (frobenius_power_module(1, 10 ** 8, 2), FILE_COMMANDS),
+    "f0=f=10^7, N=0": (frobenius_power_module(10 ** 7, 10 ** 7, 1), ("wd", "segments", "consistency")),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+@pytest.mark.parametrize("case", FROBENIUS_POWERS)
+def test_file_commands_on_large_frobenius_powers(tmp_path, case, command, fmt):
+    module, gated = FROBENIUS_POWERS[case]
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module))
+    argv = [command, str(path), "--format", fmt]
+    code, out, err = run(argv)
+    check_outcome(argv, code, out, err)
+    assert (code == 2) == (command in gated), (argv, out, err)
+    if code == 2:
+        assert "work units exceed the budget of 100000" in err
 
 
 bad_tokens = st.sampled_from(["x", "", "2.5", "1e1", "-", "-x"])

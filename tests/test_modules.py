@@ -666,12 +666,12 @@ def test_check_phi_n_accepts_one_jordan_block_of_index_n(n):
     assert not matrix_power(monodromy, n - 1).is_zero
     # N e_(k+1) = e_k needs phi e_k = 2^k e_k for N*phi = 2*phi*N
     phi = Matrix.diagonal([2 ** k for k in range(n)])
-    assert check_phi_n(phi, monodromy, 2) is None
+    assert check_phi_n(phi, monodromy, 2, 1) is None
     with pytest.raises(RelationViolation):
-        check_phi_n(phi, monodromy, 3)
-    # the same block under a scale below 1: phi e_k = 2^(n-1-k) e_k
-    phi = Matrix.diagonal([2 ** (n - 1 - k) for k in range(n)])
-    assert check_phi_n(phi, monodromy, Fraction(1, 2)) is None
+        check_phi_n(phi, monodromy, 3, 1)
+    # the same block at the scale 3^2: phi e_k = 9^k e_k
+    phi = Matrix.diagonal([9 ** k for k in range(n)])
+    assert check_phi_n(phi, monodromy, 3, 2) is None
 
 
 def test_check_phi_n_rejects_non_nilpotent_monodromy():
@@ -684,7 +684,7 @@ def test_check_phi_n_rejects_non_nilpotent_monodromy():
     ]
     for rows, n in cases:
         with pytest.raises(NonNilpotentMonodromy) as exc:
-            check_phi_n(Matrix.identity(n), Matrix(rows), 1)
+            check_phi_n(Matrix.identity(n), Matrix(rows), 2, 1)
         assert str(exc.value) == f"monodromy is not nilpotent: N^{n} != 0"
 
 
@@ -692,20 +692,20 @@ def test_check_phi_n_relation_violation_text():
     from phinlab.modules import check_phi_n
 
     with pytest.raises(RelationViolation) as exc:
-        check_phi_n(Matrix.identity(2), Matrix([[0, 1], [0, 0]]), 2)
+        check_phi_n(Matrix.identity(2), Matrix([[0, 1], [0, 0]]), 2, 1)
     assert str(exc.value) == (
         "monodromy relation fails at entry (0,1): (N*Phi)[0][1] = 1 but 2*(Phi*N)[0][1] = 2")
     assert (exc.value.entry, exc.value.lhs, exc.value.rhs, exc.value.scale) == ((0, 1), 1, 2, 2)
     phi = Matrix([[Fraction(1, 2), 0, 0], [0, 3, 0], [0, 0, Fraction(5, 7)]])
     monodromy = Matrix([[0, 0, 0], [0, 0, Fraction(1, 3)], [0, 0, 0]])
     with pytest.raises(RelationViolation) as exc:
-        check_phi_n(phi, monodromy, 2)
+        check_phi_n(phi, monodromy, 2, 1)
     assert str(exc.value) == (
         "monodromy relation fails at entry (1,2): (N*Phi)[1][2] = 5/21 but 2*(Phi*N)[1][2] = 2")
     with pytest.raises(RelationViolation) as exc:
-        check_phi_n(phi, monodromy, Fraction(3, 4))
+        check_phi_n(phi, monodromy, 2, 2)
     assert str(exc.value) == (
-        "monodromy relation fails at entry (1,2): (N*Phi)[1][2] = 5/21 but 3/4*(Phi*N)[1][2] = 3/4")
+        "monodromy relation fails at entry (1,2): (N*Phi)[1][2] = 5/21 but 4*(Phi*N)[1][2] = 4")
 
 
 def test_check_phi_n_reports_a_singular_phi_first():
@@ -713,10 +713,10 @@ def test_check_phi_n_reports_a_singular_phi_first():
 
     singular = Matrix([[1, 2], [2, 4]])
     with pytest.raises(SingularFrobenius) as exc:
-        check_phi_n(singular, Matrix.identity(2), 2)
+        check_phi_n(singular, Matrix.identity(2), 2, 1)
     assert str(exc.value) == "phi is singular"
     with pytest.raises(SingularFrobenius):
-        check_phi_n(singular, Matrix([[0, 1], [0, 0]]), 2)
+        check_phi_n(singular, Matrix([[0, 1], [0, 0]]), 2, 1)
 
 
 def test_check_phi_n_names_the_first_error_at_scale_two():
@@ -725,31 +725,31 @@ def test_check_phi_n_names_the_first_error_at_scale_two():
 
     # N breaks N*phi = 2*phi*N and is not nilpotent: the nilpotency error wins
     with pytest.raises(NonNilpotentMonodromy) as exc:
-        check_phi_n(Matrix.identity(2), Matrix([[0, 1], [1, 0]]), 2)
+        check_phi_n(Matrix.identity(2), Matrix([[0, 1], [1, 0]]), 2, 1)
     assert str(exc.value) == "monodromy is not nilpotent: N^2 != 0"
     with pytest.raises(NonNilpotentMonodromy) as exc:
-        check_phi_n(Matrix.identity(3), Matrix([[0, 1, 0], [0, 0, 0], [0, 0, Fraction(1, 3)]]), 4)
+        check_phi_n(Matrix.identity(3), Matrix([[0, 1, 0], [0, 0, 0], [0, 0, Fraction(1, 3)]]), 2, 2)
     assert str(exc.value) == "monodromy is not nilpotent: N^3 != 0"
     # a nilpotent N that breaks it: the first failing entry, row by row
     with pytest.raises(RelationViolation) as exc:
-        check_phi_n(Matrix.diagonal([1, 2, 4, 8]), jordan_nilpotent([4]), 3)
+        check_phi_n(Matrix.diagonal([1, 2, 4, 8]), jordan_nilpotent([4]), 3, 1)
     assert str(exc.value) == (
         "monodromy relation fails at entry (0,1): (N*Phi)[0][1] = 2 but 3*(Phi*N)[0][1] = 3")
     monodromy = Matrix([[0, Fraction(1, 2), 5, 0], [0, 0, 3, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
     with pytest.raises(RelationViolation) as exc:
-        check_phi_n(Matrix.diagonal([1, 2, Fraction(4, 3), 8]), monodromy, 2)
+        check_phi_n(Matrix.diagonal([1, 2, Fraction(4, 3), 8]), monodromy, 2, 1)
     assert str(exc.value) == (
         "monodromy relation fails at entry (0,2): (N*Phi)[0][2] = 20/3 but 2*(Phi*N)[0][2] = 10")
     # N = 0 skips both checks, but not the one on phi
     with pytest.raises(SingularFrobenius) as exc:
-        check_phi_n(Matrix([[1, 2], [2, 4]]), Matrix.zeros(2, 2), 2)
+        check_phi_n(Matrix([[1, 2], [2, 4]]), Matrix.zeros(2, 2), 2, 1)
     assert str(exc.value) == "phi is singular"
 
 
-def check_phi_n_reference(phi, monodromy, scale):
+def check_phi_n_reference(phi, monodromy, p, k):
     """The order of checks the shortcuts in check_phi_n must keep: phi's
-    determinant, then N^n = 0 by repeated products, then the relation
-    entry by entry, all over the rationals."""
+    determinant, then N^n = 0 by repeated products, then the relation at
+    the scale p^k entry by entry, all over the rationals."""
     from phinlab.linalg import det
 
     n = phi.nrows
@@ -757,7 +757,7 @@ def check_phi_n_reference(phi, monodromy, scale):
         raise SingularFrobenius("phi is singular")
     if not matrix_power(monodromy, n).is_zero:
         raise NonNilpotentMonodromy(n)
-    scale = Fraction(scale)
+    scale = Fraction(p) ** k
     lhs, rhs = (monodromy @ phi).rows, (phi @ monodromy).rows
     for i in range(n):
         for j in range(n):
@@ -780,7 +780,8 @@ def test_check_phi_n_matches_the_reference_order_of_errors():
     seen = set()
     for _ in range(150):
         n = rng.randint(1, 6)
-        scale = rng.choice((1, -1, 2, 3, Fraction(1, 2), Fraction(4, 9)))
+        prime, power = rng.choice(((2, 1), (3, 1), (2, 2), (5, 1)))
+        scale = prime ** power
         # phi = P D P^-1 and N = P J P^-1 with J a sum of Jordan blocks and
         # D = lambda * scale^k on the k-th vector of a block obey the relation
         sizes = []
@@ -789,7 +790,7 @@ def test_check_phi_n_matches_the_reference_order_of_errors():
         diag = []
         for size in sizes:
             lam = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 1, 3)))
-            diag += [lam * Fraction(scale) ** k for k in range(size)]
+            diag += [lam * scale ** k for k in range(size)]
         base = Matrix.diagonal(diag)
         if rng.random() < 0.1:
             base = Matrix([[1] * n] * n)
@@ -809,12 +810,11 @@ def test_check_phi_n_matches_the_reference_order_of_errors():
             chain = Matrix(rows)
         p = random_unimodular(rng, n)
         phi, monodromy = p @ base @ p.inverse(), p @ chain @ p.inverse()
-        want = outcome(check_phi_n_reference, phi, monodromy, scale)
-        assert outcome(check_phi_n, phi, monodromy, scale) == want
-        seen.add((abs(scale) == 1, want and want[0]))
-    # every error under both kinds of scale, and a pass under both
-    assert seen == {(u, e) for u in (True, False)
-                    for e in (None, SingularFrobenius, NonNilpotentMonodromy, RelationViolation)}
+        want = outcome(check_phi_n_reference, phi, monodromy, prime, power)
+        assert outcome(check_phi_n, phi, monodromy, prime, power) == want
+        seen.add(want and want[0])
+    # every error, and a pass
+    assert seen == {None, SingularFrobenius, NonNilpotentMonodromy, RelationViolation}
 
 
 def test_enumerate_stable_subspaces_of_one_dimension():

@@ -357,7 +357,7 @@ def test_wd_from_module_checks_phi_n_again_only_when_f_differs_from_f0(monkeypat
     crystalline = build_module(field, 2, [[1, 0], [0, 4]], [[0, 0], [0, 0]],
                                {"k0": (Matrix.identity(2), [0, 1])})
     w = wd_from_module(crystalline)
-    assert calls == [(crystalline.phi, crystalline.monodromy, 2)]
+    assert calls == [(crystalline.phi, crystalline.monodromy, 2, 1)]
     assert (w.q, w.p) == (2, 2)
 
 

@@ -58,12 +58,28 @@ MUTANTS = (
            "h = _exact_quotient(f, _poly_gcd(f, dh))",
            "h = f",
            ("tests/test_linalg.py::test_rational_eigenvalues_of_repeated_roots",)),
-    Mutant("bool-jumps-accepted", "modules.py",
-           "all(type(j) is int for j in jumps)",
-           "all(isinstance(j, int) for j in jumps)",
-           ("tests/test_interpolation.py::test_ht_weights_validation",)),
+    # is_int without its bool clause: True and False pass as ints everywhere
+    Mutant("bool-jumps-accepted", "scalars.py",
+           "return isinstance(value, int) and not isinstance(value, bool)",
+           "return isinstance(value, int)",
+           ("tests/test_interpolation.py::test_ht_weights_validation",
+            "tests/test_number_rule.py::test_an_int_slot_refuses_a_float_and_a_bool")),
+    Mutant("float-becomes-rational", "scalars.py",
+           'raise TypeError(f"expected an int, a Fraction or a rational string, got {value!r}")',
+           "return Rational(value)",
+           ("tests/test_number_rule.py::"
+            "test_a_rational_slot_refuses_floats_bools_and_decimal_strings",)),
+    # a module with N = 0 and a large f then exits 2 at the budget
+    Mutant("scale-gated-before-n-zero", "modules.py",
+           "    if monodromy.is_zero:\n"
+           "        return\n"
+           '    check_work_units(k * p.bit_length(), "commutation scale p^k")\n',
+           '    check_work_units(k * p.bit_length(), "commutation scale p^k")\n'
+           "    if monodromy.is_zero:\n"
+           "        return\n",
+           ("tests/test_cli_fuzz.py::test_file_commands_on_large_frobenius_powers",)),
     Mutant("check-phi-n-skips-nilpotency", "modules.py",
-           "    jordan_partition(monodromy)\n",
+           "                jordan_partition(monodromy)\n",
            "",
            ("tests/test_modules.py::test_check_phi_n_rejects_non_nilpotent_monodromy",
             "tests/test_modules.py::test_check_phi_n_names_the_first_error_at_scale_two")),
