@@ -16,6 +16,7 @@ from .hecke import HeckeParams, _twisted, theta_tilde
 from .linalg import exterior_traces
 from .modules import is_weakly_admissible
 from .partitions import LabelMap
+from .scalars import is_int
 from .weil_deligne import (
     find_linked_pair,
     psi_from_segments,
@@ -72,7 +73,7 @@ def _betas(d):
 
 def beta_value(d, r):
     """Twisted trace of the r-th exterior power of Frobenius, at d's own xi."""
-    if not (1 <= r <= d.n):
+    if not (is_int(r) and 1 <= r <= d.n):
         raise InputError(f"r must satisfy 1 <= r <= {d.n}, got {r}")
     return _betas(d)[1][r - 1]
 

@@ -403,17 +403,17 @@ def _eval_mod(poly, x, modulus):
     return acc
 
 
-def _simple_roots_mod_prime(h, dh, bound=None):
-    """The least prime ell not dividing lead(h) at which every root of h mod ell
-    is simple, with those roots; with a bound, only the primes below it are
-    tried, and None comes back when none of them qualifies.
+def _simple_roots_mod_prime(h, dh, primes):
+    """The first prime ell of the ascending primes not dividing lead(h) at
+    which every root of h mod ell is simple, with those roots; None when
+    none of them qualifies.
 
     Every prime dividing neither lead(h) nor the discriminant of a
-    squarefree h qualifies, so the search ends only when it is called
-    without a bound, on a squarefree h.
+    squarefree h qualifies, so a search over all the primes ends on a
+    squarefree h.
     """
-    for ell in itertools.count(2) if bound is None else range(2, bound):
-        if not is_prime(ell) or h[-1] % ell == 0:
+    for ell in primes:
+        if h[-1] % ell == 0:
             continue
         hm, dm = [c % ell for c in h], [c % ell for c in dh]
         roots = []
@@ -441,8 +441,11 @@ def _reconstruct(u, modulus, num_bound):
     return r1, t1
 
 
-# the primes tried on f itself before its squarefree part is formed
+# the primes below the bound are tried on f itself before its squarefree part
+# is formed; they are written out, so that no primality test runs at import
 _SIMPLE_ROOT_BOUND = 128
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73,
+                 79, 83, 89, 97, 101, 103, 107, 109, 113, 127)
 
 
 def _rational_roots(f):
@@ -461,11 +464,11 @@ def _rational_roots(f):
     size of the coefficients.
     """
     h, dh = f, _derivative(f)
-    found = _simple_roots_mod_prime(h, dh, _SIMPLE_ROOT_BOUND)
+    found = _simple_roots_mod_prime(h, dh, _SMALL_PRIMES)
     if found is None:
         h = _exact_quotient(f, _poly_gcd(f, dh))
         dh = _derivative(h)
-        found = _simple_roots_mod_prime(h, dh)
+        found = _simple_roots_mod_prime(h, dh, filter(is_prime, itertools.count(2)))
     ell, roots = found
     modulus = ell
     # each root x with w = 1/h'(x), so that no step inverts modulo the lifted modulus
@@ -613,26 +616,29 @@ def jordan_partition(n_mat):
     """Jordan block sizes of a nilpotent matrix, largest first.
 
     Computed as the conjugate of the kernel-growth partition
-    (dim ker N^i - dim ker N^(i-1)). The powers stop at the first one
-    whose kernel is the whole space, or whose kernel stops growing, which
-    means N is not nilpotent.
+    (dim ker N^i - dim ker N^(i-1)), from the ranks of the row spaces of
+    the powers: the echelon rows of the row space of N^i, times N, span
+    that of N^(i+1), so each step multiplies rank(N^i) rows, not the whole
+    power. The powers stop at the first one whose kernel is the whole
+    space, or whose kernel stops growing, which means N is not nilpotent.
     """
     if not n_mat.is_square:
         raise ValueError("jordan_partition needs a square matrix")
     size = n_mat.nrows
     growth = []
     prev = 0
-    power = n_mat.ints
+    rows = list(n_mat.ints)
     while True:
         # the scale of N does not change the kernel of its powers
-        cur = size - len(_echelon(list(power)))
+        rank_k = len(_echelon(rows))
+        cur = size - rank_k
         if cur == prev:
             raise NonNilpotentMonodromy(size)
         growth.append(cur - prev)
         if cur == size:
             return conjugate(Partition(growth))
         prev = cur
-        power = _int_matmul(power, n_mat.ints)
+        rows = _int_matmul(rows[:rank_k], n_mat.ints)
 
 
 def _canonical_rows(rows):

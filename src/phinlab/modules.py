@@ -209,20 +209,39 @@ def newton_number(d, sub=None):
 
 
 def _filtration_levels(d):
-    """Per embedding, each distinct jump i ascending with its Fil^i subspace."""
-    return [
-        [(i, d.fil_subspace(label, i)) for i in sorted(set(d.jumps(label)))]
-        for label in d.field.embeddings
-    ]
+    """Per embedding, each distinct jump i ascending with its Fil^i subspace.
+
+    The flag columns are stored by ascending jump, so from the top jump
+    down Fil^i is the span of the echelon rows of the level above it and
+    the columns of jump i: the ``Subspace`` that ``fil_subspace`` builds.
+    """
+    out = []
+    for label in d.field.embeddings:
+        entry = d.filtration[label]
+        jumps, levels, rows = entry.jumps, [], []
+        for j in range(d.n - 1, -1, -1):
+            rows.append([row[j] for row in entry.basis.ints])
+            if j == 0 or jumps[j - 1] < jumps[j]:
+                fil = Subspace._from_int_rows(d.n, rows)
+                levels.append((jumps[j], fil))
+                rows = list(fil.ints)
+        out.append(levels[::-1])
+    return out
 
 
 def _hodge(sub, levels):
+    """t_H(sub) = sum over the levels (i, Fil^i) of dim(sub cap Fil^i) times
+    the step from the level below (from 0 below the first)."""
     total = 0
     for label_levels in levels:
-        dims = [sub.intersect(fil).dim for _, fil in label_levels]
-        dims.append(0)
-        for k, (i, _) in enumerate(label_levels):
-            total += i * (dims[k] - dims[k + 1])
+        below = 0
+        for i, fil in label_levels:
+            dim = sub.intersect(fil).dim
+            if not dim:
+                # Fil^i shrinks as i grows, so every higher level meets sub in 0 too
+                break
+            total += dim * (i - below)
+            below = i
     return total
 
 

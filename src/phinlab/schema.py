@@ -243,7 +243,14 @@ def _write(value, out, newline):
 
 
 def matrix_json(m):
-    return [[format_rational(x) for x in row] for row in m.rows]
+    """The entries as ``format_rational`` prints them, read off the integer
+    form (ints, den) of m with one gcd per entry and no rational built."""
+    den = m.den
+    out = []
+    for row in m.ints:
+        gcds = [math.gcd(x, den) for x in row]
+        out.append([str(x // g) if g == den else f"{x // g}/{den // g}" for x, g in zip(row, gcds)])
+    return out
 
 
 def valuation_json(v):

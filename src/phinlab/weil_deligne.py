@@ -155,16 +155,16 @@ def match_chains(values, parts, q, p):
     if sum(parts) != len(values):
         raise InputError(f"chain lengths {parts} must add up to the {len(values)} eigenvalues")
     counts = Counter(values)
+    # the (valuation, value) order is the same at every level of the search
+    bases = sorted(counts, key=lambda v: (padic_val(v, p), v))
 
     def assign(i):
         if i == len(parts):
             return []
         k = parts[i]
-        bases = sorted(
-            (v for v, c in counts.items() if c > 0),
-            key=lambda v: (padic_val(v, p), v),
-        )
         for base in bases:
+            if counts[base] <= 0:
+                continue
             links = [base * q**j for j in range(k)]
             if any(counts[v] == 0 for v in links):
                 continue

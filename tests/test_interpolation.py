@@ -80,6 +80,13 @@ def test_beta_value_pinned():
         beta_value(d, 3)
 
 
+@pytest.mark.parametrize("r", [True, 1.0, "1", 0, 3], ids=repr)
+def test_beta_value_takes_r_under_the_number_rule(r):
+    # a bool read as an int gave beta_1, and a float or a str a TypeError
+    with pytest.raises(InputError, match=r"r must satisfy 1 <= r <= 2, got "):
+        beta_value(steinberg(), r)
+
+
 def test_beta_value_conjugation_invariant():
     rng = random.Random(73)
     base = crystalline([1, 2, 12], [-1, 1, 4])

@@ -7,7 +7,9 @@ import pytest
 from phinlab.linalg import (
     Matrix,
     Subspace,
+    _echelon,
     char_poly,
+    conjugate,
     det,
     exterior_traces,
     jordan_nilpotent,
@@ -387,6 +389,48 @@ def test_jordan_partition_rejects_non_nilpotent():
     from phinlab.errors import NonNilpotentMonodromy
     with pytest.raises(NonNilpotentMonodromy):
         jordan_partition(Matrix.identity(2))
+
+
+def jordan_partition_from_full_powers(n_mat):
+    """The conjugate of the kernel growth of the full integer powers of N,
+    or the error text when the growth stops short of the whole space."""
+    size = n_mat.nrows
+    growth, prev, power = [], 0, n_mat.ints
+    while True:
+        cur = size - len(_echelon([list(row) for row in power]))
+        if cur == prev:
+            return f"monodromy is not nilpotent: N^{size} != 0"
+        growth.append(cur - prev)
+        if cur == size:
+            return conjugate(Partition(growth))
+        prev = cur
+        power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*n_mat.ints)]
+                 for row in power]
+
+
+def test_jordan_partition_matches_the_full_power_reference():
+    from phinlab.errors import NonNilpotentMonodromy
+    rng = random.Random(71)
+    shapes = [(1,), (3,), (2, 2), (3, 1, 1), (4, 3), (2, 2, 2, 1), (5, 2, 1), (8,), (3, 3, 2)]
+    cases = []
+    for shape in shapes:
+        s = random_unimodular(rng, sum(shape))
+        scale = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+        cases.append(s @ jordan_nilpotent(shape) @ Matrix.diagonal([scale] * sum(shape))
+                     @ s.inverse())
+    # a nonzero eigenvalue, and a nilpotent block beside an invertible one
+    cases += [Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]) for n in (2, 4, 6)]
+    cases.append(Matrix([[0, 1, 0], [0, 0, 0], [0, 0, Fraction(1, 2)]]))
+    failures = 0
+    for m in cases:
+        expected = jordan_partition_from_full_powers(m)
+        try:
+            got = jordan_partition(m)
+        except NonNilpotentMonodromy as err:
+            got = str(err)
+            failures += 1
+        assert got == expected
+    assert failures >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -931,6 +975,11 @@ def test_rational_eigenvalues_try_f_itself_before_its_squarefree_part(gcd_calls)
     split = rational_eigenvalues(Matrix.diagonal([1, 1 + big, 5]))
     assert split.roots == ((1, 1), (5, 1), (1 + big, 1)) and split.residual is None
     assert len(gcd_calls) == 1
+
+
+def test_the_small_prime_table_holds_every_prime_below_the_bound():
+    assert linalg._SMALL_PRIMES == tuple(q for q in range(2, linalg._SIMPLE_ROOT_BOUND)
+                                         if all(q % r for r in range(2, math.isqrt(q) + 1)))
 
 
 def test_rational_eigenvalues_of_repeated_roots(gcd_calls):

@@ -481,6 +481,59 @@ def random_oracle_module(rng):
     return build_module(field, n, s @ Matrix.diagonal(diag) @ si, s @ Matrix(nil) @ si, flags)
 
 
+def with_rational_flags(rng, d):
+    """d with each flag replaced by a random rational basis, jumps kept."""
+    flags = {}
+    for label in d.field.embeddings:
+        scales = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 6))
+                  for _ in range(d.n)]
+        flags[label] = (random_unimodular(rng, d.n) @ Matrix.diagonal(scales), d.jumps(label))
+    return build_module(d.field, d.n, d.phi, d.monodromy, flags)
+
+
+def test_filtration_levels_match_fil_subspace_level_by_level():
+    rng = random.Random(61)
+    seen = set()
+    for k in range(400):
+        d = random_oracle_module(rng)
+        if k % 2:
+            d = with_rational_flags(rng, d)
+        expected = [[(i, d.fil_subspace(label, i)) for i in sorted(set(d.jumps(label)))]
+                    for label in d.field.embeddings]
+        assert modules._filtration_levels(d) == expected
+        seen.add(("labels", len(d.field.embeddings)))
+        seen.add(("tied jumps", any(len(set(d.jumps(label))) < d.n
+                                    for label in d.field.embeddings)))
+        seen.add(("rational flag", any(d.filtration[label].basis.den > 1
+                                       for label in d.field.embeddings)))
+    assert {("labels", 1), ("labels", 2), ("labels", 3), ("tied jumps", True),
+            ("rational flag", True)} <= seen
+
+
+def hodge_full_scan(sub, levels):
+    """t_H(sub) with every level intersected: the jump-weighted drops of
+    dim(sub cap Fil^i), down to 0 past the top level."""
+    total = 0
+    for label_levels in levels:
+        dims = [sub.intersect(fil).dim for _, fil in label_levels] + [0]
+        total += sum(i * (dims[k] - dims[k + 1]) for k, (i, _) in enumerate(label_levels))
+    return total
+
+
+def test_hodge_scan_matches_the_full_level_scan():
+    rng = random.Random(67)
+    met_top = 0
+    for _ in range(60):
+        d = random_oracle_module(rng)
+        levels = modules._filtration_levels(d)
+        subs = [Subspace(d.n, [[rng.randint(-2, 2) for _ in range(d.n)]
+                               for _ in range(rng.randint(0, d.n))]) for _ in range(6)]
+        for sub in subs + enumerate_stable_subspaces(d):
+            assert modules._hodge(sub, levels) == hodge_full_scan(sub, levels)
+            met_top += any(sub.intersect(label_levels[-1][1]).dim for label_levels in levels)
+    assert met_top > 100
+
+
 def minus_scalar(m, value):
     """m - value*I, entry by entry on the rational rows."""
     return Matrix([[x - value if i == j else x for j, x in enumerate(row)]

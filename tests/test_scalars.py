@@ -253,6 +253,21 @@ def test_twisted_scalar_is_valued_before_the_fold():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("coeff", [Fraction(0), Fraction(3), Fraction(-12, 5), Fraction(9, 4),
+                                   Fraction(-7, 18)], ids=str)
+@pytest.mark.parametrize("pi_exp", [-3, -1, 0, 2])
+@pytest.mark.parametrize("e", [1, 2])
+@pytest.mark.parametrize("p", [2, 3])
+def test_twisted_scalar_matches_the_fraction_fold(coeff, pi_exp, e, p):
+    t = TwistedScalar(coeff, pi_exp, p, e)
+    assert t.val == padic_val(coeff, p) * e + pi_exp
+    if e == 1:
+        assert (t.coeff, t.pi_exp) == (coeff * Fraction(p) ** pi_exp, 0)
+    else:
+        assert (t.coeff, t.pi_exp) == (coeff, pi_exp)
+    assert type(t.coeff) is Fraction
+
+
 def test_qext_keeps_a_rational_part_as_given():
     x = Rational(7, 3)
     for q in (2, 4):

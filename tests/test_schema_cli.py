@@ -3,12 +3,14 @@ import math
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from phinlab.cli import main
 from phinlab.errors import ChainMismatch, SchemaError
 from phinlab.interpolation import CONVENTIONS
+from phinlab.linalg import Matrix
 from phinlab.modules import FieldDescriptor
 from phinlab.scalars import TwistedScalar
 from phinlab.schema import (
@@ -111,6 +113,17 @@ def test_serializers():
     assert twisted_json(TwistedScalar(3, -1, 2, 2)) == {"coeff": "3", "pi_exp": -1}
     d = parse_module(STEINBERG)
     assert matrix_json(d.phi) == [["1", "0"], ["0", "2"]]
+
+
+def test_matrix_json_prints_the_rational_entries():
+    matrices = [Matrix.zeros(2, 3), Matrix.identity(3),
+                Matrix([[-4, 0], [7, -1]]),
+                Matrix([[Fraction(1, 2), Fraction(-3, 4), 0], [Fraction(6, 4), 5, Fraction(-8, 12)]]),
+                Matrix([[Fraction(-5, 6), Fraction(10, 3)], [Fraction(2, 6), Fraction(-6, 2)]])]
+    for m in matrices:
+        assert matrix_json(m) == [[str(x) for x in row] for row in m.rows]
+    assert matrices[3].den == 12
+    assert matrix_json(matrices[3]) == [["1/2", "-3/4", "0"], ["3/2", "5", "-2/3"]]
 
 
 def run_cli(capsys, argv):

@@ -172,6 +172,20 @@ MUTANTS = (
            "        value = shared[m.ints, m.den] = _bareiss(m)\n",
            ("tests/test_operation_counts.py::"
             "test_equal_but_distinct_matrices_each_form_their_own_determinant",)),
+    # a snapshot after every column: the level of a tied jump is also
+    # listed before the group's last column joins it
+    Mutant("level-snapshot-inside-a-tie", "modules.py",
+           "if j == 0 or jumps[j - 1] < jumps[j]:",
+           "if j == 0 or jumps[j - 1] <= jumps[j]:",
+           ("tests/test_modules.py::test_filtration_levels_match_fil_subspace_level_by_level",)),
+    Mutant("hodge-scan-one-level-early", "modules.py",
+           "for i, fil in label_levels:",
+           "for i, fil in label_levels[:-1]:",
+           ("tests/test_modules.py::test_hodge_scan_matches_the_full_level_scan",)),
+    Mutant("matrix-json-without-gcd", "schema.py",
+           "gcds = [math.gcd(x, den) for x in row]",
+           "gcds = [1 for x in row]",
+           ("tests/test_schema_cli.py::test_matrix_json_prints_the_rational_entries",)),
 )
 
 
