@@ -21,7 +21,7 @@ from itertools import combinations, product
 from .config import check_work_units
 from .errors import InputError
 from .linalg import Matrix
-from .scalars import ONE, ZERO, Frozen, Rational, TwistedScalar, is_int, is_prime
+from .scalars import Frozen, Rational, TwistedScalar, is_int, is_prime
 from .weil_deligne import UnramifiedCharacter
 
 __all__ = [
@@ -115,20 +115,27 @@ def _spherical(S, nums, dens, h):
     return Rational(num, den * h.q ** (h.r * h.n - sum(S)))
 
 
-def elementary_symmetric(values, r):
-    """e_r of ints or rationals a_i/b_i: the x^r coefficient of prod(b_i + a_i*x)
-    over prod b_i, expanded on integers."""
-    dp = [1] + [0] * r
-    for a, b in zip(*_split(values)):
-        for k in range(r, 0, -1):
-            dp[k] = dp[k] * b + a * dp[k - 1]
-        dp[0] *= b
-    return Rational(dp[r], dp[0])
+def _expansion(values):
+    """Integer coefficients c_0 .. c_n of prod(b_i + a_i*x); e_r = c_r / c_0."""
+    nums, dens = _split(values)
+    coeffs = [1] + [0] * len(nums)
+    for k, (a, b) in enumerate(zip(nums, dens), 1):
+        for j in range(k, 0, -1):
+            coeffs[j] = coeffs[j] * b + a * coeffs[j - 1]
+        coeffs[0] *= b
+    return coeffs
+
+
+def elementary_symmetric(values):
+    """e_0 .. e_n of ints or rationals, from one integer expansion."""
+    coeffs = _expansion(values)
+    return [Rational(c, coeffs[0]) for c in coeffs]
 
 
 def theta_closed(psi, h):
     """q^{r(1-r)/2} * e_r(psi); r(r-1) is even so this is always rational."""
-    return elementary_symmetric(_as_character(psi, h.n), h.r) / h.q ** (h.r * (h.r - 1) // 2)
+    coeffs = _expansion(_as_character(psi, h.n))
+    return Rational(coeffs[h.r], coeffs[0] * h.q ** (h.r * (h.r - 1) // 2))
 
 
 def theta_enumerated(psi, h):
@@ -143,32 +150,33 @@ def theta_enumerated(psi, h):
     return Rational(total, den)
 
 
-def theta_tilde(psi, h, xi, field):
-    """Rescaled eigenvalue: q^{r(r-1)/2} * pi^{-t} * theta_closed.
-
-    xi maps each embedding label to n integer weights; t sums the weights
-    at positions j >= r (1-indexed) across all labels. The uniformizer
-    power folds into the coefficient exactly when field.e == 1. The factor
-    q^{r(r-1)/2} cancels the one theta_closed divides by, so the
-    coefficient is e_r(psi) itself.
-    """
-    if h.q != field.q:
-        raise InputError(f"params have q={h.q} but the field's residue cardinality is {field.q}")
+def theta_tilde(psi, xi, field):
+    """Rescaled eigenvalues q^{r(r-1)/2} * pi^{-t_r} * theta_closed for
+    r = 1..n, n = len(psi), with xi mapping each embedding label to n
+    integer weights and t_r as in ``_twisted``. The factor q^{r(r-1)/2}
+    cancels the one theta_closed divides by, so the coefficient is
+    e_r(psi) itself and q never enters."""
+    n = len(psi)
     if set(xi) != set(field.embeddings):
         raise InputError(
             f"weight labels {sorted(xi)} do not match embeddings {sorted(field.embeddings)}"
         )
     for label in xi:
-        if len(xi[label]) != h.n:
-            raise InputError(f"xi[{label}] needs {h.n} entries, got {len(xi[label])}")
-    return _twisted(elementary_symmetric(_as_character(psi, h.n), h.r), xi, h.r, h.n, field)
+        if len(xi[label]) != n:
+            raise InputError(f"xi[{label}] needs {n} entries, got {len(xi[label])}")
+    return _twisted(elementary_symmetric(_as_character(psi, n))[1:], xi, field)
 
 
-def _twisted(value, xi, r, n, field):
-    """value * pi^{-t}, t the sum of the weights xi at positions j >= r
-    (1-indexed) of all n, across every embedding label."""
-    twist = sum(xi[label][j] for label in field.embeddings for j in range(r - 1, n))
-    return TwistedScalar(value, -twist, field.p, field.e)
+def _twisted(values, xi, field):
+    """values[r - 1] * pi^{-t_r} for r = 1..n, t_r the sum of the weights xi
+    at positions j >= r (1-indexed) across every embedding label, kept as
+    one running sum from r = n down. The uniformizer power folds into the
+    coefficient exactly when field.e == 1."""
+    rows, twist = [], 0
+    for r in range(len(values), 0, -1):
+        twist += sum(xi[label][r - 1] for label in field.embeddings)
+        rows.append(TwistedScalar(values[r - 1], -twist, field.p, field.e))
+    return rows[::-1]
 
 
 def materialize_representatives(S, h):
@@ -187,12 +195,10 @@ def materialize_representatives(S, h):
     check_work_units(h.q ** len(free), "coset representatives")
     out = []
     for combo in product(range(h.q), repeat=len(free)):
-        rows = [
-            [ONE if a == b else ZERO for b in range(h.n)] for a in range(h.n)
-        ]
+        rows = [[int(a == b) for b in range(h.n)] for a in range(h.n)]
         for i in S:
-            rows[i - 1][i - 1] = Rational(h.q)
+            rows[i - 1][i - 1] = h.q
         for (i, j), t in zip(free, combo):
-            rows[i - 1][j - 1] = Rational(t)
-        out.append(Matrix(rows))
+            rows[i - 1][j - 1] = t
+        out.append(Matrix._from_ints(rows, 1))
     return out

@@ -5,14 +5,16 @@ Hodge-Tate weights are the filtration jumps, which must be strictly
 increasing, and xi_j = -i_j + (j-1) per embedding, as CONVENTIONS states.
 beta_value twists the exterior-power trace of Frobenius by a uniformizer
 power built from the late weights (positions j >= r); the consistency
-check recomputes the same number through segments, the unramified
+check recomputes the same numbers through segments, the unramified
 character, and the rescaled double-coset operator, and demands exact
-equality for every r. check_integrality asks whether all the beta values
-are integral, reporting xi and weak admissibility alongside.
+equality for every r. Each side gives all n rows in one pass, through
+the same twist, so the two differ only in e_r(psi) against the trace of
+the r-th exterior power. check_integrality asks whether all the beta
+values are integral, reporting xi and weak admissibility alongside.
 """
 
 from .errors import InputError, Undecided
-from .hecke import HeckeParams, _twisted, theta_tilde
+from .hecke import _twisted, theta_tilde
 from .linalg import exterior_traces
 from .modules import is_weakly_admissible
 from .partitions import LabelMap
@@ -63,12 +65,9 @@ def ht_from_module(d):
 
 
 def _betas(d):
-    """xi read off d, and beta_1 .. beta_n: each pi^{-t} * Tr(wedge^r phi)
-    with t the sum of xi over positions j >= r across all embeddings,
-    carried as a TwistedScalar so e > 1 still has an exact valuation."""
+    """xi read off d, and beta_r = Tr(wedge^r phi) twisted by ``_twisted``, r = 1..n."""
     xi = xi_from_ht(ht_from_module(d))
-    traces = exterior_traces(d.phi)
-    return xi, [_twisted(traces[r], xi, r, d.n, d.field) for r in range(1, d.n + 1)]
+    return xi, _twisted(exterior_traces(d.phi)[1:], xi, d.field)
 
 
 def beta_value(d, r):
@@ -122,13 +121,9 @@ def consistency_check(d):
         return report
     psi = psi_from_segments(segs, w.q)
     report["psi"] = psi
-    all_equal = True
-    for r, right in enumerate(betas, 1):
-        left = theta_tilde(psi, HeckeParams(d.n, w.q, r), xi, d.field)
-        equal = left == right
-        all_equal = all_equal and equal
-        report["rows"].append(
-            {"r": r, "hecke": left, "galois": right, "equal": equal, "valuation": right.val}
-        )
-    report["status"] = "pass" if all_equal else "fail"
+    report["rows"] = [
+        {"r": r, "hecke": left, "galois": right, "equal": left == right, "valuation": right.val}
+        for r, (left, right) in enumerate(zip(theta_tilde(psi, xi, d.field), betas), 1)
+    ]
+    report["status"] = "pass" if all(row["equal"] for row in report["rows"]) else "fail"
     return report

@@ -679,7 +679,8 @@ class Subspace(Frozen):
 
     @classmethod
     def full(cls, ambient):
-        return cls(ambient, Matrix.identity(ambient).ints)
+        # the identity rows are already primitive and in reduced echelon form
+        return _rebuild(cls, (ambient, Matrix.identity(ambient).ints, tuple(range(ambient))))
 
     @property
     def basis(self):

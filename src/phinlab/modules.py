@@ -190,12 +190,9 @@ def _restrict_or_reject(d, sub):
     return restricted
 
 
-def _scaled_newton(field, val):
-    return Rational(field.e * val) / (field.degree_factor * field.f)
-
-
 def _newton(d, frobenius_det):
-    return _scaled_newton(d.field, padic_val(frobenius_det, d.field.p))
+    field = d.field
+    return Rational(field.e * padic_val(frobenius_det, field.p)) / (field.degree_factor * field.f)
 
 
 def newton_number(d, sub=None):
@@ -380,12 +377,12 @@ def is_weakly_admissible(d, candidates=None):
         mode = "enumerated"
         try:
             frame = _eigen_frame(d)
+            checked = len(frame[-1])
         except Undecided:
             if t_h == t_n:
                 raise
             # unequal totals fail on the full space, whatever the spectrum
-            return AdmissibilityReport(False, t_h, t_n, Witness(Subspace.full(d.n), t_h, t_n), 1, mode)
-        checked = len(frame[-1])
+            checked = 1
     else:
         mode, subs = "certificate", list(candidates)
         for sub in subs:
@@ -416,7 +413,7 @@ def _candidate_witness(d, subs):
     return None
 
 
-def _smallest_violating_size(d, t_h, valuations, eigvecs, flags, closed):
+def _smallest_violating_size(d, t_h, valuations, flags, closed):
     """The smallest |S| of an N-closed set S with t_H(W_S) > t_N(W_S), or None.
 
     t_N(W_S) is the scaled sum of the valuations of the eigenvalues in S.
@@ -457,7 +454,8 @@ def _enumerated_witness(d, t_h, frame):
     misses below k, or one of dimension 2 or more in a module it calls
     admissible, is not caught.
     """
-    size = _smallest_violating_size(d, t_h, *frame)
+    valuations, _, flags, closed = frame
+    size = _smallest_violating_size(d, t_h, valuations, flags, closed)
     dim = size or 1
     witness = _candidate_witness(d, enumerate_stable_subspaces(d, dim, frame=frame))
     if (witness is None) != (size is None):

@@ -160,9 +160,8 @@ def test_top_exterior_power_single_class():
 def test_theta_tilde_zero_weights():
     field = FieldDescriptor(p=2)
     psi = UnramifiedCharacter((2, 1))
-    t1 = theta_tilde(psi, HeckeParams(2, 2, 1), {"k0": (0, 0)}, field)
+    t1, t2 = theta_tilde(psi, {"k0": (0, 0)}, field)
     assert t1.rational() == 3
-    t2 = theta_tilde(psi, HeckeParams(2, 2, 2), {"k0": (0, 0)}, field)
     assert t2.rational() == 2
 
 
@@ -170,18 +169,18 @@ def test_theta_tilde_twist_window():
     # only weights with index >= r enter the uniformizer exponent
     field = FieldDescriptor(p=2)
     psi = UnramifiedCharacter((2, 1))
-    t1 = theta_tilde(psi, HeckeParams(2, 2, 1), {"k0": (0, 1)}, field)
+    t1, t2 = theta_tilde(psi, {"k0": (0, 1)}, field)
     assert t1.rational() == Fraction(3, 2)
-    t2 = theta_tilde(psi, HeckeParams(2, 2, 2), {"k0": (0, 1)}, field)
     assert t2.rational() == 1
-    t3 = theta_tilde(psi, HeckeParams(2, 2, 1), {"k0": (3, 1)}, field)
+    t3, t4 = theta_tilde(psi, {"k0": (3, 1)}, field)
     assert t3.rational() == Fraction(3, 16)
+    assert t4.rational() == 1
 
 
 def test_theta_tilde_ramified_stays_symbolic():
     field = FieldDescriptor(p=2, e=2)
     psi = UnramifiedCharacter((2, 1))
-    t = theta_tilde(psi, HeckeParams(2, 2, 1), {"k0": (0, 1)}, field)
+    t, _ = theta_tilde(psi, {"k0": (0, 1)}, field)
     assert not t.is_rational
     assert t.pi_exp == -1
     assert t.val == 2 * 0 - 1  # val_2(3) = 0, scaled by e, minus one pi
@@ -191,9 +190,11 @@ def test_theta_tilde_sums_over_embeddings():
     field = FieldDescriptor(p=3, f=1, f0=1, e=1, embeddings=("a", "b"))
     psi = UnramifiedCharacter((3, 1))
     xi = {"a": (0, 1), "b": (1, 1)}
-    t = theta_tilde(psi, HeckeParams(2, 3, 1), xi, field)
+    t1, t2 = theta_tilde(psi, xi, field)
     # exponent -(0+1+1+1) = -3, so (3+1)/27
-    assert t.rational() == Fraction(4, 27)
+    assert t1.rational() == Fraction(4, 27)
+    # exponent -(1+1) = -2, so 3/9
+    assert t2.rational() == Fraction(1, 3)
 
 
 def _same_coset(b1, b2, p):
@@ -275,15 +276,14 @@ def test_hecke_classes_reject_a_repeated_index():
 ])
 def test_theta_tilde_checks_the_weights(xi, text):
     with pytest.raises(InputError) as exc:
-        theta_tilde(UnramifiedCharacter((2, 1)), HeckeParams(2, 2, 1), xi, FieldDescriptor(p=2))
+        theta_tilde(UnramifiedCharacter((2, 1)), xi, FieldDescriptor(p=2))
     assert str(exc.value) == text
 
 
-def test_theta_tilde_checks_q_against_the_field():
+def test_theta_tilde_checks_psi():
     with pytest.raises(InputError) as exc:
-        theta_tilde(UnramifiedCharacter((2, 1)), HeckeParams(2, 3, 1), {"k0": (0, 1)},
-                    FieldDescriptor(p=2))
-    assert str(exc.value) == "params have q=3 but the field's residue cardinality is 2"
+        theta_tilde((2, 0), {"k0": (0, 1)}, FieldDescriptor(p=2))
+    assert str(exc.value) == "psi entry 2 is 0; character values must be nonzero"
 
 
 def test_spherical_value_checks_its_index_set_under_python_o():

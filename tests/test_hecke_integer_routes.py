@@ -4,6 +4,9 @@ The references below multiply and add Fractions one factor at a time, as the
 package did before its class values, class sum and e_r moved to integers.
 Denominators of psi sharing a factor with q (q, q^2, 7q) exercise the common
 denominator of the class sum; coprime ones exercise the prod b_i factor.
+The rescaled eigenvalues, all n of them from one expansion and one running
+twist sum, are checked against one integer expansion and one twist window
+per r, as the package formed them before.
 """
 
 import math
@@ -21,8 +24,10 @@ from phinlab.hecke import (
     spherical_value,
     theta_closed,
     theta_enumerated,
+    theta_tilde,
 )
-from phinlab.scalars import Rational
+from phinlab.modules import FieldDescriptor
+from phinlab.scalars import Rational, TwistedScalar
 
 
 def spherical_reference(S, psi, n, q, r):
@@ -98,9 +103,38 @@ def test_elementary_symmetric_matches_the_reference_on_ints_and_fractions():
             continue
         ints = [v.numerator for v in psi]
         for values in (psi, ints, [Fraction(v) for v in ints]):
-            for k in range(n + 1):
-                got = elementary_symmetric(values, k)
-                assert type(got) is Rational and got == elementary_symmetric_reference(values, k)
+            got = elementary_symmetric(values)
+            assert all(type(e) is Rational for e in got)
+            assert got == [elementary_symmetric_reference(values, k) for k in range(n + 1)]
+
+
+def elementary_symmetric_per_r(values, r):
+    """e_r from an integer expansion of prod(b_i + a_i*x) to degree r alone."""
+    dp = [1] + [0] * r
+    for v in values:
+        for k in range(r, 0, -1):
+            dp[k] = dp[k] * v.denominator + v.numerator * dp[k - 1]
+        dp[0] *= v.denominator
+    return Fraction(dp[r], dp[0])
+
+
+def test_theta_tilde_matches_one_expansion_and_one_window_per_r():
+    rng = random.Random(28)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        labels = ("a", "b", "c")[:rng.randint(1, 3)]
+        field = FieldDescriptor(p=rng.choice([2, 3, 5]), e=rng.choice([1, 2]), embeddings=labels)
+        psi = random_psi(rng, n, field.q)
+        xi = {label: tuple(rng.randint(-6, 6) for _ in range(n)) for label in labels}
+        got = theta_tilde(psi, xi, field)
+        assert len(got) == n
+        for r in range(1, n + 1):
+            twist = sum(xi[label][j] for label in labels for j in range(r - 1, n))
+            want = TwistedScalar(elementary_symmetric_per_r(psi, r), -twist, field.p, field.e)
+            assert got[r - 1] == want
+            seen.add((len(labels), field.e, (twist > 0) - (twist < 0)))
+    assert seen == {(k, e, sign) for k in (1, 2, 3) for e in (1, 2) for sign in (-1, 0, 1)}
 
 
 @pytest.mark.parametrize("route", [theta_closed, theta_enumerated])

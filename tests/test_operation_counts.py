@@ -2,8 +2,9 @@
 
 Each test counts the integer matrix products (``linalg._int_matmul``),
 the integer echelon forms (``linalg._echelon``), the characteristic
-polynomials (``linalg._newton_char_poly``) or the determinants
-(``linalg._bareiss``) one call makes. A count does not depend on the
+polynomials (``linalg._newton_char_poly``), the determinants
+(``linalg._bareiss``) or the Hecke-side expansions (``hecke._expansion``)
+one call makes. A count does not depend on the
 machine or its load, so these guard the cost of the report path where a
 timing could not.
 """
@@ -15,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 import phinlab
-from phinlab import linalg
+from phinlab import hecke, interpolation, linalg
 from phinlab.cli import main
 from phinlab.linalg import (
     Matrix,
@@ -123,6 +124,25 @@ def test_a_report_call_forms_one_characteristic_polynomial(command, poly_calls, 
     # the spectrum and the exterior traces both come from the one polynomial
     assert len(report["rows"]) == 4
     assert len(poly_calls) == 1
+
+
+def test_a_consistency_report_forms_the_hecke_side_once(monkeypatch, tmp_path, capsys):
+    # every theta_tilde row comes from one expansion of psi, and no
+    # HeckeParams is built
+    calls = {}
+    for owner, name in ((interpolation, "theta_tilde"), (hecke, "_expansion"),
+                        (hecke.HeckeParams, "__init__")):
+        calls[name] = count = []
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, count=count, original=original:
+                            count.append(args) or original(*args))
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(GENERIC))
+    assert main(["consistency", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "pass" and len(report["rows"]) == 4
+    assert {name: len(count) for name, count in calls.items()} == {
+        "theta_tilde": 1, "_expansion": 1, "__init__": 0}
 
 
 def test_equal_but_distinct_matrices_each_form_their_own_polynomial(poly_calls):

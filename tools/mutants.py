@@ -83,10 +83,22 @@ MUTANTS = (
            "",
            ("tests/test_modules.py::test_check_phi_n_rejects_non_nilpotent_monodromy",
             "tests/test_modules.py::test_check_phi_n_names_the_first_error_at_scale_two")),
+    # the running twist sum takes the weight at position r - 1 for row r,
+    # so the window starts one position early
     Mutant("twist-window-from-r", "hecke.py",
-           "range(r - 1, n)",
-           "range(r, n)",
+           "twist += sum(xi[label][r - 1] for label in field.embeddings)",
+           "twist += sum(xi[label][r - 2] for label in field.embeddings)",
            ("tests/test_hecke.py::test_theta_tilde_twist_window",
+            "tests/test_interpolation.py::test_beta_value_pinned")),
+    # the weight at position r joins the sum after row r is built, so the
+    # window starts one position late
+    Mutant("twist-added-after-the-row", "hecke.py",
+           "        twist += sum(xi[label][r - 1] for label in field.embeddings)\n"
+           "        rows.append(TwistedScalar(values[r - 1], -twist, field.p, field.e))\n",
+           "        rows.append(TwistedScalar(values[r - 1], -twist, field.p, field.e))\n"
+           "        twist += sum(xi[label][r - 1] for label in field.embeddings)\n",
+           ("tests/test_hecke_integer_routes.py::"
+            "test_theta_tilde_matches_one_expansion_and_one_window_per_r",
             "tests/test_interpolation.py::test_beta_value_pinned")),
     Mutant("ht-allows-equal-weights", "interpolation.py",
            "w[i] >= w[i + 1]",
