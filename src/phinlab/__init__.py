@@ -54,7 +54,6 @@ from .partitions import (
 from .scalars import QExtScalar, Rational, TwistedScalar, padic_val
 from .weil_deligne import (
     Segment,
-    UnramifiedCharacter,
     WeilDeligneRep,
     find_linked_pair,
     is_generic,
@@ -83,7 +82,7 @@ __all__ = [
     "Partition", "PartitionFunction", "conjugate", "dominates", "paper_leq",
     "partitions_of", "strata_thresholds", "stratum_member",
     "QExtScalar", "Rational", "TwistedScalar", "padic_val",
-    "Segment", "UnramifiedCharacter", "WeilDeligneRep", "find_linked_pair",
+    "Segment", "WeilDeligneRep", "find_linked_pair",
     "is_generic", "monodromy_partition", "psi_from_segments",
     "segments_from_wd", "wd_from_module", "wd_from_segments",
     "__version__",

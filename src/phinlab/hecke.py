@@ -21,8 +21,7 @@ from itertools import combinations, product
 from .config import check_work_units
 from .errors import InputError
 from .linalg import Matrix
-from .scalars import Frozen, Rational, TwistedScalar, is_int, is_prime
-from .weil_deligne import UnramifiedCharacter
+from .scalars import Frozen, Rational, TwistedScalar, as_rational, is_int, is_prime
 
 __all__ = [
     "HeckeParams",
@@ -57,11 +56,11 @@ class CosetClass(Frozen):
 
 
 def _as_character(psi, n):
-    if not isinstance(psi, UnramifiedCharacter):
-        psi = tuple(psi)
-        if 0 in psi:
-            raise InputError(f"psi entry {psi.index(0) + 1} is 0; character values must be nonzero")
-        psi = UnramifiedCharacter(psi)
+    """psi as a tuple of n nonzero ints or rationals, each read by the
+    number rule; the one check of a character's values."""
+    psi = tuple(map(as_rational, psi))
+    if 0 in psi:
+        raise InputError(f"psi entry {psi.index(0) + 1} is 0; character values must be nonzero")
     if len(psi) != n:
         raise InputError(f"character needs {n} values, got {len(psi)}")
     return psi

@@ -7,14 +7,13 @@ once when it is built (with no gcd when the denominator is 1); products,
 ``det``, ``char_poly`` and ``rank`` read that form, run on Python
 integers, and divide back once on exit, so no gcd is paid per arithmetic
 step. A product is built from its integer rows over the product of the
-two denominators; ``det`` is Bareiss fraction-free elimination, run at
-most once per ``Matrix`` object and kept in its private slot ``_det``, so
-the Newton number reads the determinant the Frobenius check formed;
-``char_poly`` is Newton's identities on the power sums tr(A^k) with exact
-integer division, formed at most once per ``Matrix`` object and kept in
-the private slot ``_char_poly``, so ``rational_eigenvalues`` and
-``exterior_traces`` on one matrix share it (neither cache is keyed by
-value nor outlives its matrix);
+two denominators; ``det`` is Bareiss fraction-free elimination, run on
+every call; ``char_poly`` is Newton's identities on the power sums
+tr(A^k) with exact integer division, formed at most once per ``Matrix``
+object and kept in the private slot ``_char_poly``, so
+``rational_eigenvalues``, ``exterior_traces`` and the Newton number on
+one matrix share it (the cache is not keyed by value and does not
+outlive its matrix);
 ``rational_eigenvalues`` lifts its roots from a small prime, forms the
 squarefree part of the polynomial only when no small prime shows every
 root simple, and confirms and deflates them in Z[x] as reduced integer
@@ -62,11 +61,10 @@ class Matrix(Frozen):
     read it. ``rows``, the entries as rationals, is built on access. The
     private slot ``_char_poly`` holds the integer characteristic
     polynomial once ``char_poly``, ``exterior_traces`` or
-    ``rational_eigenvalues`` has formed it, and ``_det`` the determinant
-    once ``det`` has.
+    ``rational_eigenvalues`` has formed it.
     """
 
-    __slots__ = ("ints", "den", "_char_poly", "_det")
+    __slots__ = ("ints", "den", "_char_poly")
 
     def __init__(self, rows):
         scaled = [_int_row(row) for row in rows]
@@ -225,16 +223,6 @@ def kernel_dim(m):
 
 
 def det(m):
-    """The determinant, formed once per matrix: it is kept in the private
-    slot of m."""
-    value = getattr(m, "_det", None)
-    if value is None:
-        value = _bareiss(m)
-        object.__setattr__(m, "_det", value)
-    return value
-
-
-def _bareiss(m):
     """The determinant by Bareiss elimination on the cleared matrix d*M."""
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
@@ -329,9 +317,6 @@ class EigenSplit(Frozen):
             raise NotFullyRational("spectrum does not split over Q; "
                                    f"residual factor has degree {len(self.residual) - 1}")
         return self.roots
-
-    def multiset(self):
-        return [value for value, mult in self.split_roots() for _ in range(mult)]
 
 
 def _divide_linear(poly, a, b):

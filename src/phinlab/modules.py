@@ -34,6 +34,7 @@ from .linalg import (
     _eigenvectors,
     _int_matmul,
     _primitive_row,
+    char_poly,
     det,
     jordan_partition,
     rational_eigenvalues,
@@ -198,7 +199,8 @@ def _newton(d, frobenius_det):
 def newton_number(d, sub=None):
     """t_N: scaled valuation of det(phi) on the module or a stable subspace."""
     if sub is None:
-        return _newton(d, det(d.phi))
+        # the constant term is +-det(phi), and a sign has no valuation
+        return _newton(d, char_poly(d.phi)[0])
     restricted = _restrict_or_reject(d, sub)
     if restricted is None:
         return Rational(0)

@@ -22,7 +22,6 @@ from .scalars import Frozen, Rational, _int_val, _rebuild, as_rational, is_int, 
 
 __all__ = [
     "Segment",
-    "UnramifiedCharacter",
     "WeilDeligneRep",
     "prime_power_base",
     "wd_from_module",
@@ -30,7 +29,6 @@ __all__ = [
     "monodromy_partition",
     "match_chains",
     "segments_from_wd",
-    "canonical_segments",
     "find_linked_pair",
     "is_generic",
     "psi_from_segments",
@@ -117,27 +115,6 @@ class Segment(Frozen):
         Frozen.__init__(self, chi, length)
 
 
-class UnramifiedCharacter(Frozen):
-    """Ordered list of nonzero rational values, one per torus coordinate."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        vals = tuple(Rational(as_rational(v)) for v in values)
-        if any(v == 0 for v in vals):
-            raise ValueError("character values must be nonzero")
-        Frozen.__init__(self, vals)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-
 def match_chains(values, parts, q, p):
     """Group an eigenvalue multiset into geometric chains of ratio q = p**f0.
 
@@ -190,21 +167,17 @@ def match_chains(values, parts, q, p):
     return tuple(got)
 
 
-def canonical_segments(segments, p):
-    """Sort by (valuation of base, numerator, length, denominator)."""
+def segments_from_wd(w):
+    """Decompose the spectrum and Jordan shape into segments sorted by
+    (valuation of base, numerator, length, denominator)."""
+    roots = rational_eigenvalues(w.frobenius).split_roots()
+    values = [value for value, mult in roots for _ in range(mult)]
+    segs = match_chains(values, jordan_partition(w.monodromy).parts, w.q, w.p)
 
     def key(s):
-        return (padic_val(s.chi, p), s.chi.numerator, s.length, s.chi.denominator)
+        return (padic_val(s.chi, w.p), s.chi.numerator, s.length, s.chi.denominator)
 
-    return tuple(sorted(segments, key=key))
-
-
-def segments_from_wd(w):
-    """Decompose the spectrum and Jordan shape into canonically sorted segments."""
-    values = rational_eigenvalues(w.frobenius).multiset()
-    parts = jordan_partition(w.monodromy).parts
-    segs = match_chains(values, parts, w.q, w.p)
-    return canonical_segments(segs, w.p)
+    return tuple(sorted(segs, key=key))
 
 
 def _q_power_offset(a, b, q):
@@ -251,19 +224,20 @@ def is_generic(segments, q):
 
 
 def psi_from_segments(segments, q):
-    """Expand each segment into its chain, top value first, in the given order."""
+    """psi as a tuple of rationals: each segment's chain, top value first,
+    in the given order."""
     out = []
     for s in segments:
         for j in range(s.length - 1, -1, -1):
             out.append(s.chi * q**j)
-    return UnramifiedCharacter(tuple(out))
+    return tuple(out)
 
 
 def wd_from_segments(segments, q):
     """Direct sum of one chain block per segment, for building examples: the
     diagonal of ``psi_from_segments``, and N with ones below it within each block."""
     segs = [s if isinstance(s, Segment) else Segment(*s) for s in segments]
-    diagonal = psi_from_segments(segs, q).values
+    diagonal = psi_from_segments(segs, q)
     n = len(diagonal)
     starts = set(accumulate(s.length for s in segs))
     nil = [[int(j == i - 1 and i not in starts) for j in range(n)] for i in range(n)]

@@ -21,7 +21,6 @@ from phinlab.hecke import (
 from phinlab.errors import EnumerationCapExceeded, InputError
 from phinlab.modules import FieldDescriptor
 from phinlab.scalars import Rational, padic_val
-from phinlab.weil_deligne import UnramifiedCharacter
 from tests_helpers import child_env
 
 
@@ -54,7 +53,7 @@ def random_psi(rng, n):
     for _ in range(n):
         num = rng.choice([x for x in range(-9, 10) if x != 0])
         vals.append(Fraction(num, rng.randint(1, 9)))
-    return UnramifiedCharacter(tuple(vals))
+    return tuple(vals)
 
 
 def test_params_validation():
@@ -88,31 +87,31 @@ def test_coset_total_matches_gauss_binomial():
 
 def test_spherical_value_rank_one():
     h = HeckeParams(1, 3, 1)
-    v = spherical_value((1,), UnramifiedCharacter((Fraction(5, 2),)), h)
+    v = spherical_value((1,), (Fraction(5, 2),), h)
     assert type(v) is Rational and v == Fraction(5, 2)
 
 
 def test_spherical_value_half_powers_cancel_in_pairs():
     # n=2, r=1: each factor carries sqrt(q) but the product is rational
     h = HeckeParams(2, 2, 1)
-    v = spherical_value((1,), UnramifiedCharacter((1, 1)), h)
+    v = spherical_value((1,), (1, 1), h)
     assert type(v) is Rational and v == Fraction(1, 2)
-    w = spherical_value((2,), UnramifiedCharacter((1, 1)), h)
+    w = spherical_value((2,), (1, 1), h)
     assert type(w) is Rational and w == 1
     # weighted by the counts these sum to e_1(1,1): 2*(1/2) + 1*1 = 2
     assert 2 * v + w == 2
 
 
 def test_theta_closed_pinned():
-    assert theta_closed(UnramifiedCharacter((2, 1)), HeckeParams(2, 2, 1)) == 3
-    assert theta_closed(UnramifiedCharacter((2, 1)), HeckeParams(2, 2, 2)) == 1
-    assert theta_closed(UnramifiedCharacter((1, 1, 1)), HeckeParams(3, 2, 1)) == 3
-    assert theta_closed(UnramifiedCharacter((1, 2, 4)), HeckeParams(3, 2, 2)) == 7
+    assert theta_closed((2, 1), HeckeParams(2, 2, 1)) == 3
+    assert theta_closed((2, 1), HeckeParams(2, 2, 2)) == 1
+    assert theta_closed((1, 1, 1), HeckeParams(3, 2, 1)) == 3
+    assert theta_closed((1, 2, 4), HeckeParams(3, 2, 2)) == 7
 
 
 def test_theta_enumerated_pinned():
-    assert theta_enumerated(UnramifiedCharacter((2, 1)), HeckeParams(2, 2, 1)) == 3
-    assert theta_enumerated(UnramifiedCharacter((1, 2, 4)), HeckeParams(3, 2, 2)) == 7
+    assert theta_enumerated((2, 1), HeckeParams(2, 2, 1)) == 3
+    assert theta_enumerated((1, 2, 4), HeckeParams(3, 2, 2)) == 7
 
 
 def test_theta_routes_agree_on_random_psi():
@@ -136,20 +135,20 @@ def test_theta_closed_symmetric_in_psi():
         base = theta_closed(psi, HeckeParams(n, q, r))
         vals = list(psi)
         rng.shuffle(vals)
-        assert theta_closed(UnramifiedCharacter(tuple(vals)), HeckeParams(n, q, r)) == base
+        assert theta_closed(tuple(vals), HeckeParams(n, q, r)) == base
 
 
 def test_all_ones_bookkeeping():
     for q in (2, 3):
         for n in range(1, 7):
-            ones = UnramifiedCharacter((1,) * n)
+            ones = (1,) * n
             for r in range(1, n + 1):
                 expected = Fraction(q) ** (r * (1 - r) // 2) * math.comb(n, r)
                 assert theta_closed(ones, HeckeParams(n, q, r)) == expected
 
 
 def test_top_exterior_power_single_class():
-    psi = UnramifiedCharacter((2, 3, Fraction(1, 5), 7))
+    psi = (2, 3, Fraction(1, 5), 7)
     h = HeckeParams(4, 3, 4)
     classes = coset_classes(h)
     assert len(classes) == 1 and classes[0].count == 1
@@ -159,7 +158,7 @@ def test_top_exterior_power_single_class():
 
 def test_theta_tilde_zero_weights():
     field = FieldDescriptor(p=2)
-    psi = UnramifiedCharacter((2, 1))
+    psi = (2, 1)
     t1, t2 = theta_tilde(psi, {"k0": (0, 0)}, field)
     assert t1.rational() == 3
     assert t2.rational() == 2
@@ -168,7 +167,7 @@ def test_theta_tilde_zero_weights():
 def test_theta_tilde_twist_window():
     # only weights with index >= r enter the uniformizer exponent
     field = FieldDescriptor(p=2)
-    psi = UnramifiedCharacter((2, 1))
+    psi = (2, 1)
     t1, t2 = theta_tilde(psi, {"k0": (0, 1)}, field)
     assert t1.rational() == Fraction(3, 2)
     assert t2.rational() == 1
@@ -179,7 +178,7 @@ def test_theta_tilde_twist_window():
 
 def test_theta_tilde_ramified_stays_symbolic():
     field = FieldDescriptor(p=2, e=2)
-    psi = UnramifiedCharacter((2, 1))
+    psi = (2, 1)
     t, _ = theta_tilde(psi, {"k0": (0, 1)}, field)
     assert not t.is_rational
     assert t.pi_exp == -1
@@ -188,7 +187,7 @@ def test_theta_tilde_ramified_stays_symbolic():
 
 def test_theta_tilde_sums_over_embeddings():
     field = FieldDescriptor(p=3, f=1, f0=1, e=1, embeddings=("a", "b"))
-    psi = UnramifiedCharacter((3, 1))
+    psi = (3, 1)
     xi = {"a": (0, 1), "b": (1, 1)}
     t1, t2 = theta_tilde(psi, xi, field)
     # exponent -(0+1+1+1) = -3, so (3+1)/27
@@ -254,7 +253,7 @@ def test_class_count_over_the_work_budget_is_refused_up_front():
 ])
 def test_spherical_value_rejects_a_bad_index_set(S, text):
     h = HeckeParams(2, 2, 1)
-    for route in (lambda: spherical_value(S, UnramifiedCharacter((3, 5)), h),
+    for route in (lambda: spherical_value(S, (3, 5), h),
                   lambda: materialize_representatives(S, h)):
         with pytest.raises(InputError) as exc:
             route()
@@ -263,7 +262,7 @@ def test_spherical_value_rejects_a_bad_index_set(S, text):
 
 def test_hecke_classes_reject_a_repeated_index():
     h = HeckeParams(2, 2, 2)
-    for route in (lambda: spherical_value((1, 1), UnramifiedCharacter((3, 5)), h),
+    for route in (lambda: spherical_value((1, 1), (3, 5), h),
                   lambda: materialize_representatives((1, 1), h)):
         with pytest.raises(InputError) as exc:
             route()
@@ -276,7 +275,7 @@ def test_hecke_classes_reject_a_repeated_index():
 ])
 def test_theta_tilde_checks_the_weights(xi, text):
     with pytest.raises(InputError) as exc:
-        theta_tilde(UnramifiedCharacter((2, 1)), xi, FieldDescriptor(p=2))
+        theta_tilde((2, 1), xi, FieldDescriptor(p=2))
     assert str(exc.value) == text
 
 
@@ -286,13 +285,22 @@ def test_theta_tilde_checks_psi():
     assert str(exc.value) == "psi entry 2 is 0; character values must be nonzero"
 
 
+@pytest.mark.parametrize("psi", [(1, 0), (1, Fraction(0)), ("1", "0/3")],
+                         ids=["int", "Fraction", "literal"])
+def test_spherical_value_refuses_a_zero_psi_entry(psi):
+    # psi is a plain tuple, checked where the Hecke side reads it: each
+    # entry by the number rule first, so a zero literal is refused too
+    with pytest.raises(InputError) as exc:
+        spherical_value((1,), psi, HeckeParams(2, 2, 1))
+    assert str(exc.value) == "psi entry 2 is 0; character values must be nonzero"
+
+
 def test_spherical_value_checks_its_index_set_under_python_o():
     code = (
         "from phinlab.errors import InputError\n"
         "from phinlab.hecke import HeckeParams, spherical_value\n"
-        "from phinlab.weil_deligne import UnramifiedCharacter\n"
         "try:\n"
-        "    spherical_value((0,), UnramifiedCharacter((3, 5)), HeckeParams(2, 2, 1))\n"
+        "    spherical_value((0,), (3, 5), HeckeParams(2, 2, 1))\n"
         "except InputError as err:\n"
         "    print(err)\n"
     )

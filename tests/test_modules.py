@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -17,7 +18,7 @@ from phinlab.errors import (
     SingularFrobenius,
     Undecided,
 )
-from phinlab.linalg import Matrix, Subspace, _echelon, rational_eigenvalues
+from phinlab.linalg import Matrix, Subspace, _echelon, det, rational_eigenvalues
 from phinlab.modules import (
     FieldDescriptor,
     Flag,
@@ -27,6 +28,7 @@ from phinlab.modules import (
     is_weakly_admissible,
     newton_number,
 )
+from phinlab.scalars import padic_val
 from test_linalg import kernel_basis_reference
 from tests_helpers import matrix_power, random_unimodular
 
@@ -149,6 +151,30 @@ def test_newton_number_scaling():
     field = FieldDescriptor(p=2, f=2, degree_factor=2)
     d = build_module(field, 1, [[4]], [[0]], {"k0": (Matrix.identity(1), [0])})
     assert newton_number(d) == Fraction(1, 2)
+
+
+def test_newton_number_matches_the_valuation_of_the_determinant():
+    # t_N = e * v_p(det phi) / (degree_factor * f), with det phi from the
+    # elimination; phi has entries of negative valuation, and det phi of
+    # either sign, so the characteristic polynomial's constant term
+    # +-det phi is read with both signs
+    rng = random.Random(53)
+    signs, low = set(), set()
+    for n, e, f, degree_factor in itertools.product(range(1, 7), (1, 2), (1, 2), (1, 2)):
+        p = rng.choice([2, 3])
+        field = FieldDescriptor(p=p, e=e, f=f, degree_factor=degree_factor)
+        while True:
+            phi = Matrix([[Fraction(rng.randint(-9, 9), p ** rng.randint(0, 2)) for _ in range(n)]
+                          for _ in range(n)])
+            phi_det = det(phi)
+            if phi_det != 0:
+                break
+        d = build_module(field, n, phi, Matrix.zeros(n, n), {"k0": (Matrix.identity(n), [0] * n)})
+        want = Fraction(e * padic_val(phi_det, p), degree_factor * f)
+        assert newton_number(d) == want
+        signs.add((phi_det > 0) == (n % 2 == 0))
+        low.add(padic_val(phi_det, p) < 0)
+    assert signs == {True, False} and low == {True, False}
 
 
 def test_hodge_number_pinned():
@@ -360,7 +386,6 @@ def random_semistable_two_label(rng):
     The jumps usually sum to t_N, so the subspace loop runs and either
     verdict can come out; sometimes they do not, to exercise the early exit.
     """
-    from phinlab.scalars import padic_val
     from tests_helpers import random_unimodular
 
     p = rng.choice([2, 3])
@@ -441,7 +466,6 @@ def random_oracle_module(rng):
     order, which makes eigenlines carry large jumps and several subspaces
     of one dimension violate at once.
     """
-    from phinlab.scalars import padic_val
     from tests_helpers import random_unimodular
 
     p = rng.choice([2, 3])
@@ -803,8 +827,6 @@ def check_phi_n_reference(phi, monodromy, p, k):
     """The order of checks the shortcuts in check_phi_n must keep: phi's
     determinant, then N^n = 0 by repeated products, then the relation at
     the scale p^k entry by entry, all over the rationals."""
-    from phinlab.linalg import det
-
     n = phi.nrows
     if det(phi) == 0:
         raise SingularFrobenius("phi is singular")

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from phinlab.errors import BadFlag, InputError, SchemaError
-from phinlab.hecke import HeckeParams
+from phinlab.hecke import HeckeParams, theta_closed
 from phinlab.linalg import Matrix, Partition, Subspace, jordan_nilpotent
 from phinlab.modules import FieldDescriptor, build_module
 from phinlab.partitions import PartitionFunction, strata_thresholds
@@ -24,7 +24,6 @@ from phinlab.scalars import TwistedScalar, as_rational, is_int, is_prime, padic_
 from phinlab.schema import _as_int
 from phinlab.weil_deligne import (
     Segment,
-    UnramifiedCharacter,
     match_chains,
     prime_power_base,
 )
@@ -70,7 +69,7 @@ RATIONAL_SLOTS = {
     "Matrix entry": lambda v: Matrix([[v]]),
     "Subspace entry": lambda v: Subspace(1, [[v]]),
     "Segment chi": lambda v: Segment(v, 1),
-    "UnramifiedCharacter value": lambda v: UnramifiedCharacter([v]),
+    "theta_closed psi value": lambda v: theta_closed([v], HeckeParams(1, 2, 1)),
     "match_chains value": lambda v: match_chains([v], [1], 2, 2),
 }
 

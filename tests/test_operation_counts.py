@@ -3,7 +3,7 @@
 Each test counts the integer matrix products (``linalg._int_matmul``),
 the integer echelon forms (``linalg._echelon``), the characteristic
 polynomials (``linalg._newton_char_poly``), the determinants
-(``linalg._bareiss``) or the Hecke-side expansions (``hecke._expansion``)
+(``linalg.det``) or the Hecke-side expansions (``hecke._expansion``)
 one call makes. A count does not depend on the
 machine or its load, so these guard the cost of the report path where a
 timing could not.
@@ -21,7 +21,6 @@ from phinlab.cli import main
 from phinlab.linalg import (
     Matrix,
     char_poly,
-    det,
     exterior_traces,
     jordan_nilpotent,
     jordan_partition,
@@ -155,34 +154,25 @@ def test_equal_but_distinct_matrices_each_form_their_own_polynomial(poly_calls):
     assert poly_calls == [a, b] and poly_calls[1] is b
 
 
-@pytest.fixture
-def bareiss_calls(monkeypatch):
-    """One entry per determinant formed: the matrix of each Bareiss run."""
-    calls = []
-    original = linalg._bareiss
-
-    def counted(m):
-        calls.append(m)
-        return original(m)
-
-    monkeypatch.setattr(linalg, "_bareiss", counted)
-    return calls
-
-
 @pytest.mark.parametrize("command", ["check-admissible", "beta"])
-def test_a_report_call_forms_the_determinant_of_phi_once(command, bareiss_calls, tmp_path, capsys):
+def test_a_report_call_forms_the_determinant_of_phi_once(command, poly_calls, monkeypatch,
+                                                         tmp_path, capsys):
+    det_calls = count_calls(monkeypatch, "det", lambda m: m)
     path = tmp_path / "module.json"
     path.write_text(json.dumps(GENERIC))
     assert main([command, str(path), "--format", "json"]) == 0
     capsys.readouterr()
     phi = Matrix([[Fraction(x) for x in row] for row in GENERIC["phi"]])
-    # check_phi_n forms it, and newton_number reads it from the slot of phi
-    assert [m for m in bareiss_calls if m == phi] == [phi]
+    # check_phi_n eliminates phi once; t_N reads the constant term of the
+    # one polynomial that the spectrum or the exterior traces need anyway
+    assert [m for m in det_calls if m == phi] == [phi]
+    assert poly_calls == [phi]
 
 
-def test_equal_but_distinct_matrices_each_form_their_own_determinant(bareiss_calls):
+def test_equal_but_distinct_matrices_each_form_their_own_determinant(monkeypatch):
+    calls = count_calls(monkeypatch, "det", lambda m: m)
     rows = [[(3 * i + 5 * j) % 7 - 3 for j in range(5)] for i in range(5)]
     a, b = Matrix(rows), Matrix(rows)
     assert a == b and a is not b
-    assert det(a) == det(a) == det(b)
-    assert bareiss_calls == [a, b] and bareiss_calls[1] is b
+    assert linalg.det(a) == linalg.det(b)
+    assert calls == [a, b] and calls[1] is b

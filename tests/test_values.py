@@ -18,7 +18,7 @@ from phinlab.modules import (
 )
 from phinlab.partitions import LabelMap, Partition, PartitionFunction
 from phinlab.scalars import Frozen, QExtScalar, Rational, TwistedScalar
-from phinlab.weil_deligne import Segment, UnramifiedCharacter, WeilDeligneRep
+from phinlab.weil_deligne import Segment, WeilDeligneRep
 from tests_helpers import child_env
 
 
@@ -53,8 +53,6 @@ CASES = {
                             "AdmissibilityReport(admissible=True, t_h=1, t_n=1, witness=None, "
                             "subspaces_checked=3, mode='enumerated')"),
     "Segment": (lambda: Segment(2, 3), "length", f"Segment(chi={TWO_R}, length=3)"),
-    "UnramifiedCharacter": (lambda: UnramifiedCharacter((1, 2)), "values",
-                            f"UnramifiedCharacter(values=({ONE_R}, {TWO_R}))"),
     "HeckeParams": (lambda: HeckeParams(3, 2, 1), "r", "HeckeParams(n=3, q=2, r=1)"),
     "CosetClass": (lambda: CosetClass((1, 2), 4), "count", "CosetClass(S=(1, 2), count=4)"),
     "Witness": (lambda: Witness(Subspace(2, [(1, 0)]), 1, 0), "t_h",

@@ -173,17 +173,6 @@ MUTANTS = (
            "        poly = shared[m.ints, m.den] = _newton_char_poly(m), m.den\n",
            ("tests/test_operation_counts.py::"
             "test_equal_but_distinct_matrices_each_form_their_own_polynomial",)),
-    Mutant("det-shared-by-value", "linalg.py",
-           '    value = getattr(m, "_det", None)\n'
-           "    if value is None:\n"
-           "        value = _bareiss(m)\n"
-           '        object.__setattr__(m, "_det", value)\n',
-           "    shared = det.__dict__\n"
-           "    value = shared.get((m.ints, m.den))\n"
-           "    if value is None:\n"
-           "        value = shared[m.ints, m.den] = _bareiss(m)\n",
-           ("tests/test_operation_counts.py::"
-            "test_equal_but_distinct_matrices_each_form_their_own_determinant",)),
     # a snapshot after every column: the level of a tied jump is also
     # listed before the group's last column joins it
     Mutant("level-snapshot-inside-a-tie", "modules.py",
@@ -194,6 +183,22 @@ MUTANTS = (
            "for i, fil in label_levels:",
            "for i, fil in label_levels[:-1]:",
            ("tests/test_modules.py::test_hodge_scan_matches_the_full_level_scan",)),
+    # psi's one check site without its zero test: a zero entry goes on
+    # into the expansion and the class sums
+    Mutant("psi-zero-unchecked", "hecke.py",
+           "    if 0 in psi:\n"
+           '        raise InputError(f"psi entry {psi.index(0) + 1} is 0; character values must be nonzero")\n',
+           "",
+           ("tests/test_hecke_integer_routes.py::test_a_zero_psi_entry_is_an_input_error",
+            "tests/test_hecke.py::test_theta_tilde_checks_psi",
+            "tests/test_hecke.py::test_spherical_value_refuses_a_zero_psi_entry",
+            "tests/test_schema_cli.py::test_cli_hecke_zero_psi_entry_exits_2_without_a_traceback")),
+    # t_N from the x^(n-1) coefficient, -tr(phi), which is the constant
+    # term only at n = 1
+    Mutant("newton-from-the-trace", "modules.py",
+           "char_poly(d.phi)[0]",
+           "char_poly(d.phi)[-2]",
+           ("tests/test_modules.py::test_newton_number_matches_the_valuation_of_the_determinant",)),
     Mutant("matrix-json-without-gcd", "schema.py",
            "gcds = [math.gcd(x, den) for x in row]",
            "gcds = [1 for x in row]",
