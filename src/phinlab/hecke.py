@@ -155,6 +155,7 @@ def theta_tilde(psi, xi, field):
     integer weights and t_r as in ``_twisted``. The factor q^{r(r-1)/2}
     cancels the one theta_closed divides by, so the coefficient is
     e_r(psi) itself and q never enters."""
+    psi = tuple(psi)
     n = len(psi)
     if set(xi) != set(field.embeddings):
         raise InputError(

@@ -32,9 +32,9 @@ from .linalg import (
     Subspace,
     _echelon,
     _eigenvectors,
+    _int_char_poly,
     _int_matmul,
     _primitive_row,
-    char_poly,
     det,
     jordan_partition,
     rational_eigenvalues,
@@ -200,7 +200,8 @@ def newton_number(d, sub=None):
     """t_N: scaled valuation of det(phi) on the module or a stable subspace."""
     if sub is None:
         # the constant term is +-det(phi), and a sign has no valuation
-        return _newton(d, char_poly(d.phi)[0])
+        c, den = _int_char_poly(d.phi)
+        return _newton(d, Rational(c[-1], den ** d.n))
     restricted = _restrict_or_reject(d, sub)
     if restricted is None:
         return Rational(0)

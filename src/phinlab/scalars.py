@@ -33,7 +33,6 @@ Rational = Fraction
 BACKEND = "fraction"
 
 ZERO = Rational(0)
-ONE = Rational(1)
 
 
 class Frozen:

@@ -8,18 +8,26 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golden.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+RECORD = json.loads(golden.RECORD.read_text(encoding="utf-8"))
+
+
+def test_the_record_covers_the_corpus():
+    assert sorted(key for key in RECORD if " tests/" in key) == sorted(map(" ".join, golden.edge_argvs()))
+
+
+@pytest.mark.parametrize("argv", golden.edge_argvs(),
+                         ids=lambda argv: f"{pathlib.Path(argv[1]).stem}-{argv[0]}-{argv[3]}")
+def test_edge_module_bytes(argv):
+    assert golden.edge_outcome(argv) == RECORD[" ".join(argv)]
 
 
 @pytest.mark.skipif(sys.version_info[:3] != (3, 11, 7),
                     reason="argparse's help layout changes between versions; "
                            "the record was made on Python 3.11.7")
 def test_every_output_matches_the_record(monkeypatch):
-    # golden.py puts src/ and perfbench/ first on sys.path when loaded
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golden.py")
-    golden = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(golden)
     # argparse lays help out for the terminal's width
     monkeypatch.setenv("COLUMNS", "80")
-    record = json.loads(golden.RECORD.read_text(encoding="utf-8"))
-    assert golden.changed(record, golden.digests()) == []
+    assert golden.changed(RECORD, golden.snapshot()) == []

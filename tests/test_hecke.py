@@ -176,6 +176,17 @@ def test_theta_tilde_twist_window():
     assert t4.rational() == 1
 
 
+def test_theta_tilde_reads_psi_from_any_iterable():
+    # psi may be any iterable, as for theta_closed: it is read once, before
+    # n is taken from it
+    field = FieldDescriptor(p=2)
+    want = theta_tilde((2, 1), {"k0": (0, 1)}, field)
+    assert theta_tilde((v for v in (2, 1)), {"k0": (0, 1)}, field) == want
+    with pytest.raises(InputError) as exc:
+        theta_tilde((v for v in (2, 0)), {"k0": (0, 1)}, field)
+    assert str(exc.value) == "psi entry 2 is 0; character values must be nonzero"
+
+
 def test_theta_tilde_ramified_stays_symbolic():
     field = FieldDescriptor(p=2, e=2)
     psi = (2, 1)

@@ -1,6 +1,7 @@
 """The package's modules form layers: every import sits at module level, the
 relative imports between modules (``__init__`` aside) have no cycle, and
-every name a module exports is used in the package."""
+every name a module exports or assigns at module level is used in the
+package."""
 
 import ast
 import graphlib
@@ -71,3 +72,28 @@ def test_every_linalg_export_is_used_in_the_package():
                     for name in ast.literal_eval(stmt.value)}
     assert "kernel_dim" in exports and "consistency_check" in exports
     assert exports - used - UNCALLED_EXPORTS == set()
+
+
+# module-level names that the package never reads, each for a reason
+UNREAD_NAMES = {
+    # the benchmark harness records it
+    "DEFAULT_MAX_N",
+    # the bound below which _SMALL_PRIMES is written out; its test reads it
+    "_SIMPLE_ROOT_BOUND",
+}
+
+
+def test_every_module_level_name_is_read_in_the_package():
+    trees = module_trees()
+    assigned = {target.id for tree in trees.values() for stmt in tree.body
+                if isinstance(stmt, ast.Assign) for target in stmt.targets
+                if isinstance(target, ast.Name)} - {"__all__"}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert "WORK_BUDGET" in assigned and "ZERO" in assigned
+    assert assigned - read - UNCALLED_EXPORTS - UNREAD_NAMES == set()

@@ -1,15 +1,22 @@
-"""Byte record of the CLI over the benchmark's pool argvs and every --help text.
+"""Byte record of the CLI over the edge modules, the benchmark's pool argvs and every --help text.
 
-The argv list is fixed: the pool argvs of the four benchmark workloads at
-seeds 0, 1 and 7, generated by ``perfbench``'s own generator, each in the
-json and the text format, and ``--help`` for the CLI and for each
-subcommand. Every argv runs through ``phinlab.cli.main`` in process, and
-its exit code, stdout and stderr are kept as one SHA-256 digest per argv
-in ``tools/golden.json``. The pool fixtures are written to a temporary
-directory, which argvs and outputs name as ``POOL``, so the record does
-not depend on where it was made.
+The argv list is fixed. The edge argvs run the six file commands on each
+module under ``tests/edge_modules/`` in both formats; each module sits at
+one edge of the input shape (embedding labels out of order, e = 2,
+f != f0 with and without a monodromy, f0 = 2, an irrational spectrum,
+int and mixed int/string matrices, a bool, a float, bool jumps). The pool
+argvs are those of the four benchmark workloads at seeds 0, 1 and 7,
+generated by ``perfbench``'s own generator, each in both formats; then
+``--help`` for the CLI and for each subcommand. Every argv runs through
+``phinlab.cli.main`` in process. ``tools/golden.json`` keeps, per argv,
+the exit code, stdout and stderr in full for an edge argv, so a declared
+report change shows every changed edge byte in the record's diff, and as
+one SHA-256 digest for any other. An edge argv names its module by its
+path in the checkout and runs with that path made absolute. The pool
+fixtures are written to a temporary directory, which argvs and outputs
+name as ``POOL``, so the record does not depend on where it was made.
 
-    python3 tools/golden.py --record   # write tools/golden.json
+    python3 tools/golden.py --record   # write tools/golden.json, the one re-record command
     python3 tools/golden.py --check    # exit 1 when an output differs from the record
     python3 tools/golden.py --diff     # the same, naming every argv that differs
 
@@ -31,6 +38,7 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RECORD = ROOT / "tools" / "golden.json"
+EDGE_MODULES = ROOT / "tests" / "edge_modules"
 WORKLOADS = ("report-rank", "report-height", "hecke-routes", "cli-cold")
 SEEDS = (0, 1, 7)
 FORMATS = ("json", "text")
@@ -42,8 +50,15 @@ import pb_work  # noqa: E402
 from phinlab import cli  # noqa: E402
 
 
+def edge_argvs():
+    """Each file command on each edge module in both formats, the module named by its path in the checkout."""
+    return [[command, path.relative_to(ROOT).as_posix(), "--format", fmt]
+            for path in sorted(EDGE_MODULES.glob("*.json")) for command in cli._FILE_COMMANDS
+            for fmt in FORMATS]
+
+
 def argvs(workdir):
-    """Every argv of the record, in a fixed order; pool fixtures go under workdir."""
+    """Every other argv of the record, in a fixed order; pool fixtures go under workdir."""
     out = [["--help"]] + [[name, "--help"] for name in (*cli._FILE_COMMANDS, *cli._FLAG_COMMANDS)]
     for workload in WORKLOADS:
         for seed in SEEDS:
@@ -68,18 +83,23 @@ def outcome(argv):
     return [code, out.getvalue(), err.getvalue()]
 
 
-def digests():
-    """{argv text: digest of its outcome}, with the fixture directory named POOL."""
+def edge_outcome(argv):
+    """The outcome of an edge argv, run with its module path made absolute."""
+    return outcome([argv[0], str(ROOT / argv[1]), *argv[2:]])
+
+
+def snapshot():
+    """{argv text: its outcome for an edge argv, else the digest of its outcome}."""
+    now = {" ".join(argv): edge_outcome(argv) for argv in edge_argvs()}
     with tempfile.TemporaryDirectory() as workdir:
-        record = {}
         for argv in argvs(workdir):
             text = json.dumps(outcome(argv)).replace(json.dumps(workdir)[1:-1], POOL)
-            record[" ".join(argv).replace(workdir, POOL)] = hashlib.sha256(text.encode()).hexdigest()
-    return record
+            now[" ".join(argv).replace(workdir, POOL)] = hashlib.sha256(text.encode()).hexdigest()
+    return now
 
 
 def changed(record, now):
-    """The argvs whose digest differs, or that only one side has, sorted."""
+    """The argvs whose value differs, or that only one side has, sorted."""
     return sorted(key for key in record.keys() | now.keys() if record.get(key) != now.get(key))
 
 
@@ -92,7 +112,7 @@ def main(argv):
     args = parser.parse_args(argv)
     # argparse lays help out for the terminal's width
     os.environ["COLUMNS"] = "80"
-    now = digests()
+    now = snapshot()
     if args.record:
         RECORD.write_text(json.dumps(now, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"recorded {len(now)} argvs")

@@ -2,9 +2,11 @@
 
 A mutant is a file under ``src/phinlab``, an exact snippet of it that
 occurs once, the snippet's replacement, and the ids of the tests expected
-to kill it. The runner copies ``src/``, ``tests/`` and ``pyproject.toml``
-to a temporary directory, checks that the named tests pass there, then for
-each mutant applies it to the copy alone and runs its tests with pytest.
+to kill it. The runner copies ``src/``, ``tests/``, ``tools/``,
+``perfbench/`` and ``pyproject.toml`` to a temporary directory (the byte
+tests load ``tools/golden.py``, which imports ``perfbench``; only the copy
+of ``src/`` is ever edited), checks that the named tests pass there, then
+for each mutant applies it to the copy alone and runs its tests with pytest.
 The mutant is killed when every named test fails (a parametrized test
 fails when one of its cases does), or when the run exceeds its time limit;
 a named test that passes is reported, so a refactor that loses a killing
@@ -193,12 +195,12 @@ MUTANTS = (
             "tests/test_hecke.py::test_theta_tilde_checks_psi",
             "tests/test_hecke.py::test_spherical_value_refuses_a_zero_psi_entry",
             "tests/test_schema_cli.py::test_cli_hecke_zero_psi_entry_exits_2_without_a_traceback")),
-    # t_N from the x^(n-1) coefficient, -tr(phi), which is the constant
-    # term only at n = 1
+    # t_N from the coefficient of x, not from the constant term +-det(phi)
     Mutant("newton-from-the-trace", "modules.py",
-           "char_poly(d.phi)[0]",
-           "char_poly(d.phi)[-2]",
-           ("tests/test_modules.py::test_newton_number_matches_the_valuation_of_the_determinant",)),
+           "Rational(c[-1], den ** d.n)",
+           "Rational(c[-2], den ** d.n)",
+           ("tests/test_modules.py::test_newton_number_matches_the_valuation_of_the_determinant",
+            "tests/test_golden.py::test_edge_module_bytes")),
     Mutant("matrix-json-without-gcd", "schema.py",
            "gcds = [math.gcd(x, den) for x in row]",
            "gcds = [1 for x in row]",
@@ -238,7 +240,7 @@ def main(names):
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         work = pathlib.Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "tools", "perfbench"):
             shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", work)
         broken = failing_tests(work, sorted({t for m in mutants for t in m.tests}))
