@@ -14,16 +14,6 @@ _spec.loader.exec_module(golden)
 RECORD = json.loads(golden.RECORD.read_text(encoding="utf-8"))
 
 
-def test_the_record_covers_the_corpus():
-    assert sorted(key for key in RECORD if " tests/" in key) == sorted(map(" ".join, golden.edge_argvs()))
-
-
-@pytest.mark.parametrize("argv", golden.edge_argvs(),
-                         ids=lambda argv: f"{pathlib.Path(argv[1]).stem}-{argv[0]}-{argv[3]}")
-def test_edge_module_bytes(argv):
-    assert golden.edge_outcome(argv) == RECORD[" ".join(argv)]
-
-
 @pytest.mark.skipif(sys.version_info[:3] != (3, 11, 7),
                     reason="argparse's help layout changes between versions; "
                            "the record was made on Python 3.11.7")

@@ -200,7 +200,7 @@ MUTANTS = (
            "Rational(c[-1], den ** d.n)",
            "Rational(c[-2], den ** d.n)",
            ("tests/test_modules.py::test_newton_number_matches_the_valuation_of_the_determinant",
-            "tests/test_golden.py::test_edge_module_bytes")),
+            "tests/test_edge_modules.py::test_edge_module_bytes")),
     Mutant("matrix-json-without-gcd", "schema.py",
            "gcds = [math.gcd(x, den) for x in row]",
            "gcds = [1 for x in row]",
