@@ -426,9 +426,8 @@ def _reconstruct(u, modulus, num_bound):
     return r1, t1
 
 
-# the primes below the bound are tried on f itself before its squarefree part
-# is formed; they are written out, so that no primality test runs at import
-_SIMPLE_ROOT_BOUND = 128
+# the primes below 128 are tried on f itself before its squarefree part is
+# formed; they are written out, so that no primality test runs at import
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73,
                  79, 83, 89, 97, 101, 103, 107, 109, 113, 127)
 
@@ -442,8 +441,8 @@ def _rational_roots(f):
     ell are lifted to ell-adic precision beyond 2*|h(0)|*lead(h), and each
     is reconstructed as a fraction whose numerator divides h(0) and whose
     denominator divides lead(h). A repeated rational root stays repeated
-    modulo every prime not dividing lead(f), so when some prime below
-    ``_SIMPLE_ROOT_BOUND`` has only simple roots of f, every rational root
+    modulo every prime not dividing lead(f), so when some prime of
+    ``_SMALL_PRIMES`` has only simple roots of f, every rational root
     of f is simple and h is f itself; otherwise h is the squarefree part
     f / gcd(f, f'). The cost is polynomial in the degree and in the bit
     size of the coefficients.

@@ -259,16 +259,20 @@ def hodge_number(d, sub=None):
     return _hodge(sub, _filtration_levels(d))
 
 
-def _eigen_frame(d):
+def _members(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+class _Frame(Frozen):
     """Eigen-coordinates of a split multiplicity-free spectrum, on integers.
 
-    Returns (valuations, eigvecs, flags, closed): the p-adic valuation of
-    each rational eigenvalue, ascending by value; the eigenvector of each,
-    a primitive integer column of the basis B; per embedding, the flag in
+    ``valuations`` holds the p-adic valuation of each rational eigenvalue,
+    ascending by value; ``eigvecs`` the eigenvector of each, a primitive
+    integer column of the basis B; ``flags``, per embedding, the flag in
     eigen-coordinates B^-1 * flag as primitive integer rows, columns by
-    descending jump, with those jumps; and every N-closed index set as an
-    integer bitmask (bit i is eigvecs[i]). The spans of the closed sets are
-    exactly the phi- and N-stable subspaces.
+    descending jump, with those jumps; ``closed`` every N-closed set as an
+    integer bitmask (bit i is eigvecs[i]). Their spans W_S are exactly the
+    phi- and N-stable subspaces; ``t_h`` and ``t_n`` give t_H and t_N there.
 
     With phi = F/d, the eigenvector of a/b spans the kernel of b*F - a*d*I;
     ``_eigenvectors`` finds all of them from one Krylov sequence of F.
@@ -281,47 +285,62 @@ def _eigen_frame(d):
     l + 1 closed subsets. The product of those counts, times n for the work
     per set, goes through the work budget before any set is listed.
     """
-    roots = rational_eigenvalues(d.phi).split_roots()
-    if any(mult > 1 for _, mult in roots):
-        listed = ", ".join(f"{format_rational(v)} (multiplicity {mult})" for v, mult in roots)
-        raise RepeatedEigenvalues(f"phi spectrum has repeated roots: {listed}")
-    n = d.n
-    den = d.phi.den
-    eigvecs = _eigenvectors(d.phi.ints, [(value.numerator * den, value.denominator)
-                                         for value, _ in roots])
-    basis = [list(row) for row in zip(*eigvecs)]
-    moved = _int_matmul(d.monodromy.ints, basis)
-    entries = [d.filtration[label] for label in d.field.embeddings]
-    stack = [basis[i] + moved[i] + [x for entry in entries for x in entry.basis.ints[i]]
-             for i in range(n)]
-    _echelon(stack)
-    image = [sum(1 << j for j in range(n) if stack[j][n + i]) for i in range(n)]
-    # the images are distinct single bits; a chain starts at an index no
-    # image holds and follows image down to an index N kills
-    targets = sum(image)
-    units = n
-    for head in range(n):
-        if not targets >> head & 1:
-            length, i = 1, head
-            while image[i]:
-                length, i = length + 1, image[i].bit_length() - 1
-            units *= length + 1
-    check_work_units(units, "stable-subspace enumeration")
-    # flag k (from 0) fills columns (k + 2)n to (k + 3)n of the stack
-    flags = [([_primitive_row(row[(k + 2) * n:(k + 3) * n])[::-1] for row in stack],
-              entry.jumps[::-1]) for k, entry in enumerate(entries)]
-    valuations = [padic_val(value, d.field.p) for value, _ in roots]
-    # N maps the eigenline of a value v into that of v / p^f, of smaller
-    # valuation, so in ascending valuation every index follows its image:
-    # adding index i to a closed set s keeps it closed when s holds the image
-    closed = [0]
-    for i in sorted(range(n), key=valuations.__getitem__):
-        closed += [s | 1 << i for s in closed if not image[i] & ~s]
-    return valuations, eigvecs, flags, closed
 
+    __slots__ = ("valuations", "eigvecs", "flags", "closed")
 
-def _members(mask):
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    def __init__(self, d):
+        roots = rational_eigenvalues(d.phi).split_roots()
+        if any(mult > 1 for _, mult in roots):
+            listed = ", ".join(f"{format_rational(v)} (multiplicity {mult})" for v, mult in roots)
+            raise RepeatedEigenvalues(f"phi spectrum has repeated roots: {listed}")
+        n = d.n
+        den = d.phi.den
+        eigvecs = _eigenvectors(d.phi.ints, [(value.numerator * den, value.denominator)
+                                             for value, _ in roots])
+        basis = [list(row) for row in zip(*eigvecs)]
+        moved = _int_matmul(d.monodromy.ints, basis)
+        entries = [d.filtration[label] for label in d.field.embeddings]
+        stack = [basis[i] + moved[i] + [x for entry in entries for x in entry.basis.ints[i]]
+                 for i in range(n)]
+        _echelon(stack)
+        image = [sum(1 << j for j in range(n) if stack[j][n + i]) for i in range(n)]
+        # the images are distinct single bits; a chain starts at an index no
+        # image holds and follows image down to an index N kills
+        targets = sum(image)
+        units = n
+        for head in range(n):
+            if not targets >> head & 1:
+                length, i = 1, head
+                while image[i]:
+                    length, i = length + 1, image[i].bit_length() - 1
+                units *= length + 1
+        check_work_units(units, "stable-subspace enumeration")
+        # flag k (from 0) fills columns (k + 2)n to (k + 3)n of the stack
+        flags = [([_primitive_row(row[(k + 2) * n:(k + 3) * n])[::-1] for row in stack],
+                  entry.jumps[::-1]) for k, entry in enumerate(entries)]
+        valuations = [padic_val(value, d.field.p) for value, _ in roots]
+        # N maps the eigenline of a value v into that of v / p^f, of smaller
+        # valuation, so in ascending valuation every index follows its image:
+        # adding index i to a closed set s keeps it closed when s holds the image
+        closed = [0]
+        for i in sorted(range(n), key=valuations.__getitem__):
+            closed += [s | 1 << i for s in closed if not image[i] & ~s]
+        Frozen.__init__(self, valuations, eigvecs, flags, closed)
+
+    def t_h(self, mask):
+        """t_H(W_S), S the closed set of ``mask``. Each flag's columns run by
+        descending jump, so Fil^i is the first m_i = #{jumps >= i} of them, and
+        dim(W_S cap Fil^i) = m_i - #{pivots < m_i} in one echelon form of the
+        rows outside S: t_H(W_S) is the total of the jumps less the jumps of
+        the pivot columns."""
+        outside = [r for r in range(len(self.eigvecs)) if not mask >> r & 1]
+        # _echelon rebinds the slots of the list it gets, never a row itself
+        return sum(sum(jumps) - sum(jumps[c] for c in _echelon([rows[r] for r in outside]))
+                   for rows, jumps in self.flags)
+
+    def t_n(self, mask):
+        """The valuation sum v of S: t_N(W_S) = e * v / (degree_factor * f)."""
+        return sum(self.valuations[i] for i in _members(mask))
 
 
 def enumerate_stable_subspaces(d, dim=None, *, frame=None):
@@ -331,13 +350,13 @@ def enumerate_stable_subspaces(d, dim=None, *, frame=None):
     under the monodromy; the zero space and the full space are included,
     in ``Subspace.sort_key`` order. With ``dim`` only the stable subspaces
     of that dimension are built. ``frame`` is internal: the verdict passes
-    the ``_eigen_frame(d)`` it already has. Raises RepeatedEigenvalues or
+    the ``_Frame(d)`` it already has. Raises RepeatedEigenvalues or
     NotFullyRational when the spectrum is not split multiplicity-free; use
     certificate mode in that situation.
     """
-    _, eigvecs, _, closed = frame or _eigen_frame(d)
-    masks = closed if dim is None else [m for m in closed if m.bit_count() == dim]
-    out = [Subspace._from_int_rows(d.n, [eigvecs[i] for i in _members(mask)]) for mask in masks]
+    frame = frame or _Frame(d)
+    masks = frame.closed if dim is None else [m for m in frame.closed if m.bit_count() == dim]
+    out = [Subspace._from_int_rows(d.n, [frame.eigvecs[i] for i in _members(m)]) for m in masks]
     # the order of Subspace.sort_key, compared on integers: every basis row
     # r / p (r a stored row, p its pivot) scaled by one common multiple of
     # all the pivots; bases of one dimension have equal shapes, so their
@@ -379,8 +398,8 @@ def is_weakly_admissible(d, candidates=None):
     if candidates is None:
         mode = "enumerated"
         try:
-            frame = _eigen_frame(d)
-            checked = len(frame[-1])
+            frame = _Frame(d)
+            checked = len(frame.closed)
         except Undecided:
             if t_h == t_n:
                 raise
@@ -397,7 +416,7 @@ def is_weakly_admissible(d, candidates=None):
     if t_h != t_n:
         witness = Witness(Subspace.full(d.n), t_h, t_n)
     elif candidates is None:
-        witness = _enumerated_witness(d, t_h, frame)
+        witness = _enumerated_witness(d, frame)
     else:
         witness = _candidate_witness(d, subs)
     return AdmissibilityReport(witness is None, t_h, t_n, witness, checked, mode)
@@ -416,36 +435,23 @@ def _candidate_witness(d, subs):
     return None
 
 
-def _smallest_violating_size(d, t_h, valuations, flags, closed):
+def _smallest_violating_size(d, frame):
     """The smallest |S| of an N-closed set S with t_H(W_S) > t_N(W_S), or None.
 
-    t_N(W_S) is the scaled sum of the valuations of the eigenvalues in S.
-    For t_H, ``flags`` holds each flag in eigen-coordinates with the
-    columns ordered by descending jump, so Fil^i is the first
-    m_i = #{jumps >= i} columns. Projecting away the coordinates
-    in S, dim(W_S cap Fil^i) = m_i - rank of those columns, and in one
-    echelon form of the rows outside S that rank is #{pivots < m_i}. So
-    the jumps W_S meets are those of the non-pivot columns, and t_H(W_S)
-    is the total of the jumps less the jumps of the pivot columns.
-    t_N(W_S) = e * v / (degree_factor * f) for the valuation sum v, so the
-    two compare on integers.
+    t_N(W_S) = e * t_n / (degree_factor * f), so the two compare on integers.
     """
     field = d.field
     scale = field.degree_factor * field.f
-    for mask in sorted(closed, key=int.bit_count):
+    for mask in sorted(frame.closed, key=int.bit_count):
         size = mask.bit_count()
         if size in (0, d.n):
             continue
-        outside = [r for r in range(d.n) if not mask >> r & 1]
-        # _echelon rebinds the slots of the list it gets, never a row itself
-        sub_h = t_h - sum(jumps[c] for rows, jumps in flags
-                          for c in _echelon([rows[r] for r in outside]))
-        if sub_h * scale > field.e * sum(valuations[i] for i in _members(mask)):
+        if frame.t_h(mask) * scale > field.e * frame.t_n(mask):
             return size
     return None
 
 
-def _enumerated_witness(d, t_h, frame):
+def _enumerated_witness(d, frame):
     """The first stable subspace with t_H > t_N in sort-key order, or None.
 
     The eigen-coordinate pass decides every N-closed set and gives the
@@ -457,8 +463,7 @@ def _enumerated_witness(d, t_h, frame):
     misses below k, or one of dimension 2 or more in a module it calls
     admissible, is not caught.
     """
-    valuations, _, flags, closed = frame
-    size = _smallest_violating_size(d, t_h, valuations, flags, closed)
+    size = _smallest_violating_size(d, frame)
     dim = size or 1
     witness = _candidate_witness(d, enumerate_stable_subspaces(d, dim, frame=frame))
     if (witness is None) != (size is None):

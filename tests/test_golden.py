@@ -20,4 +20,7 @@ RECORD = json.loads(golden.RECORD.read_text(encoding="utf-8"))
 def test_every_output_matches_the_record(monkeypatch):
     # argparse lays help out for the terminal's width
     monkeypatch.setenv("COLUMNS", "80")
-    assert golden.changed(RECORD, golden.snapshot()) == []
+    # the edge argvs are compared byte for byte in tests/test_edge_modules.py
+    edges = set(map(" ".join, golden.edge_argvs()))
+    digests = {key: value for key, value in RECORD.items() if key not in edges}
+    assert golden.changed(digests, golden.digest_snapshot()) == []

@@ -78,8 +78,6 @@ def test_every_linalg_export_is_used_in_the_package():
 UNREAD_NAMES = {
     # the benchmark harness records it
     "DEFAULT_MAX_N",
-    # the bound below which _SMALL_PRIMES is written out; its test reads it
-    "_SIMPLE_ROOT_BOUND",
 }
 
 

@@ -969,8 +969,8 @@ def test_rational_eigenvalues_try_f_itself_before_its_squarefree_part(gcd_calls)
     split = rational_eigenvalues(Matrix.diagonal([1, 2, -3, Fraction(1, 2)]))
     assert split.roots == ((-3, 1), (Fraction(1, 2), 1), (1, 1), (2, 1))
     assert gcd_calls == []
-    # squarefree, but 1 and 1 + M meet modulo every prime below the bound
-    big = math.prod(q for q in range(2, linalg._SIMPLE_ROOT_BOUND)
+    # squarefree, but 1 and 1 + M meet modulo every prime of the table
+    big = math.prod(q for q in range(2, linalg._SMALL_PRIMES[-1] + 1)
                     if all(q % r for r in range(2, math.isqrt(q) + 1)))
     split = rational_eigenvalues(Matrix.diagonal([1, 1 + big, 5]))
     assert split.roots == ((1, 1), (5, 1), (1 + big, 1)) and split.residual is None
@@ -978,7 +978,7 @@ def test_rational_eigenvalues_try_f_itself_before_its_squarefree_part(gcd_calls)
 
 
 def test_the_small_prime_table_holds_every_prime_below_the_bound():
-    assert linalg._SMALL_PRIMES == tuple(q for q in range(2, linalg._SIMPLE_ROOT_BOUND)
+    assert linalg._SMALL_PRIMES == tuple(q for q in range(2, linalg._SMALL_PRIMES[-1] + 1)
                                          if all(q % r for r in range(2, math.isqrt(q) + 1)))
 
 

@@ -22,6 +22,7 @@ from phinlab.linalg import Matrix, Subspace, _echelon, det, rational_eigenvalues
 from phinlab.modules import (
     FieldDescriptor,
     Flag,
+    _Frame,
     build_module,
     enumerate_stable_subspaces,
     hodge_number,
@@ -679,22 +680,21 @@ def fraction_eigen_frame(d):
 
 
 def test_integer_eigen_frame_matches_the_fraction_route():
-    from phinlab.modules import _eigen_frame
-
     rng = random.Random(59)
     for _ in range(200):
         d = random_oracle_module(rng)
-        valuations, eigvecs, flags, closed = _eigen_frame(d)
+        frame = _Frame(d)
         want_valuations, want_eigvecs, want_closed, want_flags = fraction_eigen_frame(d)
-        assert valuations == want_valuations
-        assert sorted(closed) == want_closed and len(set(closed)) == len(closed)
-        for got, want in zip(eigvecs, want_eigvecs, strict=True):
+        assert frame.valuations == want_valuations
+        assert sorted(frame.closed) == want_closed and len(set(frame.closed)) == len(frame.closed)
+        for got, want in zip(frame.eigvecs, want_eigvecs, strict=True):
             # a primitive integer vector, a positive multiple of the kernel basis vector
             assert all(type(x) is int for x in got) and math.gcd(*got) == 1
             free = next(i for i, x in enumerate(want) if x)
             scale = Fraction(got[free]) / Fraction(want[free])
             assert scale > 0 and [Fraction(x) for x in got] == [scale * x for x in want]
-        for (rows, jumps), want_rows, label in zip(flags, want_flags, d.field.embeddings, strict=True):
+        for (rows, jumps), want_rows, label in zip(frame.flags, want_flags, d.field.embeddings,
+                                                   strict=True):
             assert jumps == d.jumps(label)[::-1]
             # each row a primitive integer multiple of the Fraction row, so
             # every set of rows spans what the Fraction rows span
@@ -708,6 +708,26 @@ def test_integer_eigen_frame_matches_the_fraction_route():
                 outside = [r for r in range(d.n) if not mask >> r & 1]
                 assert _echelon([rows[r] for r in outside]) == fraction_pivots(
                     [want_rows[r] for r in outside])
+
+
+def test_frame_degrees_match_the_definitions_on_every_closed_set():
+    # every closed set, where the verdict cross-checks one dimension only
+    rng = random.Random(71)
+    seen = set()
+    for _ in range(120):
+        d = random_oracle_module(rng)
+        frame, field = _Frame(d), d.field
+        for mask in frame.closed:
+            sub = Subspace(d.n, [v for i, v in enumerate(frame.eigvecs) if mask >> i & 1])
+            assert frame.t_h(mask) == hodge_number(d, sub)
+            assert (Fraction(field.e * frame.t_n(mask), field.degree_factor * field.f)
+                    == newton_number(d, sub))
+        seen |= {("rank", d.n), ("labels", len(field.embeddings)), ("N = 0", d.monodromy.is_zero),
+                 ("e, f", field.e, field.f)}
+    assert {("rank", n) for n in range(2, 9)} <= seen
+    assert {("labels", k) for k in (1, 2, 3)} <= seen
+    assert {("N = 0", True), ("N = 0", False)} <= seen
+    assert {("e, f", e, f) for e in (1, 2) for f in (1, 2)} <= seen
 
 
 @pytest.mark.parametrize("p, phi, jumps, error", [

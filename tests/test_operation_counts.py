@@ -26,7 +26,7 @@ from phinlab.linalg import (
     jordan_partition,
     rational_eigenvalues,
 )
-from phinlab.modules import FieldDescriptor, _eigen_frame, build_module
+from phinlab.modules import FieldDescriptor, _Frame, _smallest_violating_size, build_module
 
 
 def count_calls(monkeypatch, name, entry):
@@ -84,8 +84,22 @@ def test_eigen_frame_forms_one_echelon_form(monkeypatch):
     # elimination per eigenvalue; the one echelon form is the stack's
     d = rank_eight(jordan_nilpotent([3, 2, 2, 1]))
     calls = count_calls(monkeypatch, "_echelon", len)
-    _eigen_frame(d)
+    _Frame(d)
     assert calls == [8]
+
+
+def test_the_verdict_forms_one_echelon_form_per_flag_per_closed_set(monkeypatch):
+    # admissible with t_H = t_N = 6, so every proper closed set is decided:
+    # N = 0 makes all 14 of them closed, and t_H(W_S) takes one echelon
+    # form of the n - |S| rows outside S per flag
+    lower = Matrix([[1 if i >= j else 0 for j in range(4)] for i in range(4)])
+    d = build_module(FieldDescriptor(p=2, embeddings=("k0", "k1")), 4,
+                     Matrix.diagonal([1, 2, 4, 8]), Matrix.zeros(4, 4),
+                     {"k0": (Matrix.identity(4), [0, 0, 1, 2]), "k1": (lower, [0, 1, 1, 1])})
+    frame = _Frame(d)
+    calls = count_calls(monkeypatch, "_echelon", len)
+    assert _smallest_violating_size(d, frame) is None
+    assert calls == [3] * 8 + [2] * 12 + [1] * 8
 
 
 @pytest.fixture

@@ -88,14 +88,24 @@ def edge_outcome(argv):
     return outcome([argv[0], str(ROOT / argv[1]), *argv[2:]])
 
 
-def snapshot():
-    """{argv text: its outcome for an edge argv, else the digest of its outcome}."""
-    now = {" ".join(argv): edge_outcome(argv) for argv in edge_argvs()}
+def edge_snapshot():
+    """{argv text: its outcome} over the edge argvs."""
+    return {" ".join(argv): edge_outcome(argv) for argv in edge_argvs()}
+
+
+def digest_snapshot():
+    """{argv text: the digest of its outcome} over every other argv."""
+    now = {}
     with tempfile.TemporaryDirectory() as workdir:
         for argv in argvs(workdir):
             text = json.dumps(outcome(argv)).replace(json.dumps(workdir)[1:-1], POOL)
             now[" ".join(argv).replace(workdir, POOL)] = hashlib.sha256(text.encode()).hexdigest()
     return now
+
+
+def snapshot():
+    """{argv text: its outcome for an edge argv, else the digest of its outcome}."""
+    return {**edge_snapshot(), **digest_snapshot()}
 
 
 def changed(record, now):

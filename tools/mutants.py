@@ -201,6 +201,18 @@ MUTANTS = (
            "Rational(c[-2], den ** d.n)",
            ("tests/test_modules.py::test_newton_number_matches_the_valuation_of_the_determinant",
             "tests/test_edge_modules.py::test_edge_module_bytes")),
+    # the frame's degrees of a closed set S: t_H from the rows inside S
+    # rather than outside, t_N without the valuation of S's first member
+    Mutant("frame-t-h-keeps-the-set-rows", "modules.py",
+           "outside = [r for r in range(len(self.eigvecs)) if not mask >> r & 1]",
+           "outside = [r for r in range(len(self.eigvecs)) if mask >> r & 1]",
+           ("tests/test_modules.py::test_frame_degrees_match_the_definitions_on_every_closed_set",
+            "tests/test_modules.py::test_eigen_coordinate_verdict_matches_the_subspace_scan")),
+    Mutant("frame-t-n-drops-a-member", "modules.py",
+           "sum(self.valuations[i] for i in _members(mask))",
+           "sum(self.valuations[i] for i in _members(mask)[1:])",
+           ("tests/test_modules.py::test_frame_degrees_match_the_definitions_on_every_closed_set",
+            "tests/test_modules.py::test_eigen_coordinate_verdict_matches_the_subspace_scan")),
     Mutant("matrix-json-without-gcd", "schema.py",
            "gcds = [math.gcd(x, den) for x in row]",
            "gcds = [1 for x in row]",
