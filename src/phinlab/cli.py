@@ -3,11 +3,11 @@
 One JSON module file feeds check-admissible, wd, segments, beta,
 consistency and strata; hecke takes inline flags; sweep takes a seed.
 ``_FILE_COMMANDS`` names each file subcommand with its help text and its
-handler, and builds their subparsers; ``main`` loads the module once and
-hands the parsed module to that handler. Exit codes separate verdicts
-from plumbing: 0 = success/pass, 1 = a mathematical check failed
-(inadmissible, inconsistent, not generic, chain mismatch), 2 = bad input
-(malformed JSON, schema violation, precondition failure).
+handler, and builds their subparsers; ``main`` parses with the named one's
+own parser, loads the module once and hands it to that handler. Exit codes
+separate verdicts from plumbing: 0 = success/pass, 1 = a mathematical check
+failed (inadmissible, inconsistent, not generic, chain mismatch), 2 = bad
+input (malformed JSON, schema violation, precondition failure).
 """
 
 import argparse
@@ -236,7 +236,7 @@ def _attach_psi_values(argv):
 
 @functools.cache
 def _parser():
-    # built on the first call to main; parse_args keeps no state between calls
+    # built on the first call to main; parsing keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="phinlab",
         description="exact computations on filtered phi-N modules and their Hecke side",
@@ -257,11 +257,24 @@ def _parser():
     # every subcommand takes --format as its last option
     for command in sub.choices.values():
         command.add_argument("--format", choices=("text", "json"), default="text")
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv):
+    """The top-level ``parse_args(argv)``, which hands the named subcommand's
+    parser the rest of argv; it runs itself only to word its own errors: an
+    unknown or missing name, or arguments left over."""
+    parser, commands = _parser()
+    sub = commands.get(argv[0]) if argv else None
+    args, rest = sub.parse_known_args(argv[1:]) if sub else (None, argv)
+    if args is None or rest:
+        return parser.parse_args(argv)
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None):
-    args = _parser().parse_args(_attach_psi_values(sys.argv[1:] if argv is None else argv))
+    args = _parse_args(_attach_psi_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command in _FILE_COMMANDS:
             code, report, lines = _FILE_COMMANDS[args.command][1](_load_module(args.input))

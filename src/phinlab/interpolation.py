@@ -16,7 +16,7 @@ values are integral, reporting xi and weak admissibility alongside.
 from .errors import InputError, Undecided
 from .hecke import _twisted, theta_tilde
 from .linalg import exterior_traces
-from .modules import is_weakly_admissible
+from .modules import _admissible
 from .partitions import LabelMap
 from .scalars import is_int
 from .weil_deligne import (
@@ -80,14 +80,13 @@ def beta_value(d, r):
 def check_integrality(d):
     """Valuations of every beta value, with xi and weak admissibility alongside.
 
-    Non-admissible input is a warning, not an error: the raw valuations
-    are still worth seeing, and deliberately broken modules are how the
-    check shows it has power.
+    Admissibility is a yes/no, with no witness. Non-admissible input is a
+    warning, not an error: the raw valuations are still worth seeing, and
+    deliberately broken modules are how the check shows it has power.
     """
     xi, betas = _betas(d)
     try:
-        verdict = is_weakly_admissible(d)
-        admissible = verdict.admissible
+        admissible = _admissible(d)
         warning = None if admissible else "module is not weakly admissible; valuations reported raw"
     except Undecided as err:
         admissible = None

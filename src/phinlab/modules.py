@@ -422,6 +422,14 @@ def is_weakly_admissible(d, candidates=None):
     return AdmissibilityReport(witness is None, t_h, t_n, witness, checked, mode)
 
 
+def _admissible(d):
+    """``is_weakly_admissible(d).admissible`` with no witness, no recheck and,
+    on unequal totals, no frame; Undecided propagates as there."""
+    if hodge_number(d) != newton_number(d):
+        return False
+    return _smallest_violating_size(d, _Frame(d)) is None
+
+
 def _candidate_witness(d, subs):
     """The first of the validated stable subspaces with t_H > t_N, or None."""
     levels = _filtration_levels(d)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from phinlab.linalg import Matrix, Subspace, _echelon, det, rational_eigenvalues
 from phinlab.modules import (
     FieldDescriptor,
     Flag,
+    _admissible,
     _Frame,
     build_module,
     enumerate_stable_subspaces,
@@ -30,6 +32,7 @@ from phinlab.modules import (
     newton_number,
 )
 from phinlab.scalars import padic_val
+from phinlab.schema import load_json, parse_module
 from test_linalg import kernel_basis_reference
 from tests_helpers import matrix_power, random_unimodular
 
@@ -752,6 +755,41 @@ def test_a_totals_mismatch_is_decided_before_the_spectrum(p, phi, jumps, error):
                      {"k0": (Matrix.identity(n), jumps)})
     with pytest.raises(error):
         is_weakly_admissible(d)
+
+
+def verdict_or_undecided(decide, d):
+    try:
+        return decide(d)
+    except Undecided as err:
+        return type(err), str(err)
+
+
+def with_last_jump_raised(d):
+    """d with the top jump of its last flag one higher: t_H moves, t_N does not."""
+    flags = {label: (d.filtration[label].basis, d.jumps(label)) for label in d.field.embeddings}
+    basis, jumps = flags[d.field.embeddings[-1]]
+    flags[d.field.embeddings[-1]] = (basis, jumps[:-1] + (jumps[-1] + 1,))
+    return build_module(d.field, d.n, d.phi, d.monodromy, flags)
+
+
+def test_the_bare_verdict_matches_the_report_or_its_undecided_text():
+    rng = random.Random(83)
+    cases = [random_oracle_module(rng) for _ in range(200)]
+    # what the oracle never draws: a repeated root, an irrational factor and
+    # a rank past the work budget, each with equal and with unequal totals
+    irrational = pathlib.Path(__file__).parent / "edge_modules" / "irrational_x2_minus_2.json"
+    for d in (crystalline(F2, [2, 2], Matrix.identity(2), [0, 2]),
+              parse_module(load_json(irrational.read_text())), diagonal(13)):
+        assert hodge_number(d) == newton_number(d)
+        cases += [d, with_last_jump_raised(d)]
+    seen = set()
+    for d in cases:
+        want = verdict_or_undecided(lambda d: is_weakly_admissible(d).admissible, d)
+        assert verdict_or_undecided(_admissible, d) == want
+        seen.add(want if isinstance(want, bool) else "undecided")
+        if hodge_number(d) != newton_number(d):
+            seen.add("t_H != t_N")
+    assert seen == {True, False, "undecided", "t_H != t_N"}
 
 
 @pytest.mark.parametrize("n", range(2, 10))

@@ -3,10 +3,10 @@
 Each test counts the integer matrix products (``linalg._int_matmul``),
 the integer echelon forms (``linalg._echelon``), the characteristic
 polynomials (``linalg._newton_char_poly``), the determinants
-(``linalg.det``) or the Hecke-side expansions (``hecke._expansion``)
-one call makes. A count does not depend on the
-machine or its load, so these guard the cost of the report path where a
-timing could not.
+(``linalg.det``), the Hecke-side expansions (``hecke._expansion``) or the
+subspaces, eigen-frames and witness searches of the verdict one call
+makes. A count does not depend on the machine or its load, so these guard
+the cost of the report path where a timing could not.
 """
 
 import json
@@ -16,10 +16,11 @@ from fractions import Fraction
 import pytest
 
 import phinlab
-from phinlab import hecke, interpolation, linalg
+from phinlab import hecke, interpolation, linalg, modules
 from phinlab.cli import main
 from phinlab.linalg import (
     Matrix,
+    Subspace,
     char_poly,
     exterior_traces,
     jordan_nilpotent,
@@ -27,6 +28,7 @@ from phinlab.linalg import (
     rational_eigenvalues,
 )
 from phinlab.modules import FieldDescriptor, _Frame, _smallest_violating_size, build_module
+from phinlab.scalars import Frozen
 
 
 def count_calls(monkeypatch, name, entry):
@@ -190,3 +192,66 @@ def test_equal_but_distinct_matrices_each_form_their_own_determinant(monkeypatch
     assert a == b and a is not b
     assert linalg.det(a) == linalg.det(b)
     assert calls == [a, b] and calls[1] is b
+
+
+@pytest.fixture
+def verdict_calls(monkeypatch):
+    """The arguments of each call, per name: the verdict's eigen-frames, its
+    two witness searches and ``Subspace.intersect``, and ``"Subspace"``, one
+    entry per subspace built (each Frozen value is stored by Frozen.__init__)."""
+    calls = {"Subspace": []}
+    for owner, name in ((modules, "_Frame"), (modules, "_candidate_witness"),
+                        (modules, "enumerate_stable_subspaces"), (Subspace, "intersect")):
+        calls[name] = count = []
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, count=count, original=original, **kwargs:
+                            count.append(args) or original(*args, **kwargs))
+    store = Frozen.__init__
+
+    def counted(self, *values):
+        if isinstance(self, Subspace):
+            calls["Subspace"].append(values)
+        store(self, *values)
+
+    monkeypatch.setattr(Frozen, "__init__", counted)
+    return calls
+
+
+def run_on(module, command, tmp_path, capsys):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module))
+    code = main([command, str(path), "--format", "json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_a_beta_call_builds_no_subspace_and_looks_for_no_witness(verdict_calls, tmp_path, capsys):
+    # admissible with equal totals: one frame decides every closed set
+    code, report = run_on(GENERIC, "beta", tmp_path, capsys)
+    assert (code, report["admissible"], report["warning"]) == (0, True, None)
+    assert {name: len(calls) for name, calls in verdict_calls.items()} == {
+        "Subspace": 0, "_Frame": 1, "_candidate_witness": 0, "enumerate_stable_subspaces": 0,
+        "intersect": 0}
+
+
+def test_a_beta_call_on_unequal_totals_builds_no_frame(verdict_calls, tmp_path, capsys):
+    # the top jump 4 makes t_H = 7 against t_N = 6
+    module = json.loads(json.dumps(GENERIC))
+    module["filtration"]["k0"]["jumps"] = [0, 1, 2, 4]
+    code, report = run_on(module, "beta", tmp_path, capsys)
+    assert (code, report["admissible"]) == (0, False)
+    assert report["warning"] == "module is not weakly admissible; valuations reported raw"
+    assert {name: len(calls) for name, calls in verdict_calls.items()} == {
+        "Subspace": 0, "_Frame": 0, "_candidate_witness": 0, "enumerate_stable_subspaces": 0,
+        "intersect": 0}
+
+
+def test_a_check_admissible_call_still_checks_the_stable_lines(verdict_calls, tmp_path, capsys):
+    # the witness route and its cross-check run on check-admissible alone:
+    # the four stable lines and the four levels Fil^0..Fil^3 are built, and
+    # each line meets the levels up to the first one it misses (2 + 2 + 4 + 4
+    # intersections, one zero subspace each)
+    code, report = run_on(GENERIC, "check-admissible", tmp_path, capsys)
+    assert (code, report["admissible"]) == (0, True)
+    assert {name: len(calls) for name, calls in verdict_calls.items()} == {
+        "Subspace": 12, "_Frame": 1, "_candidate_witness": 1, "enumerate_stable_subspaces": 1,
+        "intersect": 12}

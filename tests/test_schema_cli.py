@@ -577,6 +577,60 @@ def test_cli_main_reuses_one_parser_across_calls(tmp_path, capsys):
     assert [code for code, _ in shared] == [0, 0, 0, 2, 2, 0]
 
 
+HECKE_ARGV = ["hecke", "--n", "3", "--r", "2", "--q", "2", "--psi", "1,2,4"]
+FILE_COMMANDS = ["check-admissible", "wd", "segments", "beta", "consistency", "strata"]
+DISPATCH_CORPUS = (
+    [[name, "m.json", *fmt] for name in FILE_COMMANDS
+     for fmt in ([], ["--format", "text"], ["--format", "json"], ["--format=json"])]
+    + [argv + fmt for argv in (HECKE_ARGV, ["sweep", "--seed", "3"], ["sweep"])
+       for fmt in ([], ["--format", "text"], ["--format", "json"], ["--format=json"])]
+    + [
+        ["beta", "m.json", "--form", "json"],
+        HECKE_ARGV + ["--form", "json"],
+        ["-h", "beta", "m.json"], ["--help", "hecke"], ["-h"], ["--help"],
+        ["beta", "-h"], ["beta", "m.json", "--help"], ["hecke", "--help"], ["sweep", "-h"],
+        ["beta"], ["hecke", "--n", "3"],
+        ["beta", "m.json", "extra"], ["sweep", "--seed", "1", "extra"], HECKE_ARGV + ["--seed", "1"],
+        ["frobnicate", "m.json"], ["--format", "json", "beta", "m.json"], [],
+        ["beta", "--", "m.json"], ["beta", "m.json", "--"], ["--", "beta", "m.json"],
+        ["beta", "--", "-h"],
+        ["strata", "m.json", "--format", "yaml"], ["hecke", "--n", "x", "--r", "2", "--q", "2",
+                                                  "--psi", "1"],
+        ["hecke", "--n", "3", "--r", "2", "--q", "2", "--psi", "-3/2,1"],
+    ]
+)
+
+
+def test_cli_dispatch_parses_as_the_top_level_parser_does(capsys, monkeypatch):
+    from phinlab import cli
+
+    parser, _ = cli._parser()
+
+    def outcome(parse, tokens):
+        try:
+            result = vars(parse(tokens))
+        except SystemExit as exc:
+            result = exc.code
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    def top_level_parse(tokens):
+        raise AssertionError(f"the top-level parser ran on {tokens}")
+
+    seen = set()
+    for argv in DISPATCH_CORPUS:
+        for tokens in (argv, cli._attach_psi_values(argv)):
+            want = outcome(parser.parse_args, tokens)
+            assert outcome(cli._parse_args, tokens) == want, tokens
+            seen.add("parsed" if isinstance(want[0], dict) else want[0])
+            if isinstance(want[0], dict):
+                # a well-formed call parses once, with the subcommand's own parser
+                with monkeypatch.context() as patch:
+                    patch.setattr(parser, "parse_args", top_level_parse)
+                    assert outcome(cli._parse_args, tokens) == want, tokens
+    assert seen == {"parsed", 0, 2}
+
+
 def test_cli_hecke_over_the_class_budget_exits_2_at_once():
     # C(30, 15) = 155117520 coset classes: summing them would take hours
     psi = ",".join(str(i) for i in range(1, 31))

@@ -217,6 +217,19 @@ MUTANTS = (
            "gcds = [math.gcd(x, den) for x in row]",
            "gcds = [1 for x in row]",
            ("tests/test_schema_cli.py::test_matrix_json_prints_the_rational_entries",)),
+    # the bare verdict without its totals: unequal totals go on into the
+    # frame, which may call the module admissible or raise Undecided
+    Mutant("beta-verdict-skips-the-totals", "modules.py",
+           "    if hodge_number(d) != newton_number(d):\n"
+           "        return False\n",
+           "",
+           ("tests/test_modules.py::test_the_bare_verdict_matches_the_report_or_its_undecided_text",
+            "tests/test_operation_counts.py::test_a_beta_call_on_unequal_totals_builds_no_frame")),
+    # arguments the subcommand's parser leaves over are dropped, not refused
+    Mutant("dispatch-keeps-leftovers", "cli.py",
+           "    if args is None or rest:\n",
+           "    if args is None:\n",
+           ("tests/test_schema_cli.py::test_cli_dispatch_parses_as_the_top_level_parser_does",)),
 )
 
 
