@@ -3,11 +3,13 @@
 One JSON module file feeds check-admissible, wd, segments, beta,
 consistency and strata; hecke takes inline flags; sweep takes a seed.
 ``_FILE_COMMANDS`` names each file subcommand with its help text and its
-handler, and builds their subparsers; ``main`` parses with the named one's
-own parser, loads the module once and hands it to that handler. Exit codes
-separate verdicts from plumbing: 0 = success/pass, 1 = a mathematical check
-failed (inadmissible, inconsistent, not generic, chain mismatch), 2 = bad
-input (malformed JSON, schema violation, precondition failure).
+handler, and builds their subparsers. ``main`` reads a file call written
+``NAME PATH`` or ``NAME PATH --format text|json`` without argparse, parses
+any other argv with the named subcommand's own parser, loads the module
+once and hands it to that handler. Exit codes separate verdicts from
+plumbing: 0 = success/pass, 1 = a mathematical check failed (inadmissible,
+inconsistent, not generic, chain mismatch), 2 = bad input (malformed JSON,
+schema violation, precondition failure).
 """
 
 import argparse
@@ -236,7 +238,7 @@ def _attach_psi_values(argv):
 
 @functools.cache
 def _parser():
-    # built on the first call to main; parsing keeps no state between calls
+    # built on the first call that needs argparse; parsing keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="phinlab",
         description="exact computations on filtered phi-N modules and their Hecke side",
@@ -261,9 +263,19 @@ def _parser():
 
 
 def _parse_args(argv):
-    """The top-level ``parse_args(argv)``, which hands the named subcommand's
-    parser the rest of argv; it runs itself only to word its own errors: an
-    unknown or missing name, or arguments left over."""
+    """The top-level ``parse_args(argv)``.
+
+    A file call in one of its two canonical shapes, ``NAME PATH`` and
+    ``NAME PATH --format text|json`` with a PATH that does not start with
+    '-', is read here with no parser built: argparse would read it the
+    same way. Any other argv goes to the named subcommand's parser, and the
+    top-level parser runs only to word its own errors: an unknown or missing
+    name, or arguments left over.
+    """
+    if len(argv) == 2 or (len(argv) == 4 and argv[2] == "--format" and argv[3] in ("text", "json")):
+        if argv[0] in _FILE_COMMANDS and argv[1][:1] != "-":
+            fmt = argv[3] if len(argv) == 4 else "text"
+            return argparse.Namespace(command=argv[0], input=argv[1], format=fmt)
     parser, commands = _parser()
     sub = commands.get(argv[0]) if argv else None
     args, rest = sub.parse_known_args(argv[1:]) if sub else (None, argv)

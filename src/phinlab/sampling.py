@@ -12,7 +12,7 @@ from .errors import Undecided
 from .hecke import HeckeParams, theta_closed, theta_enumerated
 from .interpolation import check_integrality, consistency_check
 from .linalg import Matrix, jordan_nilpotent, jordan_partition
-from .modules import FieldDescriptor, build_module, is_weakly_admissible
+from .modules import FieldDescriptor, _admissible, build_module, is_weakly_admissible
 from .partitions import Partition, PartitionFunction, paper_leq, stratum_member
 from .scalars import Rational, format_rational
 from .weil_deligne import Segment, wd_from_segments
@@ -103,7 +103,7 @@ def random_wa_module(rng, n=None):
             field, n, Matrix.diagonal(diag), Matrix.zeros(n, n), {"k0": (flag, list(jumps))}
         )
         try:
-            if is_weakly_admissible(d).admissible:
+            if _admissible(d):
                 return d
         except Undecided:
             continue

@@ -33,7 +33,7 @@ def test_random_wa_module_falls_back_to_the_split_ordinary_shape(monkeypatch):
         calls.append(d)
         raise Undecided("no verdict")
 
-    monkeypatch.setattr(sampling, "is_weakly_admissible", undecided)
+    monkeypatch.setattr(sampling, "_admissible", undecided)
     d = random_wa_module(random.Random(11), 3)
     # every sampled flag was undecided, so the fallback built d
     assert len(calls) == 200

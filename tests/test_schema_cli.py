@@ -598,6 +598,12 @@ DISPATCH_CORPUS = (
                                                   "--psi", "1"],
         ["hecke", "--n", "3", "--r", "2", "--q", "2", "--psi", "-3/2,1"],
     ]
+    # the edges of the canonical file call, which is read without argparse;
+    # argparse reads "-5" as the path, and "-h" and "--" as themselves
+    + [[name, *tail] for name in FILE_COMMANDS
+       for tail in (["-h", "--format", "json"], ["--", "--format", "json"],
+                    ["-5", "--format", "json"], ["", "--format", "json"],
+                    ["m.json", "--format"], ["m.json", "--format", "json", "extra"])]
 )
 
 
@@ -629,6 +635,30 @@ def test_cli_dispatch_parses_as_the_top_level_parser_does(capsys, monkeypatch):
                     patch.setattr(parser, "parse_args", top_level_parse)
                     assert outcome(cli._parse_args, tokens) == want, tokens
     assert seen == {"parsed", 0, 2}
+
+
+def test_cli_canonical_file_calls_build_no_parser(tmp_path, capsys, monkeypatch):
+    from phinlab import cli
+
+    # Steinberg passes everything; phi = 2*I is not weakly admissible
+    inadmissible = variant(phi=[["2", "0"], ["0", "2"]], monodromy=[["0", "0"], ["0", "0"]],
+                           filtration={"k0": {"flag": [["1", "0"], ["0", "1"]], "jumps": [0, 1]}})
+    paths = [write_json(tmp_path, STEINBERG), write_json(tmp_path, inadmissible, "no.json"),
+             write_json(tmp_path, {"n": 1}, "bad.json")]
+    calls = [[name, path, *fmt] for name in FILE_COMMANDS for path in paths
+             for fmt in ([], ["--format", "text"], ["--format", "json"])]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cli._parser.cache_clear()
+    canonical = [run(argv) for argv in calls]
+    assert cli._parser.cache_info().currsize == 0
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._parser()[0].parse_args(argv))
+    assert canonical == [run(argv) for argv in calls]
+    assert {code for code, _, _ in canonical} == {0, 1, 2}
 
 
 def test_cli_hecke_over_the_class_budget_exits_2_at_once():

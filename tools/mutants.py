@@ -230,6 +230,16 @@ MUTANTS = (
            "    if args is None or rest:\n",
            "    if args is None:\n",
            ("tests/test_schema_cli.py::test_cli_dispatch_parses_as_the_top_level_parser_does",)),
+    # the canonical file call without its guards: "-h" or "--" taken as the
+    # path, or a --format value argparse refuses taken as given
+    Mutant("canonical-path-may-lead-with-a-dash", "cli.py",
+           ' and argv[1][:1] != "-"',
+           "",
+           ("tests/test_schema_cli.py::test_cli_dispatch_parses_as_the_top_level_parser_does",)),
+    Mutant("canonical-format-unchecked", "cli.py",
+           ' and argv[3] in ("text", "json")',
+           "",
+           ("tests/test_schema_cli.py::test_cli_dispatch_parses_as_the_top_level_parser_does",)),
 )
 
 
