@@ -3,13 +3,12 @@
 Input side: parse_module turns the one shared JSON shape into a validated
 module, naming the offending field path on any violation. Numbers arrive
 as rational strings or ints; floats are rejected outright. A matrix whose
-entries are all JSON ints is read whole, as integers over 1. One whose
-entries are all strings is read whole too: its rows are joined into one
-text, which ``scalars.rational_literals`` checks with one match of the
-literal grammar and cuts into integers over their least common
-denominator. Any other matrix, and any fault, is read entry by entry,
-which names the first row or entry at fault; the reads agree on every
-value and every error.
+entries are all strings is read whole: its rows are joined into one text,
+which ``scalars.rational_literals`` checks with one match of the literal
+grammar and cuts into integers over their least common denominator. Any
+other matrix, and any fault, is read entry by entry, which names the
+first row or entry at fault; the two reads agree on every value and
+every error.
 
 Output side: every report dict produced here contains only strings, ints,
 bools, lists and dicts, with all rationals rendered as strings, so
@@ -87,17 +86,13 @@ def _literal(value, row_path, j):
     raise SchemaError(_key(row_path, j), f"expected a rational, got {type(value).__name__}")
 
 
-def _read_whole(value, n):
-    """(rows, den) of n lists of n JSON ints, as they stand over 1, or of n
-    lists of n literal strings, read as one text; None for any other value,
-    or for a literal that is bad or past the digit limit of int(), which
-    ``_read_entries`` then reads or rejects."""
+def _read_text(value, n):
+    """(rows, den) of n lists of n literal strings, read as one text; None
+    for any other value, or for a literal that is bad or past the digit
+    limit of int(), which ``_read_entries`` then reads or rejects."""
     if type(value) is not list or len(value) != n or not all(
             type(row) is list and len(row) == n for row in value):
         return None
-    # type() and not isinstance(): a bool is no entry of a matrix
-    if all(type(x) is int for row in value for x in row):
-        return value, 1
     try:
         text = ";".join([",".join(row) for row in value])
     except TypeError:
@@ -128,9 +123,9 @@ def _read_entries(value, n, path):
 
 
 def _as_matrix(value, n, path):
-    """The n x n matrix at path: rows of ints, or of literal strings, are
-    read whole, anything else (ints among strings, or a fault) entry by entry."""
-    return Matrix._from_ints(*(_read_whole(value, n) or _read_entries(value, n, path)))
+    """The n x n matrix at path: rows of literal strings are read as one
+    text, anything else (ints among the entries, or a fault) entry by entry."""
+    return Matrix._from_ints(*(_read_text(value, n) or _read_entries(value, n, path)))
 
 
 def _reject_unknown(obj, allowed, path):
