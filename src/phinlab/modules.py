@@ -16,8 +16,6 @@ Breuil-Schneider 2007, section 4): t_N(W_S) is a sum of eigenvalue
 valuations, and t_H(W_S) comes from one integer echelon form per flag.
 """
 
-import math
-
 from .config import check_work_units
 from .errors import (
     BadFlag,
@@ -209,24 +207,10 @@ def newton_number(d, sub=None):
 
 
 def _filtration_levels(d):
-    """Per embedding, each distinct jump i ascending with its Fil^i subspace.
-
-    The flag columns are stored by ascending jump, so from the top jump
-    down Fil^i is the span of the echelon rows of the level above it and
-    the columns of jump i: the ``Subspace`` that ``fil_subspace`` builds.
-    """
-    out = []
-    for label in d.field.embeddings:
-        entry = d.filtration[label]
-        jumps, levels, rows = entry.jumps, [], []
-        for j in range(d.n - 1, -1, -1):
-            rows.append([row[j] for row in entry.basis.ints])
-            if j == 0 or jumps[j - 1] < jumps[j]:
-                fil = Subspace._from_int_rows(d.n, rows)
-                levels.append((jumps[j], fil))
-                rows = list(fil.ints)
-        out.append(levels[::-1])
-    return out
+    """Per embedding, each distinct jump i ascending with its Fil^i subspace,
+    as ``fil_subspace`` builds it."""
+    return [[(i, d.fil_subspace(label, i)) for i in sorted(set(d.jumps(label)))]
+            for label in d.field.embeddings]
 
 
 def _hodge(sub, levels):
@@ -348,7 +332,7 @@ def enumerate_stable_subspaces(d, dim=None, *, frame=None):
 
     These are exactly the spans of Frobenius eigenvector subsets closed
     under the monodromy; the zero space and the full space are included,
-    in ``Subspace.sort_key`` order. With ``dim`` only the stable subspaces
+    sorted by ``Subspace.sort_key``. With ``dim`` only the stable subspaces
     of that dimension are built. ``frame`` is internal: the verdict passes
     the ``_Frame(d)`` it already has. Raises RepeatedEigenvalues or
     NotFullyRational when the spectrum is not split multiplicity-free; use
@@ -356,15 +340,8 @@ def enumerate_stable_subspaces(d, dim=None, *, frame=None):
     """
     frame = frame or _Frame(d)
     masks = frame.closed if dim is None else [m for m in frame.closed if m.bit_count() == dim]
-    out = [Subspace._from_int_rows(d.n, [frame.eigvecs[i] for i in _members(m)]) for m in masks]
-    # the order of Subspace.sort_key, compared on integers: every basis row
-    # r / p (r a stored row, p its pivot) scaled by one common multiple of
-    # all the pivots; bases of one dimension have equal shapes, so their
-    # flattened rows compare the same
-    scale = math.lcm(*{r[c] for sub in out for r, c in zip(sub.ints, sub.pivots)})
-    out.sort(key=lambda sub: (sub.dim, [x * (scale // r[c]) for r, c in zip(sub.ints, sub.pivots)
-                                        for x in r]))
-    return out
+    return sorted((Subspace._from_int_rows(d.n, [frame.eigvecs[i] for i in _members(m)])
+                   for m in masks), key=Subspace.sort_key)
 
 
 class Witness(Frozen):
@@ -463,13 +440,13 @@ def _enumerated_witness(d, frame):
     """The first stable subspace with t_H > t_N in sort-key order, or None.
 
     The eigen-coordinate pass decides every N-closed set and gives the
-    smallest violating dimension k. The witness is then found, and its
-    t_H and t_N computed, by the certificate-mode loop over the stable
-    subspaces of dimension k, which ``Subspace.sort_key`` puts first. An
-    admissible module runs that loop over its stable lines. The two
-    routes are compared in that one dimension only: a violator the pass
-    misses below k, or one of dimension 2 or more in a module it calls
-    admissible, is not caught.
+    smallest violating dimension k. The witness is then found by the
+    definitions: the certificate-mode loop (t_H from ``fil_subspace``, t_N
+    from the restricted phi) over the stable subspaces of dimension k,
+    sorted by ``Subspace.sort_key``. An admissible module runs that loop
+    over its stable lines. The two routes are compared in that one
+    dimension only: a violator the pass misses below k, or one of
+    dimension 2 or more in a module it calls admissible, is not caught.
     """
     size = _smallest_violating_size(d, frame)
     dim = size or 1

@@ -454,8 +454,8 @@ def test_stable_subspace_order_is_the_sort_key_order():
         assert subs == sorted(subs, key=Subspace.sort_key)
         denominators = {x.denominator for sub in subs for row in sub.basis for x in row}
         most_denominators = max(most_denominators, len(denominators))
-    # the integer key scales by one common multiple, which only matters
-    # when one module's bases mix several denominators
+    # bases that mix several denominators order differently as rationals
+    # than as their stored integer rows, which a sort on those rows fails
     assert most_denominators > 2
 
 
@@ -520,6 +520,9 @@ def with_rational_flags(rng, d):
 
 
 def test_filtration_levels_match_fil_subspace_level_by_level():
+    """The Hodge scan's level list: per label in the field's order, each
+    distinct jump once, ascending, with ``fil_subspace``'s Fil^i. Tied
+    jumps, one to three labels and rational flags all occur."""
     rng = random.Random(61)
     seen = set()
     for k in range(400):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from phinlab import sampling
 from phinlab.cli import main
 from phinlab.errors import ChainMismatch, SchemaError
 from phinlab.interpolation import CONVENTIONS
@@ -478,6 +479,29 @@ def test_cli_sweep_deterministic(capsys):
     assert report["passed"] is True
     ids = [c["id"] for c in report["cases"]]
     assert ids == sorted(ids)
+
+
+def test_cli_sweep_names_a_failed_check_and_exits_1(capsys, monkeypatch):
+    real = sampling.theta_enumerated
+    runs = {}
+    for fmt in ("text", "json"):
+        calls = []
+
+        def first_call_off_by_one(psi, h):
+            calls.append(h)
+            value = real(psi, h)
+            return value + 1 if len(calls) == 1 else value
+
+        monkeypatch.setattr(sampling, "theta_enumerated", first_call_off_by_one)
+        runs[fmt] = run_cli(capsys, ["sweep", "--seed", "11", "--format", fmt])
+    code, out, _ = runs["text"]
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith(("passed", "FAILED"))] == [
+        "passed: no", "FAILED hecke-000 (theta_routes_agree)"]
+    code, out, _ = runs["json"]
+    report = json.loads(out)
+    assert code == 1 and report["passed"] is False
+    assert [c["id"] for c in report["cases"] if not c["ok"]] == ["hecke-000"]
 
 
 @pytest.mark.parametrize("field", [

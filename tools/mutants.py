@@ -175,11 +175,10 @@ MUTANTS = (
            "        poly = shared[m.ints, m.den] = _newton_char_poly(m), m.den\n",
            ("tests/test_operation_counts.py::"
             "test_equal_but_distinct_matrices_each_form_their_own_polynomial",)),
-    # a snapshot after every column: the level of a tied jump is also
-    # listed before the group's last column joins it
+    # one level per flag column: a tied jump's level is listed twice
     Mutant("level-snapshot-inside-a-tie", "modules.py",
-           "if j == 0 or jumps[j - 1] < jumps[j]:",
-           "if j == 0 or jumps[j - 1] <= jumps[j]:",
+           "sorted(set(d.jumps(label)))",
+           "sorted(d.jumps(label))",
            ("tests/test_modules.py::test_filtration_levels_match_fil_subspace_level_by_level",)),
     Mutant("hodge-scan-one-level-early", "modules.py",
            "for i, fil in label_levels:",
