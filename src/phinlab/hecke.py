@@ -20,7 +20,7 @@ from itertools import combinations, product
 
 from .config import check_work_units
 from .errors import InputError
-from .linalg import Matrix
+from .linalg import Matrix, _linear_product
 from .scalars import Frozen, Rational, TwistedScalar, as_rational, is_int, is_prime
 
 __all__ = [
@@ -116,13 +116,7 @@ def _spherical(S, nums, dens, h):
 
 def _expansion(values):
     """Integer coefficients c_0 .. c_n of prod(b_i + a_i*x); e_r = c_r / c_0."""
-    nums, dens = _split(values)
-    coeffs = [1] + [0] * len(nums)
-    for k, (a, b) in enumerate(zip(nums, dens), 1):
-        for j in range(k, 0, -1):
-            coeffs[j] = coeffs[j] * b + a * coeffs[j - 1]
-        coeffs[0] *= b
-    return coeffs
+    return _linear_product((v.denominator, v.numerator) for v in values)
 
 
 def elementary_symmetric(values):

@@ -337,10 +337,25 @@ def _divide_linear(poly, a, b):
     return out if poly[0] + carry == 0 else None
 
 
-def _primitive(poly):
-    """An integer polynomial divided by its content, leading coefficient positive."""
-    g = math.gcd(*poly)
-    return [c // g for c in poly] if poly[-1] > 0 else [-c // g for c in poly]
+def _primitive(v):
+    """A nonzero integer vector divided by its content and signed so that its
+    last nonzero entry is positive: for a polynomial, coefficients from the
+    constant term up, the leading coefficient. The one signed normal form."""
+    g = math.gcd(*v)
+    return [x // g for x in v] if next(x for x in reversed(v) if x) > 0 else [-x // g for x in v]
+
+
+def _linear_product(pairs):
+    """Integer coefficients, constant term first, of the product of the
+    linear factors c + d*x over the integer pairs (c, d); each factor
+    updates the coefficients in place, from the top down."""
+    coeffs = [1]
+    for k, (c, d) in enumerate(pairs, 1):
+        coeffs.append(0)
+        for j in range(k, 0, -1):
+            coeffs[j] = coeffs[j] * c + d * coeffs[j - 1]
+        coeffs[0] *= c
+    return coeffs
 
 
 def _derivative(poly):
@@ -523,9 +538,7 @@ def _eigenvectors(a, roots):
     values of s miss any one line.
     """
     n = len(a)
-    poly = [1]
-    for num, den in roots:
-        poly = [den * x - num * y for x, y in zip([0] + poly, poly + [0])]
+    poly = _linear_product((-num, den) for num, den in roots)
     quotients = [_divide_linear(poly, num, den) for num, den in roots]
     out = [None] * len(roots)
     todo, s = list(range(len(roots))), 3
@@ -537,9 +550,7 @@ def _eigenvectors(a, roots):
         for i in todo:
             v = [sum(map(operator.mul, quotients[i], col)) for col in columns]
             if any(v):
-                g = math.gcd(*v)
-                last = next(x for x in reversed(v) if x)
-                out[i] = [x // (g if last > 0 else -g) for x in v]
+                out[i] = _primitive(v)
         todo, s = [i for i in todo if out[i] is None], s + 1
     return out
 
@@ -581,9 +592,6 @@ class Partition(Frozen):
     @property
     def total(self):
         return sum(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
 
     def __repr__(self):
         return f"Partition{self.parts}"

@@ -367,10 +367,10 @@ class TwistedScalar(Frozen):
             raise TypeError(f"pi_exp and e must be ints, got {pi_exp!r} and {e!r}")
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
-        num, den = coeff.numerator, coeff.denominator
         # valued before the fold, whose factor p^pi_exp it would only divide out again
-        val = (_int_val(abs(num), p) - _int_val(den, p)) * e + pi_exp if num else math.inf
+        val = padic_val(coeff, p) * e + pi_exp if coeff else math.inf
         if e == 1 and pi_exp:
+            num, den = coeff.numerator, coeff.denominator
             coeff = (Rational(num * p ** pi_exp, den) if pi_exp > 0
                      else Rational(num, den * p ** -pi_exp))
             pi_exp = 0

@@ -12,10 +12,9 @@ labels belong to the filtered module, not to its representation:
 """
 
 from collections import Counter
-from itertools import accumulate
 
 from .errors import ChainMismatch, InputError
-from .linalg import Matrix, jordan_partition, rational_eigenvalues
+from .linalg import Matrix, jordan_nilpotent, jordan_partition, rational_eigenvalues
 from .modules import check_phi_n
 from .partitions import PartitionFunction
 from .scalars import Frozen, Rational, _int_val, _rebuild, as_rational, is_int, is_prime, padic_val
@@ -183,29 +182,19 @@ def segments_from_wd(w):
 def _q_power_offset(a, b, q):
     """Integer m with b == a * q**m, or None when b is off a's q-line."""
     ratio = b / a
-    if ratio.denominator == 1:
-        m = _int_val(ratio.numerator, q)
-    elif ratio.numerator == 1:
-        m = -_int_val(ratio.denominator, q)
-    else:
-        return None
+    m = _int_val(ratio.numerator, q) - _int_val(ratio.denominator, q)
     return m if ratio == Rational(q) ** m else None
 
 
 def _linked(s, t, q):
+    """Whether s and t lie on one q-line, with exponent intervals [0, b1]
+    and [m, b2] along it that leave no gap between them and of which
+    neither holds the other: one starts first and the other ends last."""
     m = _q_power_offset(s.chi, t.chi, q)
     if m is None:
         return False
-    # exponent intervals along the shared line
-    a1, b1 = 0, s.length - 1
-    a2, b2 = m, m + t.length - 1
-    if max(a1, a2) > min(b1, b2) + 1:
-        return False  # a gap separates the chains
-    if a1 <= a2 and b2 <= b1:
-        return False  # one chain swallows the other
-    if a2 <= a1 and b1 <= b2:
-        return False
-    return True
+    b1, b2 = s.length - 1, m + t.length - 1
+    return max(0, m) <= min(b1, b2) + 1 and -m * (b1 - b2) > 0
 
 
 def find_linked_pair(segments, q):
@@ -235,10 +224,8 @@ def psi_from_segments(segments, q):
 
 def wd_from_segments(segments, q):
     """Direct sum of one chain block per segment, for building examples: the
-    diagonal of ``psi_from_segments``, and N with ones below it within each block."""
+    diagonal of ``psi_from_segments``, and N the transpose of ``jordan_nilpotent``."""
     segs = [s if isinstance(s, Segment) else Segment(*s) for s in segments]
-    diagonal = psi_from_segments(segs, q)
-    n = len(diagonal)
-    starts = set(accumulate(s.length for s in segs))
-    nil = [[int(j == i - 1 and i not in starts) for j in range(n)] for i in range(n)]
-    return WeilDeligneRep(Matrix.diagonal(diagonal), Matrix(nil), q)
+    fr = Matrix.diagonal(psi_from_segments(segs, q))
+    nil = Matrix._from_ints(zip(*jordan_nilpotent([s.length for s in segs]).ints), 1)
+    return WeilDeligneRep(fr, nil, q)

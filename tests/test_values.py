@@ -41,6 +41,8 @@ CASES = {
     "FilteredPhiNModule": (steinberg, "phi", "FilteredPhiNModule(n=2, p=2)"),
     "QExtScalar": (lambda: QExtScalar(1, 2, 3), "a", "QExtScalar(1 + 2*sqrt(3))"),
     "TwistedScalar": (lambda: TwistedScalar(3, 1, 2, 2), "coeff", "TwistedScalar(3 * pi^1)"),
+    # at e = 1 with no uniformizer power the value is a plain rational
+    "TwistedScalar folded": (lambda: TwistedScalar(3, 0, 2, 1), "coeff", "TwistedScalar(3)"),
     "Partition": (lambda: Partition((2, 1)), "parts", "Partition(2, 1)"),
     "LabelMap": (lambda: LabelMap({"k0": (0, -1)}), "pairs", "LabelMap({'k0': (0, -1)})"),
     "PartitionFunction": (lambda: PartitionFunction({"k0": (2, 1)}), "pairs",

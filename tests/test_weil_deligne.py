@@ -231,6 +231,34 @@ def test_find_linked_pair_reports_indices():
     assert find_linked_pair([seg(1, 1), seg(4, 1)], 2) is None
 
 
+def linked_by_sets(exps_s, exps_t):
+    """Linkage by its definition on exponent sets along one q-line: the
+    union is one run of consecutive integers and neither set holds the other."""
+    union = exps_s | exps_t
+    run = max(union) - min(union) + 1 == len(union)
+    return run and not (exps_s <= exps_t or exps_t <= exps_s)
+
+
+def test_find_linked_pair_matches_the_set_definition():
+    for q in (2, 3, 4):
+        powers = {Fraction(q) ** k for k in range(-12, 13)}
+        off_line = [r for r in (-1, 2, Fraction(1, 2), q + 1, Fraction(q, q + 1))
+                    if r not in powers]
+        for chi in (1, Fraction(-5, 7)):
+            for k1, k2 in itertools.product(range(1, 7), repeat=2):
+                s = seg(chi, k1)
+                for m in range(-8, 9):
+                    t = seg(chi * Fraction(q) ** m, k2)
+                    want = linked_by_sets(set(range(k1)), set(range(m, m + k2)))
+                    assert find_linked_pair([s, t], q) == ((0, 1) if want else None), (q, chi, k1, k2, m)
+                    assert find_linked_pair([t, s], q) == ((0, 1) if want else None), (q, chi, k1, k2, m)
+                for r in off_line:
+                    for m in range(-2, 3):
+                        t = seg(chi * r * Fraction(q) ** m, k2)
+                        assert find_linked_pair([s, t], q) is None, (q, chi, k1, k2, r, m)
+                        assert find_linked_pair([t, s], q) is None, (q, chi, k1, k2, r, m)
+
+
 def test_is_generic_order_independent():
     rng = random.Random(53)
     segs = [seg(1, 1), seg(2, 2), seg(3, 1), seg(12, 1), seg(Fraction(1, 2), 1)]
